@@ -82,6 +82,8 @@ constexpr std::uint8_t kCheckpointFlavorMix = 1;
 /** Full warm simulator state, resumable into a same-spec session. */
 struct ArchCheckpoint
 {
+    using Session = SimSession;
+
     ArchState arch;
     TimingState timing;
 
@@ -97,6 +99,27 @@ struct ArchCheckpoint
     {
         return arch.byteSize() + timing.byteSize() +
                2 * sizeof(std::uint64_t);
+    }
+
+    /** True for an unfilled slot (no state captured or loaded). */
+    bool
+    empty() const
+    {
+        return arch.data.empty();
+    }
+
+    /** Snapshot @p session's state and position. */
+    void
+    saveFrom(const SimSession &session)
+    {
+        session.saveState(arch, timing);
+        position = session.instCount();
+    }
+
+    void
+    restoreInto(SimSession &session) const
+    {
+        session.restoreState(arch, timing);
     }
 
     /** Field order is normative: docs/checkpoint-format.md. */
@@ -206,85 +229,259 @@ operator!=(const ShardSpec &a, const ShardSpec &b)
 namespace detail {
 
 /**
- * The serial sampling schedule with state-equivalent warming, shared
- * by every capture flavor: fastForward over the inter-unit gaps
- * (identical to the serial run), warmAsDetailed over the
- * detailed-warming and measured windows (identical state
- * transitions, no timing). @p snap(shard) fires at each shard
- * boundary — an iteration start, where the session state is
- * bit-identical to the serial run's. Works for any session exposing
- * the stepping surface — SimSession (one config), MultiSession (N
- * configs in lockstep), mp::MixSession (N programs over a shared
- * hierarchy, positions in rounds): the stream driving the schedule
- * does not depend on what is being warmed.
+ * The capture walk (core/schedule.hh) over a shard plan: @p snap(s)
+ * fires at each shard boundary s >= 1 in order — an iteration start,
+ * where the session state is bit-identical to the serial run's. The
+ * walk stops after the last boundary (the tail belongs to the last
+ * shard), or at a boundary the stream never reached.
  */
 template <typename Session, typename Snap>
 void
-captureSchedule(Session &session, const SamplingConfig &config,
-                const std::vector<ShardSpec> &plan, Snap &&snap)
+captureShards(Session &session, const SamplingConfig &config,
+              const std::vector<ShardSpec> &plan, Snap &&snap)
 {
-    if (plan.size() <= 1)
-        return;
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    if (!u || !k)
-        SMARTS_FATAL("capture needs nonzero unit size and interval");
-
-    std::uint64_t pos = session.instCount();
-    std::uint64_t unitIdx = config.nextGridIndex(config.offset, pos);
     std::size_t next = 1;
-
-    while (next < plan.size()) {
-        if (unitIdx >= plan[next].firstUnitIndex) {
-            // The grid index can cross a boundary the STREAM never
-            // reached (it ended mid-unit on a mis-stated length);
-            // snapping there would persist a checkpoint load() must
-            // forever refuse. Unreachable boundary = stop.
-            if (session.instCount() < plan[next].resumePos)
-                break;
-            snap(next);
-            ++next;
-            continue;
-        }
-        // Stream shorter than planned (mis-stated length): the
-        // remaining checkpoints are unreachable.
-        if (session.finished() || unitIdx > ~0ull / u)
-            break;
-
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                continue;
-        }
-        if (unitStart > pos)
-            pos += session.warmAsDetailed(unitStart - pos);
-        pos += session.warmAsDetailed(u);
-        unitIdx += k;
-    }
+    captureWalk(
+        session, config,
+        [&](std::uint64_t unitIdx) {
+            for (; next < plan.size() &&
+                   unitIdx >= plan[next].firstUnitIndex;
+                 ++next) {
+                // The grid index can cross a boundary the STREAM
+                // never reached (it ended mid-unit on a mis-stated
+                // length); snapping there would persist a checkpoint
+                // load() must forever refuse. Unreachable = stop.
+                if (session.instCount() < plan[next].resumePos)
+                    return false;
+                snap(next);
+            }
+            return next < plan.size();
+        },
+        [](std::uint64_t) {});
 }
 
 } // namespace detail
 
 /**
- * A built checkpoint library: the shard plan plus every captured
- * resume checkpoint, reusable across runs. Capturing costs roughly
- * one warming pass; once built, sharded measurement of the same
- * (benchmark, sampling design) scales with threads and re-runs —
- * the tuned second pass of the two-pass procedure, config sweeps,
- * repeated design studies — pay no warming at all.
+ * The `.smck` shard-library container, written once for both
+ * flavors: the shard plan plus one resume checkpoint per shard
+ * (slot 0 resumes at stream start and stays empty), its capture
+ * pass, and the versioned on-disk framing and loader ladder of
+ * docs/checkpoint-format.md. @p Checkpoint is the flavor's resume
+ * state — ArchCheckpoint for a solo SimSession (CheckpointLibrary),
+ * mp::MixCheckpoint for a co-run (mp::MixLibrary) — and names its
+ * Session type. The flavors add only their identity block: the
+ * LibraryKey (and, for a mix, the policy and program list).
+ *
+ * Capturing costs roughly one warming pass; once built, sharded
+ * measurement of the same (benchmark, sampling design) scales with
+ * threads and re-runs — the tuned second pass of the two-pass
+ * procedure, config sweeps, repeated design studies — pay no
+ * warming at all.
  */
-class CheckpointLibrary
+template <typename Derived, typename CheckpointT>
+class ShardLibrary
 {
   public:
+    using Checkpoint = CheckpointT;
+    using Session = typename Checkpoint::Session;
+
     /** Called as checkpoint @p shard becomes available (shard >= 1). */
     using CheckpointSink =
-        std::function<void(std::size_t shard, ArchCheckpoint &&)>;
+        std::function<void(std::size_t shard, Checkpoint &&)>;
 
+    /**
+     * Stream @p session (fresh, at stream start) through the serial
+     * sampling schedule using state-equivalent warming, invoking
+     * @p sink the moment each shard's resume state is reached.
+     * Shard 0 resumes at stream start and gets no checkpoint. The
+     * pass stops after the last checkpoint — the tail belongs to
+     * the last shard.
+     */
+    static void
+    capture(Session &session, const SamplingConfig &config,
+            const std::vector<ShardSpec> &plan,
+            const CheckpointSink &sink)
+    {
+        detail::captureShards(session, config, plan, [&](std::size_t s) {
+            Checkpoint cp;
+            cp.saveFrom(session);
+            cp.unitIndex = plan[s].firstUnitIndex;
+            sink(s, std::move(cp));
+        });
+    }
+
+    /**
+     * Capture every checkpoint of @p plan into a reusable library
+     * (slot 0 is an empty placeholder — shard 0 needs none).
+     */
+    static Derived
+    build(Session &session, const SamplingConfig &config,
+          const std::vector<ShardSpec> &plan)
+    {
+        Derived library = prepare(config, plan);
+        capture(session, config, plan,
+                [&library](std::size_t s, Checkpoint &&cp) {
+                    library.checkpoints_[s] = std::move(cp);
+                });
+        library.requireComplete();
+        return library;
+    }
+
+    /**
+     * An empty library for (@p config, @p plan) whose checkpoints
+     * arrive later via record() — the pipelined capture path uses
+     * this to collect a persistable library while shards already
+     * execute.
+     */
+    static Derived
+    prepare(const SamplingConfig &config,
+            const std::vector<ShardSpec> &plan)
+    {
+        Derived library;
+        library.config_ = config;
+        library.plan_ = plan;
+        library.checkpoints_.resize(plan.size());
+        return library;
+    }
+
+    /** Store shard @p shard's captured checkpoint (copied). */
+    void
+    record(std::size_t shard, const Checkpoint &cp)
+    {
+        checkpoints_[shard] = cp;
+    }
+
+    /** True when every resume slot (shard >= 1) holds a checkpoint. */
+    bool
+    complete() const
+    {
+        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
+            if (checkpoints_[s].empty())
+                return false;
+        return !checkpoints_.empty();
+    }
+
+    const SamplingConfig &
+    samplingConfig() const
+    {
+        return config_;
+    }
+
+    const std::vector<ShardSpec> &
+    plan() const
+    {
+        return plan_;
+    }
+
+    const Checkpoint &
+    at(std::size_t shard) const
+    {
+        return checkpoints_[shard];
+    }
+
+    std::size_t
+    shardCount() const
+    {
+        return plan_.size();
+    }
+
+    /** Total in-memory footprint of the captured checkpoints. */
+    std::size_t
+    byteSize() const
+    {
+        std::size_t total = 0;
+        for (const Checkpoint &cp : checkpoints_)
+            total += cp.byteSize();
+        return total;
+    }
+
+  protected:
+    /** What the flavors' loaders refuse differently. */
+    struct Flavor
+    {
+        std::uint8_t id;             ///< the v2+ flavor byte.
+        std::uint32_t oldestVersion; ///< v1 (no flavor byte) is solo.
+        const char *versionNote;     ///< refusal text after "version N".
+        const char *foreignNote;     ///< refusal text for another flavor.
+    };
+
+    /** Magic, version, endianness marker and flavor byte. */
+    static void
+    writeHeader(util::BinaryWriter &out, std::uint8_t flavor)
+    {
+        for (const char c : kCheckpointMagic)
+            out.u8(static_cast<std::uint8_t>(c));
+        out.u32(kCheckpointFormatVersion);
+        out.u32(kCheckpointEndianMark);
+        out.u8(flavor);
+    }
+
+    /** The plan and checkpoint blocks that follow the identity. */
+    void
+    writePlanAndSlots(util::BinaryWriter &out) const
+    {
+        out.u64(plan_.size());
+        for (const ShardSpec &shard : plan_) {
+            out.u64(shard.firstUnitIndex);
+            out.u64(shard.unitCount);
+            out.u64(shard.resumePos);
+            out.u8(shard.runsTail ? 1 : 0);
+        }
+        out.u64(checkpoints_.size());
+        for (std::size_t s = 0; s < checkpoints_.size(); ++s) {
+            // Slot 0 resumes at stream start and carries no state.
+            const bool present = s > 0;
+            out.u8(present ? 1 : 0);
+            if (present)
+                checkpoints_[s].write(out);
+        }
+    }
+
+    /**
+     * The loader ladder: refuse — nullopt plus a diagnostic in
+     * @p error — on anything short of an exact match. @p readIdentity
+     * decodes the flavor's block before the key (empty string = ok,
+     * else the refusal after the path); @p checkSlot vets each loaded
+     * checkpoint the same way. Defined below CheckpointLibrary, whose
+     * validatePlan it applies.
+     */
+    template <typename ReadIdentity, typename CheckSlot>
+    static std::optional<Derived>
+    loadContainer(const std::string &path, const LibraryKey &expect,
+                  const Flavor &flavor, ReadIdentity &&readIdentity,
+                  CheckSlot &&checkSlot, std::string *error);
+
+    /**
+     * The stream ending before every boundary means the plan's
+     * streamLength was overstated; fail with a clear message rather
+     * than mid-pool when a shard restores an empty snapshot.
+     */
+    void
+    requireComplete() const
+    {
+        for (std::size_t s = 1; s < plan_.size(); ++s)
+            if (checkpoints_[s].empty())
+                SMARTS_FATAL("stream ended before the checkpoint for "
+                             "shard ", s, " (position ",
+                             plan_[s].resumePos,
+                             ") — was streamLength overstated?");
+    }
+
+    SamplingConfig config_;
+    std::vector<ShardSpec> plan_;
+    std::vector<Checkpoint> checkpoints_;
+};
+
+/**
+ * The solo flavor of the shard library: ArchCheckpoint resumes of
+ * one SimSession, keyed by LibraryKey alone, plus the shard planning
+ * both flavors use.
+ */
+class CheckpointLibrary
+    : public ShardLibrary<CheckpointLibrary, ArchCheckpoint>
+{
+  public:
     /**
      * Split the measured-unit grid of (@p config, @p streamLength)
      * into at most @p shards contiguous, non-empty shards (clamped
@@ -313,27 +510,6 @@ class CheckpointLibrary
                  const std::vector<ShardSpec> &plan);
 
     /**
-     * Stream @p session (fresh, at stream start) through the serial
-     * sampling schedule using state-equivalent warming, invoking
-     * @p sink the moment each shard's resume state is reached.
-     * Shard 0 resumes at stream start and gets no checkpoint. The
-     * pass stops after the last checkpoint — the tail belongs to
-     * the last shard.
-     */
-    static void capture(SimSession &session,
-                        const SamplingConfig &config,
-                        const std::vector<ShardSpec> &plan,
-                        const CheckpointSink &sink);
-
-    /**
-     * Capture every checkpoint of @p plan into a reusable library
-     * (slot 0 is an empty placeholder — shard 0 needs none).
-     */
-    static CheckpointLibrary build(SimSession &session,
-                                   const SamplingConfig &config,
-                                   const std::vector<ShardSpec> &plan);
-
-    /**
      * Multi-config capture: ONE streaming pass over @p session (N
      * configs in lockstep off the shared architectural stream)
      * produces the per-config libraries an N-config design study
@@ -346,32 +522,6 @@ class CheckpointLibrary
     static std::vector<CheckpointLibrary>
     buildMulti(MultiSession &session, const SamplingConfig &config,
                const std::vector<ShardSpec> &plan);
-
-    /**
-     * An empty library for (@p config, @p plan) whose checkpoints
-     * arrive later via record() — the pipelined capture path uses
-     * this to collect a persistable library while shards already
-     * execute.
-     */
-    static CheckpointLibrary prepare(const SamplingConfig &config,
-                                     const std::vector<ShardSpec> &plan);
-
-    /** Store shard @p shard's captured checkpoint (copied). */
-    void
-    record(std::size_t shard, const ArchCheckpoint &cp)
-    {
-        checkpoints_[shard] = cp;
-    }
-
-    /** True when every resume slot (shard >= 1) holds a checkpoint. */
-    bool
-    complete() const
-    {
-        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
-            if (checkpoints_[s].arch.data.empty())
-                return false;
-        return !checkpoints_.empty();
-    }
 
     /**
      * Serialize under @p key into the versioned on-disk format
@@ -389,6 +539,7 @@ class CheckpointLibrary
      * version, or a key whose benchmark, sampling design or config
      * geometry differs from @p expect. Refusal is the contract: a
      * mis-keyed library must never silently mis-warm a shard.
+     * Version-1 files (no flavor byte) still load.
      */
     static std::optional<CheckpointLibrary>
     load(const std::string &path, const LibraryKey &expect,
@@ -397,48 +548,110 @@ class CheckpointLibrary
     /** Serialize to @p out (save() = serialize + checksummed file). */
     void serialize(const LibraryKey &key,
                    util::BinaryWriter &out) const;
-
-    CheckpointLibrary() = default;
-
-    const SamplingConfig &
-    samplingConfig() const
-    {
-        return config_;
-    }
-
-    const std::vector<ShardSpec> &
-    plan() const
-    {
-        return plan_;
-    }
-
-    const ArchCheckpoint &
-    at(std::size_t shard) const
-    {
-        return checkpoints_[shard];
-    }
-
-    std::size_t
-    shardCount() const
-    {
-        return plan_.size();
-    }
-
-    /** Total in-memory footprint of the captured checkpoints. */
-    std::size_t
-    byteSize() const
-    {
-        std::size_t total = 0;
-        for (const ArchCheckpoint &cp : checkpoints_)
-            total += cp.byteSize();
-        return total;
-    }
-
-  private:
-    SamplingConfig config_;
-    std::vector<ShardSpec> plan_;
-    std::vector<ArchCheckpoint> checkpoints_;
 };
+
+template <typename Derived, typename CheckpointT>
+template <typename ReadIdentity, typename CheckSlot>
+std::optional<Derived>
+ShardLibrary<Derived, CheckpointT>::loadContainer(
+    const std::string &path, const LibraryKey &expect,
+    const Flavor &flavor, ReadIdentity &&readIdentity,
+    CheckSlot &&checkSlot, std::string *error)
+{
+    auto refuse = [error](std::string why) {
+        if (error)
+            *error = std::move(why);
+        return std::nullopt;
+    };
+
+    std::string ioError;
+    util::BinaryReader in =
+        util::BinaryReader::fromFile(path, &ioError);
+    if (in.failed())
+        return refuse(std::move(ioError));
+
+    for (const char c : kCheckpointMagic)
+        if (in.u8() != static_cast<std::uint8_t>(c))
+            return refuse(log::format(
+                path, " is not a smarts checkpoint library"));
+    // Anything newer than this build is refused, not guessed.
+    const std::uint32_t version = in.u32();
+    if (version < flavor.oldestVersion ||
+        version > kCheckpointFormatVersion)
+        return refuse(log::format(path, " is format version ",
+                                  version, flavor.versionNote,
+                                  kCheckpointFormatVersion));
+    if (in.u32() != kCheckpointEndianMark)
+        return refuse(log::format(path,
+                                  " has a bad endianness marker"));
+    if (version >= 2) {
+        const std::uint8_t id = in.u8();
+        if (id != flavor.id)
+            return refuse(log::format(path, " holds flavor-", id,
+                                      flavor.foreignNote));
+    }
+    if (const std::string why = readIdentity(in); !why.empty())
+        return refuse(path + why);
+
+    const LibraryKey stored = LibraryKey::read(in);
+    const std::string mismatch = expect.mismatchAgainst(stored);
+    if (!mismatch.empty())
+        return refuse(log::format(path, ": ", mismatch));
+
+    Derived library;
+    library.config_ = stored.sampling;
+    const std::uint64_t shardCount = in.u64();
+    // An absurd count means a corrupt length field the checksum
+    // somehow missed; bound it by what the payload could hold.
+    if (shardCount > in.remaining())
+        return refuse(log::format(path, " is corrupt (shard count ",
+                                  shardCount, ")"));
+    library.plan_.resize(shardCount);
+    for (ShardSpec &shard : library.plan_) {
+        shard.firstUnitIndex = in.u64();
+        shard.unitCount = in.u64();
+        shard.resumePos = in.u64();
+        shard.runsTail = in.u8() != 0;
+    }
+    // The plan must be one planShards could have produced — the
+    // checksum only proves the writer was careful, not honest, and
+    // executing a malformed plan (overlapping shards, misplaced
+    // tail) would MIS-MEASURE instead of refusing.
+    const std::string planError =
+        CheckpointLibrary::validatePlan(stored.sampling, library.plan_);
+    if (!planError.empty())
+        return refuse(
+            log::format(path, " is corrupt (", planError, ")"));
+    const std::uint64_t cpCount = in.u64();
+    if (cpCount != shardCount)
+        return refuse(log::format(
+            path, " is corrupt (", cpCount, " checkpoints for ",
+            shardCount, " shards)"));
+    library.checkpoints_.resize(shardCount);
+    for (std::size_t s = 0; s < shardCount; ++s) {
+        const bool present = in.u8() != 0;
+        if (present == (s == 0))
+            return refuse(log::format(
+                path, " is corrupt (checkpoint ", s,
+                present ? " unexpectedly present" : " missing"));
+        if (present)
+            library.checkpoints_[s].read(in);
+    }
+    if (in.failed() || in.remaining() != 0)
+        return refuse(log::format(
+            path, " is truncated or has trailing garbage"));
+    for (std::size_t s = 1; s < shardCount; ++s) {
+        const Checkpoint &cp = library.checkpoints_[s];
+        if (cp.position != library.plan_[s].resumePos ||
+            cp.unitIndex != library.plan_[s].firstUnitIndex)
+            return refuse(log::format(
+                path, " is corrupt (checkpoint ", s,
+                " disagrees with its shard plan)"));
+        if (const std::string why = checkSlot(s, cp); !why.empty())
+            return refuse(path + why);
+    }
+    return library;
+}
 
 } // namespace smarts::core
 

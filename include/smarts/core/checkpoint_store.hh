@@ -313,6 +313,17 @@ class CheckpointStore
     /** Key's path relative to the root ('/'-separated). */
     std::string relFor(const LibraryKey &key, bool livePoints) const;
 
+    using EntryIo = std::function<bool(const std::string &path,
+                                       std::string *error)>;
+
+    /** loadEntry for either entry kind (the one load protocol). */
+    bool loadAt(const LibraryKey &key, bool livePoints,
+                const EntryIo &loader, std::string *error) const;
+
+    /** publishEntry for either entry kind (the one publish path). */
+    bool publishAt(const LibraryKey &key, bool livePoints,
+                   const EntryIo &writer, std::string *error) const;
+
     /** Lazily load-or-rebuild the index; callers hold @c mu_. */
     StoreIndex &indexLocked() const;
 

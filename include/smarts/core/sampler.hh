@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/multi_session.hh"
+#include "core/schedule.hh"
 #include "core/session.hh"
 #include "stats/confidence.hh"
 #include "stats/online_stats.hh"
@@ -38,67 +39,6 @@ struct ShardSpec;
 /** Builds a fresh session at stream start (thread-safe, reentrant). */
 using SessionFactory = std::function<std::unique_ptr<SimSession>()>;
 
-/**
- * Called between sampled units of a slice: a liveness/progress hook
- * for long executions (the distributed runner heartbeats its claim
- * marker here). Return false to ABANDON the slice — the loop stops
- * where it is and the partial result must not be published or
- * folded.
- */
-using ProgressTick = std::function<bool()>;
-
-struct SamplingConfig
-{
-    std::uint64_t unitSize = 1000;      ///< U.
-    std::uint64_t detailedWarming = 2000; ///< W.
-    std::uint64_t interval = 10;        ///< k, in units.
-    std::uint64_t offset = 0;           ///< first measured unit index.
-    WarmingMode warming = WarmingMode::Functional;
-
-    /**
-     * Pick k so that roughly @p targetUnits units of @p unitSize are
-     * measured out of a @p totalInsts stream (never below 1).
-     * Rounds to the NEAREST interval: truncation used to turn e.g.
-     * units=1999, target=1000 into k=1 and measure ~2x the requested
-     * units (with the detailed-simulation bill to match).
-     */
-    static std::uint64_t
-    chooseInterval(std::uint64_t totalInsts, std::uint64_t unitSize,
-                   std::uint64_t targetUnits)
-    {
-        const std::uint64_t units =
-            unitSize ? totalInsts / unitSize : 0;
-        if (!targetUnits || units <= targetUnits)
-            return 1;
-        // Round half up, overflow-free: bump the quotient when the
-        // remainder reaches half the divisor.
-        const std::uint64_t k = units / targetUnits +
-                                (units % targetUnits >=
-                                         (targetUnits + 1) / 2
-                                     ? 1
-                                     : 0);
-        return k ? k : 1;
-    }
-
-    /**
-     * First grid index at or after instruction position @p pos,
-     * starting from grid index @p idx (any index of the form
-     * offset + m*interval). O(1) arithmetic — the sampler's resume
-     * path used to step the index one interval per loop iteration.
-     */
-    std::uint64_t
-    nextGridIndex(std::uint64_t idx, std::uint64_t pos) const
-    {
-        const std::uint64_t firstWhole =
-            unitSize ? (pos + unitSize - 1) / unitSize : 0;
-        if (firstWhole <= idx)
-            return idx;
-        const std::uint64_t steps =
-            (firstWhole - idx + interval - 1) / interval;
-        return idx + steps * interval;
-    }
-};
-
 /** One measured unit's observations, in stream order. */
 struct UnitObservation
 {
@@ -107,22 +47,26 @@ struct UnitObservation
 };
 
 /**
- * Raw results of one contiguous slice of the sampling loop — the
- * unit of work a shard (in-process or on a remote runner) produces
- * and the unit foldSlice() merges. Everything an estimate
- * accumulates is here verbatim, so folding slices in shard order
- * reproduces the serial run bit for bit; this is also exactly what
- * a distributed per-shard result file carries
+ * Raw results of one contiguous slice of the solo sampling loop —
+ * the unit of work a shard (in-process or on a remote runner)
+ * produces and the unit foldSlice() merges; this is also exactly
+ * what a distributed per-shard result file carries
  * (docs/distributed-runners.md).
  */
-struct SliceResult
+using SliceResult = SliceOf<UnitObservation>;
+
+namespace detail {
+
+/** The solo per-unit observer: CPI and EPI of one complete unit. */
+inline UnitObservation
+observeUnit(const Segment &seg)
 {
-    std::vector<UnitObservation> obs; ///< per complete unit, stream order.
-    std::uint64_t measured = 0;
-    std::uint64_t warmed = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t endPos = 0; ///< session position at slice end.
-};
+    const double insts = static_cast<double>(seg.instructions);
+    return {static_cast<double>(seg.cycles) / insts,
+            seg.energyNj / insts};
+}
+
+} // namespace detail
 
 /** A sampled estimate of CPI and EPI with confidence intervals. */
 struct SmartsEstimate
@@ -515,14 +459,6 @@ class SystematicSampler
                        LivePointLibrary *collect = nullptr) const;
 
   private:
-    /** The cold pipelined path; @p collect (optional) receives the
-     *  captured library for persistence. */
-    SmartsEstimate runShardedCold(const SessionFactory &factory,
-                                  std::uint64_t streamLength,
-                                  std::size_t shards,
-                                  exec::ThreadPool &pool,
-                                  CheckpointLibrary *collect) const;
-
     SamplingConfig config_;
 };
 

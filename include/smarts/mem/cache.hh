@@ -10,6 +10,7 @@
 #ifndef SMARTS_MEM_CACHE_HH
 #define SMARTS_MEM_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -84,6 +85,19 @@ struct CacheState
         misses = in.u64();
     }
 };
+
+/**
+ * True when every stored index in @p indices is below @p bound: the
+ * restore-time check that a checkpoint's way or entry indices fit
+ * the live geometry, since access() indexes with them unchecked.
+ */
+inline bool
+indicesBelow(const std::vector<std::uint32_t> &indices,
+             std::uint32_t bound)
+{
+    return std::all_of(indices.begin(), indices.end(),
+                       [bound](std::uint32_t i) { return i < bound; });
+}
 
 class Cache
 {
@@ -190,8 +204,15 @@ class Cache
     void
     restoreState(const CacheState &state)
     {
+        // Every per-line vector and stored way index must fit the live
+        // geometry: a checksummed file can still carry a short vector
+        // or a way >= assoc, and access() would then index past the
+        // arrays.
         if (state.tags.size() != tags_.size() ||
-            state.mruWay.size() != mruWay_.size())
+            state.valid.size() != tags_.size() ||
+            state.lastUse.size() != tags_.size() ||
+            state.mruWay.size() != mruWay_.size() ||
+            !indicesBelow(state.mruWay, config_.assoc))
             SMARTS_FATAL("cache '", name_,
                          "': checkpoint geometry mismatch");
         tags_ = state.tags;

@@ -184,8 +184,20 @@ class Tlb
     void
     restoreState(const TlbState &state)
     {
-        if (state.pages.size() != pages_.size() ||
-            state.keys.size() != keys_.size())
+        // Every vector, and every stored entry index (list links, the
+        // head/tail markers, hash-slot values), must fit the live
+        // geometry before access() follows them.
+        const std::uint32_t entries = config_.entries;
+        if (state.pages.size() != entries ||
+            state.valid.size() != entries ||
+            state.next.size() != entries ||
+            state.prev.size() != entries ||
+            state.keys.size() != keys_.size() ||
+            state.vals.size() != vals_.size() ||
+            state.head >= entries || state.tail >= entries ||
+            !indicesBelow(state.next, entries) ||
+            !indicesBelow(state.prev, entries) ||
+            !indicesBelow(state.vals, entries))
             SMARTS_FATAL("TLB checkpoint geometry mismatch");
         pages_ = state.pages;
         valid_ = state.valid;

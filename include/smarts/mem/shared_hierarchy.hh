@@ -237,8 +237,16 @@ class SharedCache
     void
     restoreState(const SharedCacheState &state)
     {
+        // As mem::Cache::restoreState: every vector and stored way
+        // index must fit the live geometry before access() uses them.
         if (state.tags.size() != tags_.size() ||
+            state.owners.size() != tags_.size() ||
+            state.valid.size() != tags_.size() ||
+            state.lastUse.size() != tags_.size() ||
             state.mruWay.size() != mruWay_.size() ||
+            !indicesBelow(state.mruWay, config_.assoc) ||
+            state.loads.size() != loads_.size() ||
+            state.stores.size() != stores_.size() ||
             state.misses.size() != misses_.size())
             SMARTS_FATAL("cache '", name_,
                          "': checkpoint geometry mismatch");

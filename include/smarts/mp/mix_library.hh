@@ -1,22 +1,20 @@
 /**
  * @file
  * MixLibrary: the checkpoint library of a CO-RUN (mp::MixSession)
- * sampling run — the mix analogue of core::CheckpointLibrary, with
- * positions counted in ROUNDS. It reuses the solo machinery
- * wholesale: core::CheckpointLibrary::planShards/validatePlan plan
- * the round grid (a round is to a mix what an instruction is to a
- * solo run), core::detail::captureSchedule streams the capture pass,
- * and the on-disk container is the same versioned `.smck` format
- * (docs/checkpoint-format.md) with flavor byte 1 — so one
- * CheckpointStore serves both tiers, and a mis-flavored load refuses
- * by name from either loader.
+ * sampling run, with positions counted in ROUNDS. It is the second
+ * flavor of core::ShardLibrary — the same plan (a round is to a mix
+ * what an instruction is to a solo run), capture walk, container and
+ * loader ladder as core::CheckpointLibrary — and adds only its
+ * identity block: the partition policy and the program list. On disk
+ * it is the versioned `.smck` format (docs/checkpoint-format.md)
+ * with flavor byte 1, so one CheckpointStore serves both tiers, and
+ * a mis-flavored load refuses by name from either loader.
  */
 
 #ifndef SMARTS_MP_MIX_LIBRARY_HH
 #define SMARTS_MP_MIX_LIBRARY_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +27,8 @@ namespace smarts::mp {
 /** Full warm co-run state, resumable into a same-mix MixSession. */
 struct MixCheckpoint
 {
+    using Session = MixSession;
+
     MixState state;
 
     /** Round position the checkpoint resumes at. */
@@ -41,6 +41,27 @@ struct MixCheckpoint
     byteSize() const
     {
         return state.byteSize() + 2 * sizeof(std::uint64_t);
+    }
+
+    /** True for an unfilled slot (no state captured or loaded). */
+    bool
+    empty() const
+    {
+        return state.archs.empty();
+    }
+
+    /** Snapshot @p session's state and round position. */
+    void
+    saveFrom(const MixSession &session)
+    {
+        session.saveState(state);
+        position = session.roundCount();
+    }
+
+    void
+    restoreInto(MixSession &session) const
+    {
+        session.restoreState(state);
     }
 
     /** Field order is normative: docs/checkpoint-format.md. */
@@ -63,53 +84,12 @@ struct MixCheckpoint
 
 /**
  * The shard plan plus every captured co-run resume checkpoint of one
- * (mix, machine, sampling design) — same lifecycle and same refusal
- * discipline as core::CheckpointLibrary.
+ * (mix, machine, sampling design) — core::ShardLibrary's lifecycle
+ * (capture, build, prepare/record/complete) and refusal discipline.
  */
-class MixLibrary
+class MixLibrary : public core::ShardLibrary<MixLibrary, MixCheckpoint>
 {
   public:
-    /** Called as checkpoint @p shard becomes available (shard >= 1). */
-    using CheckpointSink =
-        std::function<void(std::size_t shard, MixCheckpoint &&)>;
-
-    /**
-     * Stream @p session (fresh, at round 0) through the serial mix
-     * sampling schedule using state-equivalent warming, invoking
-     * @p sink the moment each shard's resume state is reached
-     * (core::detail::captureSchedule over rounds).
-     */
-    static void capture(MixSession &session,
-                        const core::SamplingConfig &config,
-                        const std::vector<core::ShardSpec> &plan,
-                        const CheckpointSink &sink);
-
-    /** Capture every checkpoint of @p plan into a reusable library. */
-    static MixLibrary build(MixSession &session,
-                            const core::SamplingConfig &config,
-                            const std::vector<core::ShardSpec> &plan);
-
-    /** An empty library whose checkpoints arrive via record(). */
-    static MixLibrary prepare(const core::SamplingConfig &config,
-                              const std::vector<core::ShardSpec> &plan);
-
-    /** Store shard @p shard's captured checkpoint (copied). */
-    void
-    record(std::size_t shard, const MixCheckpoint &cp)
-    {
-        checkpoints_[shard] = cp;
-    }
-
-    /** True when every resume slot (shard >= 1) holds a checkpoint. */
-    bool
-    complete() const
-    {
-        for (std::size_t s = 1; s < checkpoints_.size(); ++s)
-            if (checkpoints_[s].state.archs.empty())
-                return false;
-        return !checkpoints_.empty();
-    }
-
     /**
      * Serialize under (@p mix, @p key) — @p key should be
      * mixKey(mix, machine, sampling) — and publish atomically at
@@ -135,46 +115,6 @@ class MixLibrary
     void serialize(const WorkloadMix &mix,
                    const core::LibraryKey &key,
                    util::BinaryWriter &out) const;
-
-    MixLibrary() = default;
-
-    const core::SamplingConfig &
-    samplingConfig() const
-    {
-        return config_;
-    }
-
-    const std::vector<core::ShardSpec> &
-    plan() const
-    {
-        return plan_;
-    }
-
-    const MixCheckpoint &
-    at(std::size_t shard) const
-    {
-        return checkpoints_[shard];
-    }
-
-    std::size_t
-    shardCount() const
-    {
-        return plan_.size();
-    }
-
-    std::size_t
-    byteSize() const
-    {
-        std::size_t total = 0;
-        for (const MixCheckpoint &cp : checkpoints_)
-            total += cp.byteSize();
-        return total;
-    }
-
-  private:
-    core::SamplingConfig config_;
-    std::vector<core::ShardSpec> plan_;
-    std::vector<MixCheckpoint> checkpoints_;
 };
 
 } // namespace smarts::mp

@@ -9,11 +9,13 @@
  * U/W/k design executes in instructions — the bit-exactness claim
  * tests/test_shared_mem.cc pins.
  *
- * Execution modes mirror core::SystematicSampler: serial run(),
- * checkpoint-sharded runSharded() (cold-pipelined, prebuilt
- * MixLibrary, or store-backed through the generic
- * CheckpointStore::loadEntry/publishEntry hooks), all folding
- * per-unit observations in stream order so every mode is
+ * Execution modes are core::SystematicSampler's, from the same
+ * code: serial run() and runSlice() are the shared measuring walk
+ * (core/schedule.hh) with a per-lane dual-world observer, and
+ * runSharded() (cold-pipelined, prebuilt MixLibrary, or store-backed
+ * through the generic CheckpointStore::loadEntry/publishEntry hooks)
+ * is the shared shard runner (core/shard_runner.hh). Every mode
+ * folds per-unit observations in stream order, so each is
  * bit-identical to the serial run at any thread count
  * (tests/test_mix.cc).
  */
@@ -59,19 +61,11 @@ struct MixUnitObservation
 };
 
 /**
- * Raw results of one contiguous slice of the mix sampling loop —
- * everything foldSlice() accumulates, verbatim, so folding slices
- * in shard order reproduces the serial run bit for bit (the same
- * contract as core::SliceResult). Counters are in rounds.
+ * Raw results of one contiguous slice of the mix sampling loop — the
+ * co-run instance of core::SliceOf, counters in rounds — so folding
+ * slices in shard order reproduces the serial run bit for bit.
  */
-struct MixSliceResult
-{
-    std::vector<MixUnitObservation> obs; ///< stream order.
-    std::uint64_t measured = 0;
-    std::uint64_t warmed = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t endPos = 0; ///< session round position at slice end.
-};
+using MixSliceResult = core::SliceOf<MixUnitObservation>;
 
 class MixSampler
 {
@@ -143,13 +137,6 @@ class MixSampler
     }
 
   private:
-    MixEstimate runShardedCold(std::uint64_t streamLength,
-                               std::size_t shards,
-                               exec::ThreadPool &pool,
-                               MixLibrary *collect) const;
-
-    MixEstimate emptyEstimate() const;
-
     WorkloadMix mix_;
     uarch::MachineConfig machine_;
     core::SamplingConfig sampling_;
@@ -169,7 +156,8 @@ MixEstimate runMix(const WorkloadMix &mix,
 /**
  * Store-backed runMix: resume the capture from @p store when a
  * flavor-1 library is persisted for the key, else capture and
- * persist. Same bytes either way.
+ * persist. Same bytes either way. The stream-length pass that plans
+ * the capture runs only on a miss: a hit never pays for it.
  */
 MixEstimate estimateMix(const WorkloadMix &mix,
                         const uarch::MachineConfig &machine,

@@ -265,24 +265,30 @@ class MixSession
     void detailedStep(std::uint32_t p, const core::StepInfo &info);
 
     /**
-     * One round: step every core in program order, applying
-     * @p perStep to each (program, StepInfo). Returns false (without
-     * counting the round) when any core's stream ends mid-round.
+     * Up to @p maxRounds rounds, each stepping every core in program
+     * order and applying @p perStep to each (program, StepInfo) —
+     * the one stepping loop under fastForward, warmAsDetailed and
+     * detailedRun. Returns the COMPLETE rounds executed: a round in
+     * which any core's stream ends is not counted and finishes the
+     * session.
      */
     template <typename PerStep>
-    bool
-    round(PerStep &&perStep)
+    std::uint64_t
+    rounds(std::uint64_t maxRounds, PerStep &&perStep)
     {
+        std::uint64_t executed = 0;
         core::StepInfo info;
-        for (std::uint32_t p = 0; p < cores_.size(); ++p) {
-            if (!cores_[p].step(info)) {
-                finished_ = true;
-                return false;
+        for (; !finished_ && executed < maxRounds; ++executed) {
+            for (std::uint32_t p = 0; p < cores_.size(); ++p) {
+                if (!cores_[p].step(info)) {
+                    finished_ = true;
+                    return executed;
+                }
+                perStep(p, info);
             }
-            perStep(p, info);
+            ++rounds_;
         }
-        ++rounds_;
-        return true;
+        return executed;
     }
 
     static std::uint64_t

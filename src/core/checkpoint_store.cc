@@ -398,44 +398,15 @@ std::optional<CheckpointLibrary>
 CheckpointStore::tryLoad(const LibraryKey &key,
                          std::string *error) const
 {
-    if (error)
-        error->clear();
-    const std::string rel = relFor(key, /*livePoints=*/false);
-    const std::string path = pathFor(key);
-    if (!entryExists(rel)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt; // plain miss, no diagnostic.
-    }
-
-    // Pin while reading so concurrent GC leaves the bytes alone; a
-    // refused lease means the entry vanished under us — that is a
-    // clean miss, not a refusal.
-    std::optional<StoreLease> lease =
-        pin(key, /*livePoints=*/false, "ld" + uniqueTag());
-    if (!lease) {
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-
-    std::optional<CheckpointLibrary> library =
-        CheckpointLibrary::load(path, key, error);
-    if (library) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        noteAccess(rel);
-        return library;
-    }
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        // Evicted between the pin race and the open: clean miss.
-        if (error)
-            error->clear();
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    std::optional<CheckpointLibrary> library;
+    loadAt(
+        key, /*livePoints=*/false,
+        [&](const std::string &path, std::string *loadError) {
+            library = CheckpointLibrary::load(path, key, loadError);
+            return library.has_value();
+        },
+        error);
+    return library;
 }
 
 bool
@@ -449,25 +420,31 @@ CheckpointStore::save(const LibraryKey &key,
                      "every shard boundary)";
         return false;
     }
-    const std::string path = pathFor(key);
-    ensureDirFor(path);
-    if (!library.save(key, path, error, /*createDirs=*/false))
-        return false;
-    notePublish(relFor(key, /*livePoints=*/false), path);
-    return true;
+    return publishAt(
+        key, /*livePoints=*/false,
+        [&](const std::string &path, std::string *saveError) {
+            return library.save(key, path, saveError,
+                                /*createDirs=*/false);
+        },
+        error);
 }
 
 bool
-CheckpointStore::loadEntry(
-    const LibraryKey &key,
-    const std::function<bool(const std::string &path,
-                             std::string *error)> &loader,
-    std::string *error) const
+CheckpointStore::loadEntry(const LibraryKey &key, const EntryIo &loader,
+                           std::string *error) const
+{
+    return loadAt(key, /*livePoints=*/false, loader, error);
+}
+
+bool
+CheckpointStore::loadAt(const LibraryKey &key, bool livePoints,
+                        const EntryIo &loader, std::string *error) const
 {
     if (error)
         error->clear();
-    const std::string rel = relFor(key, /*livePoints=*/false);
-    const std::string path = pathFor(key);
+    const std::string rel = relFor(key, livePoints);
+    const std::string path =
+        livePoints ? livePointPathFor(key) : pathFor(key);
     if (!entryExists(rel)) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return false; // plain miss, no diagnostic.
@@ -477,7 +454,7 @@ CheckpointStore::loadEntry(
     // refused lease means the entry vanished under us — that is a
     // clean miss, not a refusal.
     std::optional<StoreLease> lease =
-        pin(key, /*livePoints=*/false, "ld" + uniqueTag());
+        pin(key, livePoints, "ld" + uniqueTag());
     if (!lease) {
         noteVanished(rel);
         misses_.fetch_add(1, std::memory_order_relaxed);
@@ -503,17 +480,24 @@ CheckpointStore::loadEntry(
 }
 
 bool
-CheckpointStore::publishEntry(
-    const LibraryKey &key,
-    const std::function<bool(const std::string &path,
-                             std::string *error)> &writer,
-    std::string *error) const
+CheckpointStore::publishEntry(const LibraryKey &key,
+                              const EntryIo &writer,
+                              std::string *error) const
 {
-    const std::string path = pathFor(key);
+    return publishAt(key, /*livePoints=*/false, writer, error);
+}
+
+bool
+CheckpointStore::publishAt(const LibraryKey &key, bool livePoints,
+                           const EntryIo &writer,
+                           std::string *error) const
+{
+    const std::string path =
+        livePoints ? livePointPathFor(key) : pathFor(key);
     ensureDirFor(path);
     if (!writer(path, error))
         return false;
-    notePublish(relFor(key, /*livePoints=*/false), path);
+    notePublish(relFor(key, livePoints), path);
     return true;
 }
 
@@ -521,40 +505,15 @@ std::optional<LivePointLibrary>
 CheckpointStore::tryLoadLivePoints(const LibraryKey &key,
                                    std::string *error) const
 {
-    if (error)
-        error->clear();
-    const std::string rel = relFor(key, /*livePoints=*/true);
-    const std::string path = livePointPathFor(key);
-    if (!entryExists(rel)) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt; // plain miss, no diagnostic.
-    }
-
-    std::optional<StoreLease> lease =
-        pin(key, /*livePoints=*/true, "ld" + uniqueTag());
-    if (!lease) {
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-
-    std::optional<LivePointLibrary> library =
-        LivePointLibrary::load(path, key, error);
-    if (library) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        noteAccess(rel);
-        return library;
-    }
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-        if (error)
-            error->clear();
-        noteVanished(rel);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    refusals_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    std::optional<LivePointLibrary> library;
+    loadAt(
+        key, /*livePoints=*/true,
+        [&](const std::string &path, std::string *loadError) {
+            library = LivePointLibrary::load(path, key, loadError);
+            return library.has_value();
+        },
+        error);
+    return library;
 }
 
 bool
@@ -562,12 +521,13 @@ CheckpointStore::saveLivePoints(const LivePointLibrary &library,
                                 const LibraryKey &key,
                                 std::string *error) const
 {
-    const std::string path = livePointPathFor(key);
-    ensureDirFor(path);
-    if (!library.save(key, path, error, /*createDirs=*/false))
-        return false;
-    notePublish(relFor(key, /*livePoints=*/true), path);
-    return true;
+    return publishAt(
+        key, /*livePoints=*/true,
+        [&](const std::string &path, std::string *saveError) {
+            return library.save(key, path, saveError,
+                                /*createDirs=*/false);
+        },
+        error);
 }
 
 std::size_t

@@ -19,108 +19,37 @@ namespace {
 constexpr char kMagic[8] = {'S', 'M', 'R', 'T',
                             'L', 'V', 'P', 'T'};
 
-/** Same probe as the v1 format (docs/checkpoint-format.md). */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
-
 /**
- * The serial sampling schedule with state-equivalent warming, as in
- * the shard capture pass (core/checkpoint.cc), but snapping at EVERY
- * measured unit's iteration start — after the inter-unit gap is
+ * The capture walk (core/schedule.hh) snapping at EVERY measured
+ * unit's iteration start — after the inter-unit gap is
  * fast-forwarded, before detailed warming — which is exactly where
  * the serial loop's state equals the capture pass's. After the last
  * unit the stream is run out so the caller learns the true dynamic
- * length. Works for SimSession and MultiSession: both expose the
- * same stepping surface.
+ * length.
  */
 template <typename Session, typename Snap>
 std::uint64_t
-liveCaptureSchedule(Session &session, const SamplingConfig &config,
-                    Snap &&snap)
+captureLivePoints(Session &session, const SamplingConfig &config,
+                  Snap &&snap)
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    if (!u || !k)
-        SMARTS_FATAL("live-point capture needs nonzero unit size "
-                     "and interval");
-
-    std::uint64_t pos = session.instCount();
-    std::uint64_t unitIdx = config.nextGridIndex(config.offset, pos);
-
-    while (!session.finished()) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-        // The serial loop iterates this unit (possibly truncated):
-        // snapshot its resume state.
-        snap(unitIdx);
-
-        if (unitStart > pos)
-            pos += session.warmAsDetailed(unitStart - pos);
-        pos += session.warmAsDetailed(u);
-        unitIdx += k;
-    }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, config.warming);
+    detail::captureWalk(
+        session, config, [](std::uint64_t) { return true; }, snap);
+    detail::runOut(session, config.warming);
     return session.instCount();
 }
 
-/** One unit's raw measurement, before deterministic folding. */
-struct UnitSample
-{
-    UnitObservation obs{};
-    bool hasObs = false;
-    std::uint64_t measured = 0;
-    std::uint64_t warmed = 0;
-    std::uint64_t dropped = 0;
-};
-
 /**
- * Replay one live-point: restore, detailed-warm up to the unit
- * start, measure U — the serial loop's per-iteration body
- * (core/sampler.cc runSliceRange) starting from the snapshot, with
- * the identical accounting, truncation cases included.
+ * Replay one live-point into @p out: restore, then the measuring
+ * walk's per-unit body (core/schedule.hh) from the snapshot — the
+ * identical accounting, truncation cases included.
  */
 void
 measureLivePoint(SimSession &session, const SamplingConfig &config,
-                 const LivePoint &point, UnitSample &out)
+                 const LivePoint &point, SliceResult &out)
 {
-    session.restoreState(point.arch, point.timing);
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t unitStart = point.unitIndex * u;
-    std::uint64_t pos = point.position;
-
-    out = UnitSample{};
-    if (unitStart > pos) {
-        const Segment warm = session.detailedRun(unitStart - pos);
-        out.warmed = warm.instructions;
-        pos += warm.instructions;
-    }
-    // When warming hit the end of the stream this runs on a finished
-    // session and yields a zero segment — the serial loop broke
-    // before measuring, and 0 dropped instructions matches it.
-    const Segment seg = session.detailedRun(u);
-    if (seg.instructions == u) {
-        out.hasObs = true;
-        out.obs = {static_cast<double>(seg.cycles) /
-                       static_cast<double>(u),
-                   seg.energyNj /
-                       static_cast<double>(seg.instructions)};
-        out.measured = u;
-    } else {
-        out.dropped = seg.instructions;
-    }
+    point.restoreInto(session);
+    detail::measureUnit(session, config, point.unitIndex * config.unitSize,
+                        out, detail::observeUnit);
 }
 
 /** Raw serialized state of one live-point (the delta chain's unit). */
@@ -133,68 +62,69 @@ rawStateOf(const LivePoint &point)
     return raw.buffer();
 }
 
-// The anytime stop rule, factored so the warm path (runAnytime,
-// which evaluates it WHILE measuring) and the leapfrog cold path
-// (which REPLAYS it over the complete sample set) share the exact
-// arithmetic — bit-identical decisions are what make the two paths
-// report the same AnytimeResult.
-
-/** Seeded Fisher-Yates measurement order: pure function of (seed, n). */
-std::vector<std::uint32_t>
-shuffledOrder(std::size_t n, std::uint64_t seed)
+/**
+ * The anytime estimator over @p samples (one slot per live-point,
+ * stream order), shared by the warm path (runAnytime, which measures
+ * WHILE it evaluates) and the leapfrog cold path (which REPLAYS the
+ * rule over a complete sample set) — identical arithmetic and cut
+ * points are what make the two report the same AnytimeResult.
+ * Units are taken in a seeded-shuffle order, one batch at a time:
+ * @p measure(order, from, to) fills slots order[from..to) (a no-op
+ * when they are already measured), and the run stops at the first
+ * batch boundary where the streaming CPI confidence interval meets
+ * the target of @p options.
+ */
+template <typename Samples, typename MeasureBatch>
+AnytimeResult
+anytimeEstimate(const Samples &samples, const AnytimeOptions &options,
+                std::uint64_t streamLength, MeasureBatch &&measure)
 {
+    const std::size_t n = samples.size();
+
+    // Seeded Fisher-Yates: the measurement order is a pure function
+    // of (seed, n), so a rerun — on any machine, at any thread
+    // count — measures the identical unit sequence.
     std::vector<std::uint32_t> order(n);
     std::iota(order.begin(), order.end(), 0u);
-    Xoshiro256StarStar rng(seed);
+    Xoshiro256StarStar rng(options.seed);
     for (std::size_t i = n; i > 1; --i)
         std::swap(order[i - 1], order[rng.below(i)]);
-    return order;
-}
 
-/** The batch-boundary confidence test of the anytime estimator. */
-bool
-anytimeTargetMet(const stats::OnlineStats &shuffled,
-                 const AnytimeOptions &options)
-{
-    return options.target.epsilon > 0.0 &&
-           shuffled.count() >= options.minUnits &&
-           stats::confidenceHalfWidth(shuffled.cv(), shuffled.count(),
-                                      options.target.level) <=
-               options.target.epsilon;
-}
+    const std::uint64_t batch = options.batch ? options.batch : 1;
+    stats::OnlineStats shuffled; // CPI in shuffle order: stop rule only.
+    std::size_t processed = 0;
+    bool stopped = false;
+    while (processed < n && !stopped) {
+        const std::size_t end =
+            std::min<std::size_t>(n, processed + batch);
+        measure(order, processed, end);
+        // The stop rule sees observations in SHUFFLE order — the
+        // randomized order is what makes the prefix an unbiased
+        // sample of the unit population at every cut point.
+        for (std::size_t i = processed; i < end; ++i)
+            for (const UnitObservation &o : samples[order[i]].obs)
+                shuffled.add(o.cpi);
+        processed = end;
+        stopped = options.target.epsilon > 0.0 &&
+                  shuffled.count() >= options.minUnits &&
+                  stats::confidenceHalfWidth(shuffled.cv(),
+                                             shuffled.count(),
+                                             options.target.level) <=
+                      options.target.epsilon;
+    }
 
-/**
- * Deterministic fold: replay the taken units' observations in
- * STREAM order through the accumulators — replay, never
- * OnlineStats::merge (Chan's merge rounds differently), so a
- * completed run equals the serial run() byte for byte.
- */
-template <typename Samples>
-AnytimeResult
-foldAnytime(const Samples &samples,
-            const std::vector<std::uint32_t> &order,
-            std::size_t processed, std::uint64_t streamLength)
-{
-    const std::size_t n = order.size();
+    // Deterministic fold: replay the taken units' observations in
+    // STREAM order through the accumulators — replay, never
+    // OnlineStats::merge (Chan's merge rounds differently), so a
+    // completed run equals the serial run() byte for byte.
     std::vector<bool> taken(n, false);
     for (std::size_t i = 0; i < processed; ++i)
         taken[order[i]] = true;
-
     AnytimeResult result;
-    SmartsEstimate &est = result.estimate;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!taken[i])
-            continue;
-        const UnitSample &sample = samples[i];
-        if (sample.hasObs) {
-            est.cpiStats.add(sample.obs.cpi);
-            est.epiStats.add(sample.obs.epi);
-        }
-        est.instructionsMeasured += sample.measured;
-        est.instructionsWarmed += sample.warmed;
-        est.instructionsDropped += sample.dropped;
-    }
-    est.streamLength = streamLength;
+    for (std::size_t i = 0; i < n; ++i)
+        if (taken[i])
+            SystematicSampler::foldSlice(result.estimate, samples[i]);
+    result.estimate.streamLength = streamLength;
     result.unitsAvailable = n;
     result.unitsMeasured = processed;
     result.earlyStopped = processed < n;
@@ -217,11 +147,10 @@ LivePointLibrary::build(SimSession &session,
 {
     LivePointLibrary library;
     library.config_ = config;
-    library.streamLength_ = liveCaptureSchedule(
+    library.streamLength_ = captureLivePoints(
         session, config, [&](std::uint64_t unitIdx) {
             LivePoint point;
-            session.saveState(point.arch, point.timing);
-            point.position = session.instCount();
+            point.saveFrom(session);
             point.unitIndex = unitIdx;
             library.points_.push_back(std::move(point));
             if (sink)
@@ -241,7 +170,7 @@ LivePointLibrary::buildMulti(MultiSession &session,
 
     ArchState arch;
     std::vector<TimingState> timings;
-    const std::uint64_t length = liveCaptureSchedule(
+    const std::uint64_t length = captureLivePoints(
         session, config, [&](std::uint64_t unitIdx) {
             // One architectural snapshot, one timing snapshot per
             // config: library c gets exactly the live-point a
@@ -268,7 +197,7 @@ LivePointLibrary::serialize(const LibraryKey &key,
     for (const char c : kMagic)
         out.u8(static_cast<std::uint8_t>(c));
     out.u32(kLivePointFormatVersion);
-    out.u32(kEndianMark);
+    out.u32(kCheckpointEndianMark);
     out.u8(kCheckpointFlavorSolo);
     key.write(out);
 
@@ -324,7 +253,7 @@ LivePointLibrary::load(const std::string &path,
             path, " is format version ", version,
             "; this build reads versions 2 and ",
             kLivePointFormatVersion));
-    if (in.u32() != kEndianMark)
+    if (in.u32() != kCheckpointEndianMark)
         return refuse(log::format(path,
                                   " has a bad endianness marker"));
     if (version >= 3) {
@@ -418,68 +347,34 @@ SystematicSampler::runAnytime(const SessionFactory &factory,
 {
     if (!factory)
         SMARTS_FATAL("runAnytime needs a session factory");
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("live-point library was built for a different "
                      "sampling design");
 
-    const std::size_t n = library.unitCount();
-
-    // Seeded Fisher-Yates: the measurement order is a pure function
-    // of (seed, n), so a rerun — on any machine, at any thread
-    // count — measures the identical unit sequence.
-    const std::vector<std::uint32_t> order =
-        shuffledOrder(n, options.seed);
-
     const SamplingConfig config = config_;
-    const std::uint64_t batch = options.batch ? options.batch : 1;
     const std::uint64_t chunk = options.chunk ? options.chunk : 1;
-
-    std::vector<UnitSample> samples(n);
-    stats::OnlineStats shuffled; // CPI in shuffle order: stop rule only.
-    std::size_t processed = 0;
-    bool stopped = false;
-
-    while (processed < n && !stopped) {
-        const std::size_t end =
-            std::min<std::size_t>(n, processed + batch);
-        // Each chunk job owns one session and writes only its own
-        // units' slots; pool.wait() publishes them all, so the batch
-        // is bit-identical at any thread count.
-        for (std::size_t c = processed; c < end; c += chunk) {
-            const std::size_t cEnd =
-                std::min<std::size_t>(end, c + chunk);
-            pool.submit([&samples, &order, &library, &factory, config,
-                         c, cEnd] {
-                std::unique_ptr<SimSession> session = factory();
-                for (std::size_t i = c; i < cEnd; ++i)
-                    measureLivePoint(*session, config,
-                                     library.at(order[i]),
-                                     samples[order[i]]);
-            });
-        }
-        pool.wait();
-
-        // The stop rule sees observations in SHUFFLE order — the
-        // randomized order is what makes the prefix an unbiased
-        // sample of the unit population at every cut point.
-        for (std::size_t i = processed; i < end; ++i) {
-            const UnitSample &sample = samples[order[i]];
-            if (sample.hasObs)
-                shuffled.add(sample.obs.cpi);
-        }
-        processed = end;
-
-        if (anytimeTargetMet(shuffled, options))
-            stopped = true;
-    }
-
-    return foldAnytime(samples, order, processed,
-                       library.streamLength());
+    std::vector<SliceResult> samples(library.unitCount());
+    return anytimeEstimate(
+        samples, options, library.streamLength(),
+        [&](const std::vector<std::uint32_t> &order, std::size_t from,
+            std::size_t to) {
+            // Each chunk job owns one session and writes only its own
+            // units' slots; pool.wait() publishes them all, so the
+            // batch is bit-identical at any thread count.
+            for (std::size_t c = from; c < to; c += chunk) {
+                const std::size_t cEnd =
+                    std::min<std::size_t>(to, c + chunk);
+                pool.submit([&samples, &order, &library, &factory,
+                             config, c, cEnd] {
+                    std::unique_ptr<SimSession> session = factory();
+                    for (std::size_t i = c; i < cEnd; ++i)
+                        measureLivePoint(*session, config,
+                                         library.at(order[i]),
+                                         samples[order[i]]);
+                });
+            }
+            pool.wait();
+        });
 }
 
 AnytimeResult
@@ -499,16 +394,16 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     // elements, so the capture thread keeps appending while pool
     // jobs write through the stable slot pointers they were handed.
     // Jobs never touch the container itself.
-    std::deque<UnitSample> samples;
+    std::deque<SliceResult> samples;
     std::vector<LivePoint> pendingPoints;
-    std::vector<UnitSample *> pendingSlots;
+    std::vector<SliceResult *> pendingSlots;
 
     auto flush = [&] {
         if (pendingPoints.empty())
             return;
         auto points = std::make_shared<std::vector<LivePoint>>(
             std::move(pendingPoints));
-        auto slots = std::make_shared<std::vector<UnitSample *>>(
+        auto slots = std::make_shared<std::vector<SliceResult *>>(
             std::move(pendingSlots));
         pendingPoints.clear();
         pendingSlots.clear();
@@ -537,34 +432,14 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     flush();
     pool.wait();
 
-    // Stop-rule replay over the complete sample set: the identical
-    // shuffle, batch boundaries and streaming-CI arithmetic the
-    // warm path applies while measuring — the per-unit values are
-    // the same, so every accept/stop decision lands on the same
-    // batch and the reported AnytimeResult matches a warm
-    // runAnytime bit for bit.
-    const std::size_t n = samples.size();
-    const std::vector<std::uint32_t> order =
-        shuffledOrder(n, options.seed);
-    const std::uint64_t batch = options.batch ? options.batch : 1;
-    stats::OnlineStats shuffled;
-    std::size_t processed = 0;
-    bool stopped = false;
-    while (processed < n && !stopped) {
-        const std::size_t end =
-            std::min<std::size_t>(n, processed + batch);
-        for (std::size_t i = processed; i < end; ++i) {
-            const UnitSample &sample = samples[order[i]];
-            if (sample.hasObs)
-                shuffled.add(sample.obs.cpi);
-        }
-        processed = end;
-        if (anytimeTargetMet(shuffled, options))
-            stopped = true;
-    }
-
-    AnytimeResult result =
-        foldAnytime(samples, order, processed, library.streamLength());
+    // Stop-rule replay over the complete sample set: the per-unit
+    // values are the warm path's, so every accept/stop decision
+    // lands on the same batch and the reported AnytimeResult matches
+    // a warm runAnytime bit for bit.
+    AnytimeResult result = anytimeEstimate(
+        samples, options, library.streamLength(),
+        [](const std::vector<std::uint32_t> &, std::size_t,
+           std::size_t) {});
     if (collect)
         *collect = std::move(library);
     return result;
@@ -577,12 +452,7 @@ SystematicSampler::measureUnits(SimSession &session,
                                 std::uint64_t unitCount,
                                 const ProgressTick &tick) const
 {
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
+    if (library.samplingConfig() != config_)
         SMARTS_FATAL("live-point library was built for a different "
                      "sampling design");
     if (firstUnit + unitCount > library.unitCount())
@@ -596,13 +466,7 @@ SystematicSampler::measureUnits(SimSession &session,
     SliceResult r;
     for (std::uint64_t i = firstUnit; i < firstUnit + unitCount;
          ++i) {
-        UnitSample sample;
-        measureLivePoint(session, config_, library.at(i), sample);
-        if (sample.hasObs)
-            r.obs.push_back(sample.obs);
-        r.measured += sample.measured;
-        r.warmed += sample.warmed;
-        r.dropped += sample.dropped;
+        measureLivePoint(session, config_, library.at(i), r);
         if (tick && !tick())
             break; // abandoned: partial, not publishable.
     }

@@ -1,101 +1,77 @@
 #include "core/sampler.hh"
 
-#include <utility>
+#include <memory>
 
 #include "core/checkpoint.hh"
 #include "core/checkpoint_store.hh"
-#include "exec/thread_pool.hh"
+#include "core/shard_runner.hh"
 #include "util/logging.hh"
 
 namespace smarts::core {
 
 namespace {
 
-/**
- * The serial sampling loop over one slice of the unit grid — shared
- * verbatim by run() (a single all-units slice), runSharded() (one
- * slice per shard resumed from its checkpoint) and, through the
- * public SystematicSampler::runSlice, the distributed runner — so
- * no execution path can drift from the serial semantics.
- */
-SliceResult
-runSliceRange(SimSession &session, const SamplingConfig &config,
-              std::uint64_t startIdx, std::uint64_t maxUnits,
-              bool runTail, const ProgressTick &tick = {})
+/** The solo tier of the shard runner (core/shard_runner.hh). */
+struct SoloShards
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
+    using Library = CheckpointLibrary;
+    using Slice = SliceResult;
+    using Estimate = SmartsEstimate;
 
-    SliceResult r;
-    bool aborted = false;
-    std::uint64_t pos = session.instCount();
+    const SystematicSampler &sampler;
+    const SamplingConfig &config;
+    const SessionFactory &factory;
 
-    // O(1) jump to the first grid index whose unit starts at or
-    // after the session's position (resumed sessions).
-    std::uint64_t unitIdx = config.nextGridIndex(startIdx, pos);
-    std::uint64_t done = 0;
-
-    while (!session.finished() && done < maxUnits) {
-        // Grid index past any representable stream position: done
-        // (and the unitIdx * u product stays overflow-free).
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const Segment warm = session.detailedRun(unitStart - pos);
-            r.warmed += warm.instructions;
-            pos += warm.instructions;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit.
-        const Segment seg = session.detailedRun(u);
-        pos += seg.instructions;
-        if (seg.instructions == u) {
-            r.measured += u;
-            r.obs.push_back(
-                {static_cast<double>(seg.cycles) /
-                     static_cast<double>(u),
-                 seg.energyNj /
-                     static_cast<double>(seg.instructions)});
-        } else {
-            // Truncated final unit: detailed-simulation cost that
-            // produced no observation — tracked apart from the
-            // measured instructions behind the statistics.
-            r.dropped += seg.instructions;
-        }
-        ++done;
-        unitIdx += k;
-
-        // Liveness hook between units; false abandons the slice
-        // (partial result, not publishable — skip the tail too).
-        if (tick && !tick()) {
-            aborted = true;
-            break;
-        }
+    SoloShards(const SystematicSampler &sampler,
+               const SamplingConfig &config,
+               const SessionFactory &factory)
+        : sampler(sampler), config(config), factory(factory)
+    {
+        if (!factory)
+            SMARTS_FATAL("runSharded needs a session factory");
     }
 
-    // Run out the tail so streamLength is the true benchmark length.
-    if (runTail && !aborted)
-        while (!session.finished())
-            session.fastForward(~0ull >> 1, config.warming);
-    r.endPos = session.instCount();
-    return r;
-}
+    Slice
+    runShard(const ShardSpec &shard, const ArchCheckpoint *resume) const
+    {
+        std::unique_ptr<SimSession> session = factory();
+        if (resume)
+            resume->restoreInto(*session);
+        return sampler.runSlice(*session, shard);
+    }
+
+    std::uint64_t
+    capture(const std::vector<ShardSpec> &plan,
+            const Library::CheckpointSink &sink) const
+    {
+        std::unique_ptr<SimSession> session = factory();
+        Library::capture(*session, config, plan, sink);
+        return session->instCount();
+    }
+
+    Estimate
+    fold(const std::vector<Slice> &slices) const
+    {
+        SmartsEstimate est;
+        for (const SliceResult &slice : slices)
+            SystematicSampler::foldSlice(est, slice);
+        return est;
+    }
+
+    std::optional<Library>
+    load(const CheckpointStore &store, const LibraryKey &key,
+         std::string *error) const
+    {
+        return store.tryLoad(key, error);
+    }
+
+    bool
+    save(const CheckpointStore &store, const LibraryKey &key,
+         const Library &library, std::string *error) const
+    {
+        return store.save(key, library, error);
+    }
+};
 
 } // namespace
 
@@ -104,9 +80,10 @@ SystematicSampler::runSlice(SimSession &session,
                             const ShardSpec &shard,
                             const ProgressTick &tick) const
 {
-    return runSliceRange(session, config_, shard.firstUnitIndex,
-                         shard.runsTail ? ~0ull : shard.unitCount,
-                         shard.runsTail, tick);
+    return detail::measureWalk<UnitObservation>(
+        session, config_, shard.firstUnitIndex,
+        shard.runsTail ? ~0ull : shard.unitCount, shard.runsTail,
+        detail::observeUnit, tick);
 }
 
 void
@@ -137,90 +114,44 @@ SmartsEstimate
 SystematicSampler::run(SimSession &session) const
 {
     SmartsEstimate est;
-    foldSlice(est, runSliceRange(session, config_, config_.offset,
-                                 ~0ull, /*runTail=*/true));
+    foldSlice(est, detail::measureWalk<UnitObservation>(
+                       session, config_, config_.offset, ~0ull,
+                       /*runTail=*/true, detail::observeUnit));
     return est;
 }
 
 MatchedEstimate
 SystematicSampler::runMatched(MultiSession &session) const
 {
-    const std::uint64_t u = config_.unitSize;
-    const std::uint64_t w = config_.detailedWarming;
-    const std::uint64_t k = config_.interval;
-    const std::size_t n = session.configCount();
+    // Every config observes the same window: one interpretation pass
+    // warms and times all N models.
+    const SliceOf<std::vector<UnitObservation>> slice =
+        detail::measureWalk<std::vector<UnitObservation>>(
+            session, config_, config_.offset, ~0ull, /*runTail=*/true,
+            [](const MultiSegment &seg) {
+                std::vector<UnitObservation> per;
+                per.reserve(seg.per.size());
+                for (const Segment &one : seg.per)
+                    per.push_back(detail::observeUnit(one));
+                return per;
+            });
 
+    const std::size_t n = session.configCount();
     MatchedEstimate est;
     est.perConfig.resize(n);
     est.cpiDelta.resize(n);
-
-    std::uint64_t pos = session.instCount();
-
-    // O(1) jump to the grid (resumed sessions), as in runSlice.
-    std::uint64_t unitIdx =
-        config_.nextGridIndex(config_.offset, pos);
-
-    while (!session.finished()) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode: one
-        // interpretation pass warms every config's state.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config_.warming);
-            if (session.finished())
-                break;
+    for (const std::vector<UnitObservation> &per : slice.obs)
+        for (std::size_t c = 0; c < n; ++c) {
+            est.perConfig[c].cpiStats.add(per[c].cpi);
+            est.perConfig[c].epiStats.add(per[c].epi);
+            est.cpiDelta[c].add(per[c].cpi - per[0].cpi);
         }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const MultiSegment warm =
-                session.detailedRun(unitStart - pos);
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsWarmed +=
-                    warm.instructions;
-            pos += warm.instructions;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit: every config observes the same window.
-        const MultiSegment seg = session.detailedRun(u);
-        pos += seg.instructions;
-        if (seg.instructions == u) {
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsMeasured +=
-                    seg.instructions;
-            const double cpi0 = static_cast<double>(seg.per[0].cycles) /
-                                static_cast<double>(u);
-            for (std::size_t c = 0; c < n; ++c) {
-                const double cpi =
-                    static_cast<double>(seg.per[c].cycles) /
-                    static_cast<double>(u);
-                est.perConfig[c].cpiStats.add(cpi);
-                est.perConfig[c].epiStats.add(
-                    seg.per[c].energyNj /
-                    static_cast<double>(seg.instructions));
-                est.cpiDelta[c].add(cpi - cpi0);
-            }
-        } else {
-            // Truncated final unit: mirror runSlice's accounting.
-            for (std::size_t c = 0; c < n; ++c)
-                est.perConfig[c].instructionsDropped +=
-                    seg.instructions;
-        }
-        unitIdx += k;
+    for (SmartsEstimate &one : est.perConfig) {
+        one.instructionsMeasured = slice.measured;
+        one.instructionsWarmed = slice.warmed;
+        one.instructionsDropped = slice.dropped;
+        one.streamLength = slice.endPos;
     }
-
-    // Run out the tail so streamLength is the true benchmark length.
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, config_.warming);
-    for (std::size_t c = 0; c < n; ++c)
-        est.perConfig[c].streamLength = session.instCount();
     return est;
 }
 
@@ -230,73 +161,8 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               std::size_t shards,
                               exec::ThreadPool &pool) const
 {
-    return runShardedCold(factory, streamLength, shards, pool,
-                          nullptr);
-}
-
-SmartsEstimate
-SystematicSampler::runShardedCold(const SessionFactory &factory,
-                                  std::uint64_t streamLength,
-                                  std::size_t shards,
-                                  exec::ThreadPool &pool,
-                                  CheckpointLibrary *collect) const
-{
-    if (!factory)
-        SMARTS_FATAL("runSharded needs a session factory");
-    const std::vector<ShardSpec> plan =
-        CheckpointLibrary::planShards(config_, streamLength, shards);
-    if (collect)
-        *collect = CheckpointLibrary::prepare(config_, plan);
-
-    std::vector<SliceResult> results(plan.size());
-    const SamplingConfig config = config_;
-
-    // Each shard job writes only its own result slot; pool.wait()
-    // publishes every slot to this thread, so the batch is
-    // bit-identical at any thread count.
-    auto submitShard = [&results, &pool, &factory, &plan,
-                        config](std::size_t s, ArchCheckpoint &&cp) {
-        pool.submit([&results, &factory, &plan, config, s,
-                     cp = std::move(cp)] {
-            std::unique_ptr<SimSession> session = factory();
-            if (s)
-                session->restoreState(cp.arch, cp.timing);
-            const ShardSpec &shard = plan[s];
-            results[s] = runSliceRange(
-                *session, config, shard.firstUnitIndex,
-                shard.runsTail ? ~0ull : shard.unitCount,
-                shard.runsTail);
-        });
-    };
-
-    // Shard 0 resumes at stream start: dispatch it before the
-    // capture pass so it overlaps checkpoint production.
-    submitShard(0, ArchCheckpoint{});
-
-    std::uint64_t capturePos = 0;
-    if (plan.size() > 1) {
-        std::unique_ptr<SimSession> captureSession = factory();
-        CheckpointLibrary::capture(
-            *captureSession, config_, plan,
-            [&submitShard, collect](std::size_t s,
-                                    ArchCheckpoint &&cp) {
-                if (collect)
-                    collect->record(s, cp);
-                submitShard(s, std::move(cp));
-            });
-        capturePos = captureSession->instCount();
-    }
-    pool.wait();
-
-    SmartsEstimate est;
-    for (const SliceResult &slice : results)
-        foldSlice(est, slice);
-    // Normally the tail shard ran the stream out; if the plan
-    // overstated the stream (caller passed a wrong length), the
-    // capture pass's own progress still bounds what was simulated.
-    if (capturePos > est.streamLength)
-        est.streamLength = capturePos;
-    return est;
+    return detail::runShardsCold(SoloShards(*this, config_, factory),
+                                 streamLength, shards, pool);
 }
 
 SmartsEstimate
@@ -308,24 +174,10 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               exec::ThreadPool &pool,
                               CheckpointStore &store) const
 {
-    const LibraryKey key = LibraryKey::of(spec, machine, config_);
-    std::string error;
-    if (std::optional<CheckpointLibrary> library =
-            store.tryLoad(key, &error))
-        return runSharded(factory, *library, pool);
-    // A file that exists but refuses to load is a recapture, never a
-    // mis-warm; say why (tryLoad names the key component — benchmark,
-    // sampling design, geometry hash — or the failing record).
-    if (!error.empty())
-        SMARTS_WARN("checkpoint store: recapturing (", error, ")");
-
-    CheckpointLibrary library;
-    const SmartsEstimate est = runShardedCold(
-        factory, streamLength, shards, pool, &library);
-    if (!store.save(key, library, &error))
-        SMARTS_WARN("checkpoint store: could not persist ",
-                    store.pathFor(key), " (", error, ")");
-    return est;
+    return detail::runShardsStored(
+        SoloShards(*this, config_, factory), store,
+        LibraryKey::of(spec, machine, config_),
+        [streamLength] { return streamLength; }, shards, pool);
 }
 
 SmartsEstimate
@@ -333,41 +185,8 @@ SystematicSampler::runSharded(const SessionFactory &factory,
                               const CheckpointLibrary &library,
                               exec::ThreadPool &pool) const
 {
-    if (!factory)
-        SMARTS_FATAL("runSharded needs a session factory");
-    const SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != config_.unitSize ||
-        built.detailedWarming != config_.detailedWarming ||
-        built.interval != config_.interval ||
-        built.offset != config_.offset ||
-        built.warming != config_.warming)
-        SMARTS_FATAL("checkpoint library was built for a different "
-                     "sampling design");
-    const std::vector<ShardSpec> &plan = library.plan();
-    if (plan.empty())
-        SMARTS_FATAL("checkpoint library has no shards");
-
-    std::vector<SliceResult> results(plan.size());
-    const SamplingConfig config = config_;
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-        pool.submit([&results, &factory, &plan, &library, config, s] {
-            std::unique_ptr<SimSession> session = factory();
-            if (s)
-                session->restoreState(library.at(s).arch,
-                                      library.at(s).timing);
-            const ShardSpec &shard = plan[s];
-            results[s] = runSliceRange(
-                *session, config, shard.firstUnitIndex,
-                shard.runsTail ? ~0ull : shard.unitCount,
-                shard.runsTail);
-        });
-    }
-    pool.wait();
-
-    SmartsEstimate est;
-    for (const SliceResult &slice : results)
-        foldSlice(est, slice);
-    return est;
+    return detail::runShardsFrom(SoloShards(*this, config_, factory),
+                                 library, pool);
 }
 
 } // namespace smarts::core

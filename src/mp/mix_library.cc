@@ -4,79 +4,12 @@
 
 namespace smarts::mp {
 
-namespace {
-
-/**
- * The stream ending before every boundary means the plan's
- * streamLength was overstated; fail with a clear message rather
- * than mid-pool when a shard restores an empty snapshot.
- */
-void
-requireComplete(const MixLibrary &library,
-                const std::vector<core::ShardSpec> &plan)
-{
-    for (std::size_t s = 1; s < plan.size(); ++s)
-        if (library.at(s).state.archs.empty())
-            SMARTS_FATAL("mix stream ended before the checkpoint "
-                         "for shard ", s, " (round ",
-                         plan[s].resumePos,
-                         ") — was streamLength overstated?");
-}
-
-} // namespace
-
-void
-MixLibrary::capture(MixSession &session,
-                    const core::SamplingConfig &config,
-                    const std::vector<core::ShardSpec> &plan,
-                    const CheckpointSink &sink)
-{
-    core::detail::captureSchedule(
-        session, config, plan, [&](std::size_t s) {
-            MixCheckpoint cp;
-            session.saveState(cp.state);
-            cp.position = session.roundCount();
-            cp.unitIndex = plan[s].firstUnitIndex;
-            sink(s, std::move(cp));
-        });
-}
-
-MixLibrary
-MixLibrary::prepare(const core::SamplingConfig &config,
-                    const std::vector<core::ShardSpec> &plan)
-{
-    MixLibrary library;
-    library.config_ = config;
-    library.plan_ = plan;
-    library.checkpoints_.resize(plan.size());
-    return library;
-}
-
-MixLibrary
-MixLibrary::build(MixSession &session,
-                  const core::SamplingConfig &config,
-                  const std::vector<core::ShardSpec> &plan)
-{
-    MixLibrary library = prepare(config, plan);
-    capture(session, config, plan,
-            [&library](std::size_t s, MixCheckpoint &&cp) {
-                library.checkpoints_[s] = std::move(cp);
-            });
-    requireComplete(library, plan);
-    return library;
-}
-
 void
 MixLibrary::serialize(const WorkloadMix &mix,
                       const core::LibraryKey &key,
                       util::BinaryWriter &out) const
 {
-    for (const char c : core::kCheckpointMagic)
-        out.u8(static_cast<std::uint8_t>(c));
-    out.u32(core::kCheckpointFormatVersion);
-    out.u32(core::kCheckpointEndianMark);
-    out.u8(core::kCheckpointFlavorMix);
-
+    writeHeader(out, core::kCheckpointFlavorMix);
     // The mix identity block: the co-run state depends on EVERY
     // program's stream and on the partition policy, so both are part
     // of what a loader must match before resuming.
@@ -90,22 +23,7 @@ MixLibrary::serialize(const WorkloadMix &mix,
         out.u32(static_cast<std::uint32_t>(spec.scale));
     }
     key.write(out);
-
-    out.u64(plan_.size());
-    for (const core::ShardSpec &shard : plan_) {
-        out.u64(shard.firstUnitIndex);
-        out.u64(shard.unitCount);
-        out.u64(shard.resumePos);
-        out.u8(shard.runsTail ? 1 : 0);
-    }
-    out.u64(checkpoints_.size());
-    for (std::size_t s = 0; s < checkpoints_.size(); ++s) {
-        // Slot 0 resumes at round 0 and carries no state.
-        const bool present = s > 0;
-        out.u8(present ? 1 : 0);
-        if (present)
-            checkpoints_[s].write(out);
-    }
+    writePlanAndSlots(out);
 }
 
 bool
@@ -123,133 +41,54 @@ MixLibrary::load(const std::string &path,
                  const WorkloadMix &expectMix,
                  const core::LibraryKey &expect, std::string *error)
 {
-    auto refuse = [error](std::string why) {
-        if (error)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-
-    for (const char c : core::kCheckpointMagic)
-        if (in.u8() != static_cast<std::uint8_t>(c))
-            return refuse(log::format(
-                path, " is not a smarts checkpoint library"));
     // Flavored payloads only exist from v2 on; a v1 file is always
     // solo state, so refuse it here by construction.
-    const std::uint32_t version = in.u32();
-    if (version != core::kCheckpointFormatVersion)
-        return refuse(log::format(
-            path, " is format version ", version,
-            "; mix libraries exist only in version ",
-            core::kCheckpointFormatVersion));
-    if (in.u32() != core::kCheckpointEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
-    const std::uint8_t flavor = in.u8();
-    if (flavor != core::kCheckpointFlavorMix)
-        return refuse(log::format(
-            path, " holds flavor-", flavor,
-            " (solo) state; load it through "
-            "core::CheckpointLibrary, not the mix loader"));
-
-    const auto policy = static_cast<mem::PartitionPolicy>(in.u8());
-    const std::uint32_t programCount = in.u32();
-    if (in.failed() || programCount > in.remaining())
-        return refuse(log::format(
-            path, " is corrupt (program count ", programCount, ")"));
-    if (policy != expectMix.policy ||
-        programCount != expectMix.programs.size())
-        return refuse(log::format(
-            path, ": mix mismatch (file: ", programCount,
-            " programs, policy ",
-            mem::partitionPolicyName(policy), "; expected: ",
-            expectMix.programs.size(), " programs, policy ",
-            mem::partitionPolicyName(expectMix.policy), ")"));
-    for (std::uint32_t p = 0; p < programCount; ++p) {
-        workloads::BenchmarkSpec spec;
-        spec.name = in.str();
-        spec.kernel = static_cast<workloads::Kernel>(in.u32());
-        spec.variant = in.u32();
-        spec.seed = in.u64();
-        spec.scale = static_cast<workloads::Scale>(in.u32());
-        const workloads::BenchmarkSpec &want = expectMix.programs[p];
-        if (spec.name != want.name || spec.kernel != want.kernel ||
-            spec.variant != want.variant || spec.seed != want.seed ||
-            spec.scale != want.scale)
-            return refuse(log::format(
-                path, ": mix mismatch (program ", p, " is ",
-                spec.name, ", expected ", want.name, ")"));
-    }
-
-    const core::LibraryKey stored = core::LibraryKey::read(in);
-    const std::string mismatch = expect.mismatchAgainst(stored);
-    if (!mismatch.empty())
-        return refuse(log::format(path, ": ", mismatch));
-
-    MixLibrary library;
-    library.config_ = stored.sampling;
-    const std::uint64_t shardCount = in.u64();
-    // An absurd count means a corrupt length field the checksum
-    // somehow missed; bound it by what the payload could hold.
-    if (shardCount > in.remaining())
-        return refuse(log::format(path, " is corrupt (shard count ",
-                                  shardCount, ")"));
-    library.plan_.resize(shardCount);
-    for (core::ShardSpec &shard : library.plan_) {
-        shard.firstUnitIndex = in.u64();
-        shard.unitCount = in.u64();
-        shard.resumePos = in.u64();
-        shard.runsTail = in.u8() != 0;
-    }
-    // Same honesty bar as the solo loader: the plan must be one
-    // planShards could have produced, or executing it would
-    // MIS-MEASURE instead of refusing.
-    {
-        const std::string planError =
-            core::CheckpointLibrary::validatePlan(stored.sampling,
-                                                  library.plan_);
-        if (!planError.empty())
-            return refuse(log::format(path, " is corrupt (",
-                                      planError, ")"));
-    }
-    const std::uint64_t cpCount = in.u64();
-    if (cpCount != shardCount)
-        return refuse(log::format(
-            path, " is corrupt (", cpCount, " checkpoints for ",
-            shardCount, " shards)"));
-    library.checkpoints_.resize(shardCount);
-    for (std::size_t s = 0; s < shardCount; ++s) {
-        const bool present = in.u8() != 0;
-        if (present == (s == 0))
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s,
-                present ? " unexpectedly present" : " missing"));
-        if (present)
-            library.checkpoints_[s].read(in);
-    }
-    if (in.failed() || in.remaining() != 0)
-        return refuse(log::format(
-            path, " is truncated or has trailing garbage"));
-    for (std::size_t s = 1; s < shardCount; ++s) {
-        const MixCheckpoint &cp = library.checkpoints_[s];
-        if (cp.position != library.plan_[s].resumePos ||
-            cp.unitIndex != library.plan_[s].firstUnitIndex)
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s,
-                " disagrees with its shard plan)"));
-        if (cp.state.archs.size() != programCount ||
-            cp.state.lanes.size() != programCount)
-            return refuse(log::format(
-                path, " is corrupt (checkpoint ", s, " carries ",
-                cp.state.archs.size(), " programs for a ",
-                programCount, "-program mix)"));
-    }
-    return library;
+    static const Flavor mixFlavor{
+        core::kCheckpointFlavorMix, core::kCheckpointFormatVersion,
+        "; mix libraries exist only in version ",
+        " (solo) state; load it through core::CheckpointLibrary, not "
+        "the mix loader"};
+    const std::size_t programCount = expectMix.programs.size();
+    auto readMix = [&](util::BinaryReader &in) -> std::string {
+        const auto policy = static_cast<mem::PartitionPolicy>(in.u8());
+        const std::uint32_t count = in.u32();
+        if (in.failed() || count > in.remaining())
+            return log::format(" is corrupt (program count ", count,
+                               ")");
+        if (policy != expectMix.policy || count != programCount)
+            return log::format(
+                ": mix mismatch (file: ", count, " programs, policy ",
+                mem::partitionPolicyName(policy), "; expected: ",
+                programCount, " programs, policy ",
+                mem::partitionPolicyName(expectMix.policy), ")");
+        for (std::uint32_t p = 0; p < count; ++p) {
+            workloads::BenchmarkSpec spec;
+            spec.name = in.str();
+            spec.kernel = static_cast<workloads::Kernel>(in.u32());
+            spec.variant = in.u32();
+            spec.seed = in.u64();
+            spec.scale = static_cast<workloads::Scale>(in.u32());
+            const workloads::BenchmarkSpec &want = expectMix.programs[p];
+            if (spec.name != want.name || spec.kernel != want.kernel ||
+                spec.variant != want.variant ||
+                spec.seed != want.seed || spec.scale != want.scale)
+                return log::format(": mix mismatch (program ", p,
+                                   " is ", spec.name, ", expected ",
+                                   want.name, ")");
+        }
+        return {};
+    };
+    auto checkLanes = [programCount](std::size_t s,
+                                     const MixCheckpoint &cp) {
+        if (cp.state.archs.size() == programCount &&
+            cp.state.lanes.size() == programCount)
+            return std::string();
+        return log::format(" is corrupt (checkpoint ", s, " carries ",
+                           cp.state.archs.size(), " programs for a ",
+                           programCount, "-program mix)");
+    };
+    return loadContainer(path, expect, mixFlavor, readMix, checkLanes,
+                         error);
 }
 
 } // namespace smarts::mp

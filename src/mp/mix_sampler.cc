@@ -1,9 +1,7 @@
 #include "mp/mix_sampler.hh"
 
-#include <memory>
-#include <utility>
-
 #include "core/checkpoint_store.hh"
+#include "core/shard_runner.hh"
 #include "exec/thread_pool.hh"
 #include "util/logging.hh"
 
@@ -12,96 +10,106 @@ namespace smarts::mp {
 namespace {
 
 /**
- * The serial mix sampling loop over one slice of the unit grid —
- * core::runSliceRange with rounds for positions and per-lane
- * dual-world observations. Shared by run() and every sharded mode so
- * no path can drift from the serial semantics.
+ * The co-run per-unit observer: every program observed the same
+ * U-round (= U-instruction) window, in both worlds.
  */
-MixSliceResult
-runMixSliceRange(MixSession &session,
-                 const core::SamplingConfig &config,
-                 std::uint64_t startIdx, std::uint64_t maxUnits,
-                 bool runTail)
+MixUnitObservation
+observeMixUnit(const MixSegment &seg)
 {
-    const std::uint64_t u = config.unitSize;
-    const std::uint64_t w = config.detailedWarming;
-    const std::uint64_t k = config.interval;
-    const std::size_t n = session.programCount();
+    const double u = static_cast<double>(seg.rounds);
+    MixUnitObservation o;
+    o.per.resize(seg.per.size());
+    for (std::size_t p = 0; p < seg.per.size(); ++p) {
+        const MixLaneSegment &ls = seg.per[p];
+        MixLaneObservation &lo = o.per[p];
+        lo.coCpi = static_cast<double>(ls.coCycles) / u;
+        lo.coEpi = ls.coEnergyNj / u;
+        lo.soloCpi = static_cast<double>(ls.soloCycles) / u;
+        lo.soloEpi = ls.soloEnergyNj / u;
+        lo.sharedAccesses = ls.sharedAccesses;
+        lo.sharedMisses = ls.sharedMisses;
+        lo.shadowAccesses = ls.shadowAccesses;
+        lo.shadowMisses = ls.shadowMisses;
+    }
+    return o;
+}
 
-    MixSliceResult r;
-    std::uint64_t pos = session.roundCount();
+/** The co-run tier of the shard runner (core/shard_runner.hh). */
+struct MixShards
+{
+    using Library = MixLibrary;
+    using Slice = MixSliceResult;
+    using Estimate = MixEstimate;
 
-    // O(1) jump to the first grid index whose unit starts at or
-    // after the session's position (resumed sessions).
-    std::uint64_t unitIdx = config.nextGridIndex(startIdx, pos);
-    std::uint64_t done = 0;
+    const MixSampler &sampler;
+    const core::SamplingConfig &config;
 
-    while (!session.finished() && done < maxUnits) {
-        if (unitIdx > ~0ull / u)
-            break;
-        const std::uint64_t unitStart = unitIdx * u;
-        const std::uint64_t warmStart =
-            unitStart > w ? unitStart - w : 0;
-
-        // Fast-forward the inter-unit gap in the warming mode.
-        if (warmStart > pos) {
-            pos += session.fastForward(warmStart - pos,
-                                       config.warming);
-            if (session.finished())
-                break;
-        }
-
-        // Detailed warming W: timing on, measurement discarded.
-        if (unitStart > pos) {
-            const MixSegment warm =
-                session.detailedRun(unitStart - pos);
-            r.warmed += warm.rounds;
-            pos += warm.rounds;
-            if (session.finished())
-                break;
-        }
-
-        // The measured unit: every program observes the same
-        // U-round (= U-instruction) window, in both worlds.
-        const MixSegment seg = session.detailedRun(u);
-        pos += seg.rounds;
-        if (seg.rounds == u) {
-            r.measured += u;
-            MixUnitObservation o;
-            o.per.resize(n);
-            for (std::size_t p = 0; p < n; ++p) {
-                const MixLaneSegment &ls = seg.per[p];
-                MixLaneObservation &lo = o.per[p];
-                lo.coCpi = static_cast<double>(ls.coCycles) /
-                           static_cast<double>(u);
-                lo.coEpi =
-                    ls.coEnergyNj / static_cast<double>(u);
-                lo.soloCpi = static_cast<double>(ls.soloCycles) /
-                             static_cast<double>(u);
-                lo.soloEpi =
-                    ls.soloEnergyNj / static_cast<double>(u);
-                lo.sharedAccesses = ls.sharedAccesses;
-                lo.sharedMisses = ls.sharedMisses;
-                lo.shadowAccesses = ls.shadowAccesses;
-                lo.shadowMisses = ls.shadowMisses;
-            }
-            r.obs.push_back(std::move(o));
-        } else {
-            // Truncated final unit: detailed-simulation cost that
-            // produced no observation.
-            r.dropped += seg.rounds;
-        }
-        ++done;
-        unitIdx += k;
+    explicit MixShards(const MixSampler &sampler)
+        : sampler(sampler), config(sampler.samplingConfig())
+    {
     }
 
-    // Run out the tail so endPos is the true mix stream length.
-    if (runTail)
-        while (!session.finished())
-            session.fastForward(~0ull >> 1, config.warming);
-    r.endPos = session.roundCount();
-    return r;
-}
+    Slice
+    runShard(const core::ShardSpec &shard,
+             const MixCheckpoint *resume) const
+    {
+        MixSession session = sampler.makeSession();
+        if (resume)
+            resume->restoreInto(session);
+        return sampler.runSlice(session, shard);
+    }
+
+    std::uint64_t
+    capture(const std::vector<core::ShardSpec> &plan,
+            const Library::CheckpointSink &sink) const
+    {
+        MixSession session = sampler.makeSession();
+        Library::capture(session, config, plan, sink);
+        return session.roundCount();
+    }
+
+    Estimate
+    fold(const std::vector<Slice> &slices) const
+    {
+        MixEstimate est;
+        est.perProgram.resize(sampler.mix().programs.size());
+        for (const MixSliceResult &slice : slices)
+            MixSampler::foldSlice(est, slice);
+        return est;
+    }
+
+    std::optional<Library>
+    load(const core::CheckpointStore &store,
+         const core::LibraryKey &key, std::string *error) const
+    {
+        std::optional<MixLibrary> library;
+        store.loadEntry(
+            key,
+            [this, &key, &library](const std::string &path,
+                                   std::string *loadError) {
+                library =
+                    MixLibrary::load(path, sampler.mix(), key, loadError);
+                return library.has_value();
+            },
+            error);
+        return library;
+    }
+
+    bool
+    save(const core::CheckpointStore &store,
+         const core::LibraryKey &key, const Library &library,
+         std::string *error) const
+    {
+        return store.publishEntry(
+            key,
+            [this, &key, &library](const std::string &path,
+                             std::string *saveError) {
+                return library.save(sampler.mix(), key, path, saveError,
+                                    /*createDirs=*/false);
+            },
+            error);
+    }
+};
 
 } // namespace
 
@@ -128,17 +136,8 @@ std::uint64_t
 MixSampler::measureStreamLength() const
 {
     MixSession session = makeSession();
-    while (!session.finished())
-        session.fastForward(~0ull >> 1, core::WarmingMode::None);
+    core::detail::runOut(session, core::WarmingMode::None);
     return session.roundCount();
-}
-
-MixEstimate
-MixSampler::emptyEstimate() const
-{
-    MixEstimate est;
-    est.perProgram.resize(mix_.programs.size());
-    return est;
 }
 
 void
@@ -158,38 +157,36 @@ MixSampler::foldSlice(MixEstimate &est, const MixSliceResult &slice)
             pe.shadowAccesses += lo.shadowAccesses;
             pe.shadowMisses += lo.shadowMisses;
         }
-    for (MixProgramEstimate &pe : est.perProgram) {
-        pe.coRun.instructionsMeasured += slice.measured;
-        pe.coRun.instructionsWarmed += slice.warmed;
-        pe.coRun.instructionsDropped += slice.dropped;
-        pe.solo.instructionsMeasured += slice.measured;
-        pe.solo.instructionsWarmed += slice.warmed;
-        pe.solo.instructionsDropped += slice.dropped;
-        if (slice.endPos > pe.coRun.streamLength)
-            pe.coRun.streamLength = slice.endPos;
-        if (slice.endPos > pe.solo.streamLength)
-            pe.solo.streamLength = slice.endPos;
-    }
+    for (MixProgramEstimate &pe : est.perProgram)
+        for (core::SmartsEstimate *world : {&pe.coRun, &pe.solo}) {
+            world->instructionsMeasured += slice.measured;
+            world->instructionsWarmed += slice.warmed;
+            world->instructionsDropped += slice.dropped;
+            if (slice.endPos > world->streamLength)
+                world->streamLength = slice.endPos;
+        }
 }
 
 MixSliceResult
 MixSampler::runSlice(MixSession &session,
                      const core::ShardSpec &shard) const
 {
-    return runMixSliceRange(session, sampling_,
-                            shard.firstUnitIndex,
-                            shard.runsTail ? ~0ull : shard.unitCount,
-                            shard.runsTail);
+    return core::detail::measureWalk<MixUnitObservation>(
+        session, sampling_, shard.firstUnitIndex,
+        shard.runsTail ? ~0ull : shard.unitCount, shard.runsTail,
+        observeMixUnit);
 }
 
 MixEstimate
 MixSampler::run() const
 {
     MixSession session = makeSession();
-    MixEstimate est = emptyEstimate();
-    foldSlice(est,
-              runMixSliceRange(session, sampling_, sampling_.offset,
-                               ~0ull, /*runTail=*/true));
+    core::ShardSpec whole;
+    whole.firstUnitIndex = sampling_.offset;
+    whole.runsTail = true;
+    MixEstimate est;
+    est.perProgram.resize(mix_.programs.size());
+    foldSlice(est, runSlice(session, whole));
     return est;
 }
 
@@ -198,102 +195,16 @@ MixSampler::runSharded(std::uint64_t streamLength,
                        std::size_t shards,
                        exec::ThreadPool &pool) const
 {
-    return runShardedCold(streamLength, shards, pool, nullptr);
-}
-
-MixEstimate
-MixSampler::runShardedCold(std::uint64_t streamLength,
-                           std::size_t shards,
-                           exec::ThreadPool &pool,
-                           MixLibrary *collect) const
-{
-    const std::vector<core::ShardSpec> plan =
-        core::CheckpointLibrary::planShards(sampling_, streamLength,
-                                            shards);
-    if (collect)
-        *collect = MixLibrary::prepare(sampling_, plan);
-
-    std::vector<MixSliceResult> results(plan.size());
-
-    // Each shard job writes only its own result slot; pool.wait()
-    // publishes every slot to this thread, so the batch is
-    // bit-identical at any thread count.
-    auto submitShard = [&results, &pool, &plan,
-                        this](std::size_t s, MixCheckpoint &&cp) {
-        pool.submit([&results, &plan, this, s,
-                     cp = std::move(cp)] {
-            MixSession session = makeSession();
-            if (s)
-                session.restoreState(cp.state);
-            results[s] = runSlice(session, plan[s]);
-        });
-    };
-
-    // Shard 0 resumes at round 0: dispatch it before the capture
-    // pass so it overlaps checkpoint production.
-    submitShard(0, MixCheckpoint{});
-
-    std::uint64_t capturePos = 0;
-    if (plan.size() > 1) {
-        MixSession captureSession = makeSession();
-        MixLibrary::capture(
-            captureSession, sampling_, plan,
-            [&submitShard, collect](std::size_t s,
-                                    MixCheckpoint &&cp) {
-                if (collect)
-                    collect->record(s, cp);
-                submitShard(s, std::move(cp));
-            });
-        capturePos = captureSession.roundCount();
-    }
-    pool.wait();
-
-    MixEstimate est = emptyEstimate();
-    for (const MixSliceResult &slice : results)
-        foldSlice(est, slice);
-    // Normally the tail shard ran the stream out; if the plan
-    // overstated the stream, the capture pass's own progress still
-    // bounds what was simulated.
-    for (MixProgramEstimate &pe : est.perProgram) {
-        if (capturePos > pe.coRun.streamLength)
-            pe.coRun.streamLength = capturePos;
-        if (capturePos > pe.solo.streamLength)
-            pe.solo.streamLength = capturePos;
-    }
-    return est;
+    return core::detail::runShardsCold(MixShards(*this),
+                                       streamLength, shards, pool);
 }
 
 MixEstimate
 MixSampler::runSharded(const MixLibrary &library,
                        exec::ThreadPool &pool) const
 {
-    const core::SamplingConfig &built = library.samplingConfig();
-    if (built.unitSize != sampling_.unitSize ||
-        built.detailedWarming != sampling_.detailedWarming ||
-        built.interval != sampling_.interval ||
-        built.offset != sampling_.offset ||
-        built.warming != sampling_.warming)
-        SMARTS_FATAL("mix library was built for a different "
-                     "sampling design");
-    const std::vector<core::ShardSpec> &plan = library.plan();
-    if (plan.empty())
-        SMARTS_FATAL("mix library has no shards");
-
-    std::vector<MixSliceResult> results(plan.size());
-    for (std::size_t s = 0; s < plan.size(); ++s) {
-        pool.submit([&results, &plan, &library, this, s] {
-            MixSession session = makeSession();
-            if (s)
-                session.restoreState(library.at(s).state);
-            results[s] = runSlice(session, plan[s]);
-        });
-    }
-    pool.wait();
-
-    MixEstimate est = emptyEstimate();
-    for (const MixSliceResult &slice : results)
-        foldSlice(est, slice);
-    return est;
+    return core::detail::runShardsFrom(MixShards(*this),
+                                       library, pool);
 }
 
 MixEstimate
@@ -301,42 +212,9 @@ MixSampler::runSharded(std::uint64_t streamLength,
                        std::size_t shards, exec::ThreadPool &pool,
                        core::CheckpointStore &store) const
 {
-    const core::LibraryKey key = mixKey(mix_, machine_, sampling_);
-    std::optional<MixLibrary> library;
-    std::string error;
-    store.loadEntry(
-        key,
-        [&library, this](const std::string &path,
-                         std::string *loadError) {
-            library = MixLibrary::load(path, mix_,
-                                       mixKey(mix_, machine_,
-                                              samplingConfig()),
-                                       loadError);
-            return library.has_value();
-        },
-        &error);
-    if (library)
-        return runSharded(*library, pool);
-    // A file that exists but refuses to load is a recapture, never a
-    // mis-warm; say why.
-    if (!error.empty())
-        SMARTS_WARN("checkpoint store: recapturing mix (", error,
-                    ")");
-
-    MixLibrary captured;
-    const MixEstimate est =
-        runShardedCold(streamLength, shards, pool, &captured);
-    if (!store.publishEntry(
-            key,
-            [this, &captured, &key](const std::string &path,
-                                    std::string *saveError) {
-                return captured.save(mix_, key, path, saveError,
-                                     /*createDirs=*/false);
-            },
-            &error))
-        SMARTS_WARN("checkpoint store: could not persist ",
-                    store.pathFor(key), " (", error, ")");
-    return est;
+    return core::detail::runShardsStored(
+        MixShards(*this), store, mixKey(mix_, machine_, sampling_),
+        [streamLength] { return streamLength; }, shards, pool);
 }
 
 MixEstimate
@@ -358,13 +236,13 @@ estimateMix(const WorkloadMix &mix,
             const core::SamplingConfig &sampling,
             std::size_t threads, core::CheckpointStore &store)
 {
-    MixSampler sampler(mix, machine, sampling);
-    const std::uint64_t streamLength =
-        sampler.measureStreamLength();
-    exec::ThreadPool pool(
-        static_cast<unsigned>(threads ? threads : 1));
-    return sampler.runSharded(streamLength, threads ? threads : 1,
-                              pool, store);
+    const MixSampler sampler(mix, machine, sampling);
+    const std::size_t workers = threads ? threads : 1;
+    exec::ThreadPool pool(static_cast<unsigned>(workers));
+    return core::detail::runShardsStored(
+        MixShards(sampler), store, mixKey(mix, machine, sampling),
+        [&sampler] { return sampler.measureStreamLength(); }, workers,
+        pool);
 }
 
 } // namespace smarts::mp

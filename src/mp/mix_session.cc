@@ -223,31 +223,20 @@ MixSession::fastForward(std::uint64_t maxRounds,
 {
     const bool caches = core::warmsCaches(mode);
     const bool bpred = core::warmsBpred(mode);
-    std::uint64_t executed = 0;
-    while (!finished_ && executed < maxRounds) {
-        if (!round([this, caches, bpred](std::uint32_t p,
-                                         const core::StepInfo &info) {
-                warmStep(p, info, caches, bpred);
-            }))
-            break;
-        ++executed;
-    }
-    return executed;
+    return rounds(maxRounds, [this, caches, bpred](
+                                 std::uint32_t p,
+                                 const core::StepInfo &info) {
+        warmStep(p, info, caches, bpred);
+    });
 }
 
 std::uint64_t
 MixSession::warmAsDetailed(std::uint64_t maxRounds)
 {
-    std::uint64_t executed = 0;
-    while (!finished_ && executed < maxRounds) {
-        if (!round([this](std::uint32_t p,
-                          const core::StepInfo &info) {
-                warmDetailedStep(p, info);
-            }))
-            break;
-        ++executed;
-    }
-    return executed;
+    return rounds(maxRounds,
+                  [this](std::uint32_t p, const core::StepInfo &info) {
+                      warmDetailedStep(p, info);
+                  });
 }
 
 MixSegment
@@ -273,15 +262,10 @@ MixSession::detailedRun(std::uint64_t maxRounds)
                     shared_.shadowL2(p).misses()};
     }
 
-    std::uint64_t executed = 0;
-    while (!finished_ && executed < maxRounds) {
-        if (!round([this](std::uint32_t p,
-                          const core::StepInfo &info) {
-                detailedStep(p, info);
-            }))
-            break;
-        ++executed;
-    }
+    const std::uint64_t executed = rounds(
+        maxRounds, [this](std::uint32_t p, const core::StepInfo &info) {
+            detailedStep(p, info);
+        });
 
     MixSegment seg;
     seg.rounds = executed;

@@ -52,20 +52,23 @@ smallConfig()
  * A one-program Shared-policy mix must reproduce the real solo
  * sampler bit for bit in BOTH worlds: with a single owner the shared
  * L2 and the shadow L2 see the identical stream, so co-run == solo
- * == a plain SimSession run of the same schedule.
+ * == a plain SimSession run of the same schedule — including a
+ * design whose final unit is truncated (the dropped-round
+ * accounting).
  */
 void
-testSoloDegenerateMix()
+checkSoloDegenerateMix(const workloads::BenchmarkSpec &spec,
+                       const uarch::MachineConfig &machine,
+                       const core::SamplingConfig &cfg,
+                       bool expectDropped)
 {
-    const workloads::BenchmarkSpec spec =
-        workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
-    const uarch::MachineConfig machine =
-        uarch::MachineConfig::sixteenWay();
-    const core::SamplingConfig cfg = smallConfig();
-
     core::SimSession session(spec, machine);
     const core::SmartsEstimate ref =
         core::SystematicSampler(cfg).run(session);
+    // A truncating design must really drop its final unit, or the
+    // pin below leaves the dropped-round accounting uncovered.
+    if (expectDropped)
+        CHECK(ref.instructionsDropped > 0);
 
     const mp::MixEstimate est =
         mp::runMix(mp::WorkloadMix::of({spec}), machine, cfg);
@@ -80,6 +83,23 @@ testSoloDegenerateMix()
     CHECK_EQ(pe.sharedMisses, pe.shadowMisses);
     CHECK_EQ(bitsOf(pe.slowdown()), bitsOf(1.0));
     CHECK_EQ(bitsOf(pe.cpiDelta.mean()), bitsOf(0.0));
+}
+
+void
+testSoloDegenerateMix()
+{
+    const workloads::BenchmarkSpec spec =
+        workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
+    const uarch::MachineConfig machine =
+        uarch::MachineConfig::sixteenWay();
+    checkSoloDegenerateMix(spec, machine, smallConfig(), false);
+
+    core::SimSession probe(spec, machine);
+    checkSoloDegenerateMix(
+        spec, machine,
+        test::truncatingDesign(
+            probe.fastForward(~0ull >> 1, core::WarmingMode::None), 50),
+        true);
 }
 
 /** Per-unit ground truth from an actual solo run of one program. */
