@@ -77,6 +77,18 @@ struct ArchState
     }
 };
 
+/**
+ * Page-aligns a function on the simulator's hot path: the interpreter
+ * (ArchCore::step) and the stepping loops that call it once per
+ * instruction (SimSession). Branch predictors and the decoded-uop
+ * cache index code by its low address bits, so without a fixed
+ * alignment any size change in code the linker places earlier moves
+ * these loops and can shift interpreter speed by 10-30% (measured on
+ * a 4-vCPU Xeon Sapphire Rapids VM). A page fixes all twelve low
+ * bits.
+ */
+#define SMARTS_HOT_CODE [[gnu::aligned(4096)]]
+
 class ArchCore
 {
   public:
@@ -94,7 +106,7 @@ class ArchCore
     }
 
     /** Execute one instruction architecturally. False at HALT/end. */
-    bool
+    SMARTS_HOT_CODE bool
     step(StepInfo &info)
     {
         using sisa::Opcode;

@@ -602,8 +602,12 @@ ShardLibrary<Derived, CheckpointT>::loadContainer(
     library.config_ = stored.sampling;
     const std::uint64_t shardCount = in.u64();
     // An absurd count means a corrupt length field the checksum
-    // somehow missed; bound it by what the payload could hold.
-    if (shardCount > in.remaining())
+    // somehow missed; bound it by the shards the payload could hold
+    // (a ShardSpec encodes in at least 25 bytes), so a count never
+    // sizes memory the file cannot back.
+    constexpr std::uint64_t kMinShardSpecBytes =
+        3 * sizeof(std::uint64_t) + 1;
+    if (shardCount > in.remaining() / kMinShardSpecBytes)
         return refuse(log::format(path, " is corrupt (shard count ",
                                   shardCount, ")"));
     library.plan_.resize(shardCount);
@@ -627,15 +631,16 @@ ShardLibrary<Derived, CheckpointT>::loadContainer(
         return refuse(log::format(
             path, " is corrupt (", cpCount, " checkpoints for ",
             shardCount, " shards)"));
-    library.checkpoints_.resize(shardCount);
-    for (std::size_t s = 0; s < shardCount; ++s) {
+    // Slots grow as they parse, for the same reason.
+    for (std::size_t s = 0; s < shardCount && !in.failed(); ++s) {
         const bool present = in.u8() != 0;
         if (present == (s == 0))
             return refuse(log::format(
                 path, " is corrupt (checkpoint ", s,
                 present ? " unexpectedly present" : " missing"));
+        Checkpoint &slot = library.checkpoints_.emplace_back();
         if (present)
-            library.checkpoints_[s].read(in);
+            slot.read(in);
     }
     if (in.failed() || in.remaining() != 0)
         return refuse(log::format(

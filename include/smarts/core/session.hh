@@ -39,10 +39,11 @@ class SimSession
      * Returns the number of instructions executed by this call
      * (less than @p maxInsts only at end of stream).
      */
-    std::uint64_t fastForward(std::uint64_t maxInsts, WarmingMode mode);
+    SMARTS_HOT_CODE std::uint64_t fastForward(std::uint64_t maxInsts,
+                                              WarmingMode mode);
 
     /** Execute up to @p maxInsts with the detailed timing model. */
-    Segment detailedRun(std::uint64_t maxInsts);
+    SMARTS_HOT_CODE Segment detailedRun(std::uint64_t maxInsts);
 
     /**
      * Execute up to @p maxInsts applying detailedRun's exact
@@ -52,7 +53,7 @@ class SimSession
      * through regions a serial sampling run simulates in detail, so
      * the captured state matches the serial run's bit for bit.
      */
-    std::uint64_t warmAsDetailed(std::uint64_t maxInsts);
+    SMARTS_HOT_CODE std::uint64_t warmAsDetailed(std::uint64_t maxInsts);
 
     /** Snapshot the full simulator state (core/checkpoint.hh). */
     void

@@ -252,8 +252,7 @@ mixGeometryHash(const uarch::MachineConfig &machine,
     std::uint64_t h = uarch::warmGeometryHash(machine);
     auto mixIn = [&h](std::uint64_t v) {
         std::uint8_t bytes[8];
-        for (int i = 0; i < 8; ++i)
-            bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        util::storeLE(bytes, v);
         h = util::fnv1a(bytes, sizeof bytes, h);
     };
     mixIn(mix.programs.size());

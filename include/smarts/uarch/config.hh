@@ -121,8 +121,7 @@ warmGeometryHash(const MachineConfig &c)
     // FNV-1a the file format's checksum uses (util/binary_io.hh).
     auto mix = [&h](std::uint64_t v) {
         std::uint8_t bytes[8];
-        for (int i = 0; i < 8; ++i)
-            bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        util::storeLE(bytes, v);
         h = util::fnv1a(bytes, sizeof bytes, h);
     };
     auto mixCache = [&mix](const mem::CacheConfig &cc) {

@@ -2,12 +2,16 @@
  * @file
  * Binary serialization primitives for the persistent checkpoint
  * format (docs/checkpoint-format.md): a BinaryWriter that encodes
- * every multi-byte value LITTLE-ENDIAN byte by byte — so a library
- * written on any host reads back on any other — and a BinaryReader
- * that never trusts the file: every read checks the remaining bytes
- * and flips a sticky fail() flag instead of running past the end,
- * which is how truncated or corrupt files are refused rather than
- * mis-parsed.
+ * every multi-byte value LITTLE-ENDIAN — whole words and word
+ * vectors are copied in bulk, with one in-place byte swap on a
+ * big-endian host, so a library written on any host reads back on
+ * any other — and a BinaryReader that never trusts the file: every
+ * read checks the remaining bytes and flips a sticky fail() flag
+ * instead of running past the end, which is how truncated or
+ * corrupt files are refused rather than mis-parsed. A reader either
+ * owns its bytes or borrows a range (a delta payload, a decoded
+ * live-point state) and hands out bounds-checked view() slices, so
+ * nested records parse without being copied.
  *
  * Writers accumulate into a memory buffer; writeFile() appends an
  * FNV-1a checksum of everything before it and publishes the file
@@ -19,6 +23,7 @@
 #ifndef SMARTS_UTIL_BINARY_IO_HH
 #define SMARTS_UTIL_BINARY_IO_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -26,6 +31,57 @@
 #include <vector>
 
 namespace smarts::util {
+
+/** True on a big-endian host, whose words the format byte-swaps. */
+constexpr bool kBigEndianHost =
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    true;
+#else
+    false;
+#endif
+
+/**
+ * Reorder @p count packed @p Word values at @p bytes between host
+ * and little-endian byte order, in place. Its own inverse, and a
+ * no-op on a little-endian host — the one code path both directions
+ * of every multi-byte field go through.
+ */
+template <typename Word>
+inline void
+swapLittleEndian(std::uint8_t *bytes, std::size_t count)
+{
+    if constexpr (kBigEndianHost)
+        for (std::size_t i = 0; i < count; ++i)
+            std::reverse(bytes + i * sizeof(Word),
+                         bytes + (i + 1) * sizeof(Word));
+}
+
+/** Decode one little-endian @p Word from @p bytes. */
+template <typename Word>
+inline Word
+loadLE(const std::uint8_t *bytes)
+{
+    Word v = 0;
+    std::memcpy(&v, bytes, sizeof v);
+    swapLittleEndian<Word>(reinterpret_cast<std::uint8_t *>(&v), 1);
+    return v;
+}
+
+/** Encode @p v little-endian into @p bytes. */
+template <typename Word>
+inline void
+storeLE(std::uint8_t *bytes, Word v)
+{
+    std::memcpy(bytes, &v, sizeof v);
+    swapLittleEndian<Word>(bytes, 1);
+}
+
+/** A borrowed byte range (BinaryReader::view). */
+struct ByteView
+{
+    const std::uint8_t *data = nullptr;
+    std::size_t size = 0;
+};
 
 /** FNV-1a 64-bit over @p size bytes (the format's checksum). */
 inline std::uint64_t
@@ -52,17 +108,13 @@ class BinaryWriter
     void
     u32(std::uint32_t v)
     {
-        for (int shift = 0; shift < 32; shift += 8)
-            buffer_.push_back(
-                static_cast<std::uint8_t>(v >> shift));
+        words(&v, 1);
     }
 
     void
     u64(std::uint64_t v)
     {
-        for (int shift = 0; shift < 64; shift += 8)
-            buffer_.push_back(
-                static_cast<std::uint8_t>(v >> shift));
+        words(&v, 1);
     }
 
     /**
@@ -98,16 +150,14 @@ class BinaryWriter
     vecU32(const std::vector<std::uint32_t> &v)
     {
         u64(v.size());
-        for (const std::uint32_t x : v)
-            u32(x);
+        words(v.data(), v.size());
     }
 
     void
     vecU64(const std::vector<std::uint64_t> &v)
     {
         u64(v.size());
-        for (const std::uint64_t x : v)
-            u64(x);
+        words(v.data(), v.size());
     }
 
     const std::vector<std::uint8_t> &
@@ -123,6 +173,18 @@ class BinaryWriter
     }
 
     /**
+     * Exchange the buffer with @p other, then start empty: a writer
+     * reused record after record keeps one allocation alive while
+     * @p other takes the bytes just written.
+     */
+    void
+    swapOut(std::vector<std::uint8_t> &other)
+    {
+        buffer_.swap(other);
+        buffer_.clear();
+    }
+
+    /**
      * Append the FNV-1a checksum of the buffer, then publish the
      * result at @p path atomically (temp file + rename). Returns
      * false with @p error set on any filesystem failure. Callers
@@ -134,21 +196,50 @@ class BinaryWriter
                    bool createDirs = true) const;
 
   private:
+    /** Append @p count host words as packed little-endian bytes. */
+    template <typename Word>
+    void
+    words(const Word *values, std::size_t count)
+    {
+        const auto *bytes =
+            reinterpret_cast<const std::uint8_t *>(values);
+        const std::size_t at = buffer_.size();
+        buffer_.insert(buffer_.end(), bytes,
+                       bytes + count * sizeof(Word));
+        swapLittleEndian<Word>(buffer_.data() + at, count);
+    }
+
     std::vector<std::uint8_t> buffer_;
 };
 
 /**
  * Decodes a little-endian byte buffer with sticky failure: any read
  * past the end returns zero values and latches fail(), so callers
- * can parse a whole structure and check once at the end.
+ * can parse a whole structure and check once at the end. The buffer
+ * is either owned (moved in) or borrowed (pointer + size, which must
+ * outlive the reader).
  */
 class BinaryReader
 {
   public:
     explicit BinaryReader(std::vector<std::uint8_t> data)
-        : data_(std::move(data))
+        : owned_(std::move(data)), data_(owned_.data()),
+          size_(owned_.size())
     {
     }
+
+    /** Borrow @p size bytes at @p data; nothing is copied. */
+    BinaryReader(const std::uint8_t *data, std::size_t size)
+        : data_(data), size_(size)
+    {
+    }
+
+    // Moving keeps an owned buffer's storage (and so data_) in
+    // place; a copy would leave data_ pointing into the source.
+    BinaryReader(BinaryReader &&) = default;
+    BinaryReader &operator=(BinaryReader &&) = default;
+    BinaryReader(const BinaryReader &) = delete;
+    BinaryReader &operator=(const BinaryReader &) = delete;
 
     /**
      * Read @p path, verify the trailing FNV-1a checksum, and return
@@ -170,23 +261,13 @@ class BinaryReader
     std::uint32_t
     u32()
     {
-        if (!require(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int shift = 0; shift < 32; shift += 8)
-            v |= static_cast<std::uint32_t>(data_[pos_++]) << shift;
-        return v;
+        return word<std::uint32_t>();
     }
 
     std::uint64_t
     u64()
     {
-        if (!require(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int shift = 0; shift < 64; shift += 8)
-            v |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-        return v;
+        return word<std::uint64_t>();
     }
 
     /** Bit-exact inverse of BinaryWriter::f64. */
@@ -202,54 +283,43 @@ class BinaryReader
     std::string
     str()
     {
-        const std::uint32_t n = u32();
-        if (!require(n))
-            return {};
-        std::string s(data_.begin() + pos_, data_.begin() + pos_ + n);
-        pos_ += n;
-        return s;
+        const ByteView bytes = view(u32());
+        return std::string(bytes.data, bytes.data + bytes.size);
     }
 
     std::vector<std::uint8_t>
     vecU8()
     {
-        const std::uint64_t n = u64();
-        if (!require(n))
-            return {};
-        std::vector<std::uint8_t> v(data_.begin() + pos_,
-                                    data_.begin() + pos_ + n);
-        pos_ += n;
-        return v;
+        const ByteView bytes = view(u64());
+        return std::vector<std::uint8_t>(bytes.data,
+                                         bytes.data + bytes.size);
     }
 
     std::vector<std::uint32_t>
     vecU32()
     {
-        // Divide, don't multiply: 4 * n wraps for a hostile length
-        // field, and the whole point is refusing such files.
-        const std::uint64_t n = u64();
-        if (failed_ || n > (data_.size() - pos_) / 4) {
-            failed_ = true;
-            return {};
-        }
-        std::vector<std::uint32_t> v(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            v[i] = u32();
-        return v;
+        return words<std::uint32_t>();
     }
 
     std::vector<std::uint64_t>
     vecU64()
     {
-        const std::uint64_t n = u64();
-        if (failed_ || n > (data_.size() - pos_) / 8) {
-            failed_ = true;
+        return words<std::uint64_t>();
+    }
+
+    /**
+     * The next @p n bytes, borrowed in place (valid while the
+     * reader's buffer is); an empty view — and fail() — when fewer
+     * remain.
+     */
+    ByteView
+    view(std::uint64_t n)
+    {
+        if (!require(n))
             return {};
-        }
-        std::vector<std::uint64_t> v(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            v[i] = u64();
-        return v;
+        const ByteView bytes{data_ + pos_, static_cast<std::size_t>(n)};
+        pos_ += bytes.size;
+        return bytes;
     }
 
     /** False once any read overran the buffer (truncated payload). */
@@ -269,21 +339,57 @@ class BinaryReader
     std::size_t
     remaining() const
     {
-        return data_.size() - pos_;
+        return size_ - pos_;
     }
 
   private:
     bool
     require(std::uint64_t bytes)
     {
-        if (failed_ || bytes > data_.size() - pos_) {
+        if (failed_ || bytes > size_ - pos_) {
             failed_ = true;
             return false;
         }
         return true;
     }
 
-    std::vector<std::uint8_t> data_;
+    template <typename Word>
+    Word
+    word()
+    {
+        if (!require(sizeof(Word)))
+            return 0;
+        const Word v = loadLE<Word>(data_ + pos_);
+        pos_ += sizeof(Word);
+        return v;
+    }
+
+    /** A u64-counted vector of words, copied in bulk. */
+    template <typename Word>
+    std::vector<Word>
+    words()
+    {
+        // Divide, don't multiply: sizeof(Word) * n wraps for a
+        // hostile length field, and the whole point is refusing
+        // such files.
+        const std::uint64_t n = u64();
+        if (failed_ || n > remaining() / sizeof(Word)) {
+            failed_ = true;
+            return {};
+        }
+        std::vector<Word> v(static_cast<std::size_t>(n));
+        const ByteView bytes = view(n * sizeof(Word));
+        if (n) {
+            auto *out = reinterpret_cast<std::uint8_t *>(v.data());
+            std::memcpy(out, bytes.data, bytes.size);
+            swapLittleEndian<Word>(out, v.size());
+        }
+        return v;
+    }
+
+    std::vector<std::uint8_t> owned_;
+    const std::uint8_t *data_ = nullptr;
+    std::size_t size_ = 0;
     std::size_t pos_ = 0;
     bool failed_ = false;
 };

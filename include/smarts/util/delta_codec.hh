@@ -22,11 +22,17 @@
  * its literal bytes. Decoding never trusts the stream: overrunning
  * ops, zero-progress ops, truncation and trailing garbage are all
  * refused with a diagnostic instead of mis-decoded.
+ *
+ * Both directions work a word at a time: the encoder finds zero
+ * residue by XORing 8-byte words, and deltaApply() rewrites a chain's
+ * running state in place — zero runs cost nothing, literals XOR in —
+ * so decoding a record costs O(changed bytes), not O(state).
  */
 
 #ifndef SMARTS_UTIL_DELTA_CODEC_HH
 #define SMARTS_UTIL_DELTA_CODEC_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -40,10 +46,21 @@ deltaEncode(const std::vector<std::uint8_t> &base,
             const std::vector<std::uint8_t> &data);
 
 /**
- * Invert deltaEncode: reconstruct the payload from @p base and
- * @p delta. Nullopt with a diagnostic in @p error on any malformed
- * input (truncated stream, ops overrunning the declared size,
- * zero-progress ops, trailing garbage).
+ * Invert deltaEncode in place: turn @p state (the base) into the
+ * payload encoded by the @p size delta bytes at @p bytes. The whole
+ * op stream is validated first, so on any malformed input
+ * (truncated stream, ops overrunning the declared size,
+ * zero-progress ops, trailing garbage) this returns false with a
+ * diagnostic in @p error and leaves @p state untouched.
+ */
+bool deltaApply(std::vector<std::uint8_t> &state,
+                const std::uint8_t *bytes, std::size_t size,
+                std::string *error = nullptr);
+
+/**
+ * Invert deltaEncode into a fresh buffer: a copy of @p base with
+ * @p delta applied. Nullopt with a diagnostic in @p error on any
+ * malformed input, as deltaApply().
  */
 std::optional<std::vector<std::uint8_t>>
 deltaDecode(const std::vector<std::uint8_t> &base,

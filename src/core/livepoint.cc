@@ -52,15 +52,12 @@ measureLivePoint(SimSession &session, const SamplingConfig &config,
                         out, detail::observeUnit);
 }
 
-/** Raw serialized state of one live-point (the delta chain's unit). */
-std::vector<std::uint8_t>
-rawStateOf(const LivePoint &point)
-{
-    util::BinaryWriter raw;
-    point.arch.write(raw);
-    point.timing.write(raw);
-    return raw.buffer();
-}
+/**
+ * Smallest encoded record: unitIndex, position, stateFnv, the delta's
+ * u64 length and the delta's own u64 rawSize. Bounds the record count
+ * a payload can justify before any record is parsed.
+ */
+constexpr std::uint64_t kMinRecordBytes = 5 * sizeof(std::uint64_t);
 
 /**
  * The anytime estimator over @p samples (one slot per live-point,
@@ -203,16 +200,20 @@ LivePointLibrary::serialize(const LibraryKey &key,
 
     out.u64(streamLength_);
     out.u64(points_.size());
+    // One raw buffer is reused per record and swapped into prev, so
+    // the chain allocates its state storage twice, not per record.
     std::vector<std::uint8_t> prev;
+    util::BinaryWriter raw;
     for (const LivePoint &point : points_) {
-        const std::vector<std::uint8_t> raw = rawStateOf(point);
+        point.arch.write(raw);
+        point.timing.write(raw);
         out.u64(point.unitIndex);
         out.u64(point.position);
         // Checksum of the DECODED state: corruption anywhere in the
         // delta chain is pinned to the record where it breaks.
-        out.u64(util::fnv1a(raw.data(), raw.size()));
-        out.vecU8(util::deltaEncode(prev, raw));
-        prev = raw;
+        out.u64(util::fnv1a(raw.buffer().data(), raw.size()));
+        out.vecU8(util::deltaEncode(prev, raw.buffer()));
+        raw.swapOut(prev);
     }
 }
 
@@ -278,37 +279,40 @@ LivePointLibrary::load(const std::string &path,
     library.streamLength_ = in.u64();
     const std::uint64_t count = in.u64();
     // An absurd count means a corrupt length field the checksum
-    // somehow missed; bound it by what the payload could hold.
-    if (in.failed() || count > in.remaining())
+    // somehow missed; bound it by the records the payload could
+    // hold, and grow the library only as records actually parse — a
+    // count must never size memory the file cannot back.
+    if (in.failed() || count > in.remaining() / kMinRecordBytes)
         return refuse(log::format(
             path, " is corrupt (live-point count ", count, ")"));
 
-    library.points_.resize(count);
-    std::vector<std::uint8_t> prev;
+    // The running chain state: each record's delta is applied to it
+    // in place, and the point is parsed from it without a copy.
+    std::vector<std::uint8_t> state;
     for (std::uint64_t i = 0; i < count; ++i) {
-        LivePoint &point = library.points_[i];
+        LivePoint &point = library.points_.emplace_back();
         point.unitIndex = in.u64();
         point.position = in.u64();
         const std::uint64_t checksum = in.u64();
-        const std::vector<std::uint8_t> delta = in.vecU8();
+        const util::ByteView delta = in.view(in.u64());
         if (in.failed())
             return refuse(log::format(
                 path, " is truncated or has trailing garbage"));
 
         std::string deltaError;
-        const auto raw = util::deltaDecode(prev, delta, &deltaError);
-        if (!raw)
+        if (!util::deltaApply(state, delta.data, delta.size,
+                              &deltaError))
             return refuse(log::format(path, " is corrupt (live-point ",
                                       i, ": ", deltaError, ")"));
-        if (util::fnv1a(raw->data(), raw->size()) != checksum)
+        if (util::fnv1a(state.data(), state.size()) != checksum)
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
                 " fails its state checksum)"));
 
-        util::BinaryReader state(*raw);
-        point.arch.read(state);
-        point.timing.read(state);
-        if (state.failed() || state.remaining() != 0)
+        util::BinaryReader stateIn(state.data(), state.size());
+        point.arch.read(stateIn);
+        point.timing.read(stateIn);
+        if (stateIn.failed() || stateIn.remaining() != 0)
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
                 " has a malformed state)"));
@@ -331,7 +335,6 @@ LivePointLibrary::load(const std::string &path,
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
                 " is off the sampling grid)"));
-        prev = *raw;
     }
     if (in.failed() || in.remaining() != 0)
         return refuse(log::format(

@@ -76,9 +76,8 @@ rdU32(const std::vector<std::uint8_t> &d, std::size_t &p,
 {
     if (d.size() - p < 4)
         return false;
-    v = 0;
-    for (int shift = 0; shift < 32; shift += 8)
-        v |= static_cast<std::uint32_t>(d[p++]) << shift;
+    v = util::loadLE<std::uint32_t>(d.data() + p);
+    p += sizeof v;
     return true;
 }
 
@@ -88,9 +87,8 @@ rdU64(const std::vector<std::uint8_t> &d, std::size_t &p,
 {
     if (d.size() - p < 8)
         return false;
-    v = 0;
-    for (int shift = 0; shift < 64; shift += 8)
-        v |= static_cast<std::uint64_t>(d[p++]) << shift;
+    v = util::loadLE<std::uint64_t>(d.data() + p);
+    p += sizeof v;
     return true;
 }
 

@@ -53,9 +53,7 @@ BinaryWriter::writeFile(const std::string &path, std::string *error,
         out.write(reinterpret_cast<const char *>(buffer_.data()),
                   static_cast<std::streamsize>(buffer_.size()));
         std::uint8_t trailer[8];
-        for (int i = 0; i < 8; ++i)
-            trailer[i] =
-                static_cast<std::uint8_t>(checksum >> (8 * i));
+        storeLE(trailer, checksum);
         out.write(reinterpret_cast<const char *>(trailer),
                   sizeof trailer);
         if (!out) {
@@ -102,10 +100,8 @@ BinaryReader::fromFile(const std::string &path, std::string *error)
         return failed(log::format("short read from ", path));
 
     const std::size_t payload = bytes.size() - 8;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= static_cast<std::uint64_t>(bytes[payload + i])
-                  << (8 * i);
+    const std::uint64_t stored =
+        loadLE<std::uint64_t>(bytes.data() + payload);
     if (fnv1a(bytes.data(), payload) != stored)
         return failed(log::format(
             path, " failed its checksum (truncated or corrupt)"));

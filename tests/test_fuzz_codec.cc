@@ -8,11 +8,19 @@
  * never crash, never overrun (the latter enforced by the CI
  * ASan/UBSan matrices running this binary). Seeds are fixed so a
  * failure reproduces bit-for-bit on any host.
+ *
+ * The word-wide codec is also checked for equivalence against a
+ * byte-at-a-time reference encoder and decoder kept here as the
+ * oracle: identical delta bytes, identical decoded payloads,
+ * identical refusals — and a refused stream leaves deltaApply's
+ * in-place state untouched.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -144,6 +152,213 @@ testDeltaCodecFuzz()
     }
 }
 
+// ----------------------------------------------------------------
+// Reference codec: the format's definition, one byte at a time.
+// ----------------------------------------------------------------
+
+constexpr std::size_t kRefMinZeroRun = 8;
+constexpr std::size_t kRefMaxRun = 0xffffffffu;
+
+std::uint8_t
+refResidue(const std::vector<std::uint8_t> &base,
+           const std::vector<std::uint8_t> &data, std::size_t i)
+{
+    const std::uint8_t b = i < base.size() ? base[i] : 0;
+    return static_cast<std::uint8_t>(data[i] ^ b);
+}
+
+std::size_t
+refZeroRun(const std::vector<std::uint8_t> &base,
+           const std::vector<std::uint8_t> &data, std::size_t i)
+{
+    std::size_t n = 0;
+    while (i + n < data.size() && refResidue(base, data, i + n) == 0)
+        ++n;
+    return n;
+}
+
+void
+refPut(std::vector<std::uint8_t> &out, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+std::vector<std::uint8_t>
+refEncode(const std::vector<std::uint8_t> &base,
+          const std::vector<std::uint8_t> &data)
+{
+    std::vector<std::uint8_t> out;
+    refPut(out, data.size(), 8);
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+        const std::size_t zeros =
+            std::min(refZeroRun(base, data, pos), kRefMaxRun);
+        const std::size_t scan = pos + zeros;
+        std::size_t literal = 0;
+        while (scan + literal < data.size() && literal < kRefMaxRun) {
+            const std::size_t run =
+                refZeroRun(base, data, scan + literal);
+            if (run >= kRefMinZeroRun)
+                break;
+            literal += run ? run : 1;
+        }
+        literal = std::min({literal, data.size() - scan, kRefMaxRun});
+        refPut(out, zeros, 4);
+        refPut(out, literal, 4);
+        for (std::size_t i = 0; i < literal; ++i)
+            out.push_back(refResidue(base, data, scan + i));
+        pos = scan + literal;
+    }
+    return out;
+}
+
+std::optional<std::vector<std::uint8_t>>
+refDecode(const std::vector<std::uint8_t> &base,
+          const std::vector<std::uint8_t> &delta, std::string *error)
+{
+    auto refuse = [error](std::string why) {
+        *error = std::move(why);
+        return std::nullopt;
+    };
+    std::size_t at = 0;
+    auto get = [&delta, &at](int bytes) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < bytes; ++i)
+            v |= std::uint64_t(delta[at++]) << (8 * i);
+        return v;
+    };
+    if (delta.size() < 8)
+        return refuse("delta stream is truncated");
+    const std::uint64_t rawSize = get(8);
+    if (rawSize > delta.size() + (delta.size() / kRefMinZeroRun + 1) *
+                                     0xffffffffull)
+        return refuse("delta declares an absurd payload size (" +
+                      std::to_string(rawSize) + " bytes)");
+
+    // Structural walk first, so a stream that cannot cover rawSize
+    // is refused before any byte is materialized.
+    std::uint64_t covered = 0;
+    while (covered < rawSize) {
+        if (delta.size() - at < 8)
+            return refuse("delta stream is truncated");
+        const std::uint64_t zeros = get(4);
+        const std::uint64_t literal = get(4);
+        if (!zeros && !literal)
+            return refuse("delta contains a zero-progress op");
+        if (zeros + literal > rawSize - covered)
+            return refuse("delta ops overrun the declared size");
+        if (delta.size() - at < literal)
+            return refuse("delta stream is truncated");
+        at += literal;
+        covered += zeros + literal;
+    }
+    if (at != delta.size())
+        return refuse("delta stream has trailing garbage");
+
+    std::vector<std::uint8_t> out;
+    at = 8;
+    while (out.size() < rawSize) {
+        const std::uint64_t zeros = get(4);
+        const std::uint64_t literal = get(4);
+        for (std::uint64_t i = 0; i < zeros; ++i) {
+            const std::size_t k = out.size();
+            out.push_back(k < base.size() ? base[k] : 0);
+        }
+        for (std::uint64_t i = 0; i < literal; ++i) {
+            const std::size_t k = out.size();
+            const std::uint8_t b = k < base.size() ? base[k] : 0;
+            out.push_back(static_cast<std::uint8_t>(delta[at++] ^ b));
+        }
+    }
+    return out;
+}
+
+/**
+ * A (base, data) pair whose residue alternates literal stretches
+ * with zero runs from a menu weighted toward the encoder's edges —
+ * runs of 7, 8 and 9 bytes at every word phase — over payload and
+ * base sizes that are rarely multiples of 8, including empty ones
+ * and bases shorter or longer than the data.
+ */
+void
+makeEdgePair(Xoshiro256StarStar &rng, std::vector<std::uint8_t> &base,
+             std::vector<std::uint8_t> &data)
+{
+    const std::size_t size =
+        rng.chance(0.05) ? 0 : static_cast<std::size_t>(rng.below(300));
+    // Empty, shorter, longer or equal base, a quarter each.
+    const std::uint64_t shape = rng.below(4);
+    const std::size_t baseSize =
+        shape == 0   ? 0
+        : shape == 1 ? static_cast<std::size_t>(rng.below(size + 1))
+        : shape == 2 ? size + static_cast<std::size_t>(rng.below(40))
+                     : size;
+    base.resize(baseSize);
+    for (std::uint8_t &b : base)
+        b = rng.chance(0.3) ? 0 : static_cast<std::uint8_t>(rng.next());
+
+    std::vector<std::uint8_t> residue;
+    static constexpr std::size_t kRuns[] = {1, 2, 6, 7, 8, 9,
+                                            15, 16, 17, 40};
+    while (residue.size() < size) {
+        const std::size_t literal = rng.below(12);
+        for (std::size_t i = 0; i < literal; ++i)
+            residue.push_back(
+                static_cast<std::uint8_t>(1 + rng.below(255)));
+        const std::size_t run = kRuns[rng.below(std::size(kRuns))];
+        residue.insert(residue.end(), run, 0);
+    }
+    residue.resize(size);
+    data.resize(size);
+    for (std::size_t i = 0; i < size; ++i)
+        data[i] = static_cast<std::uint8_t>(
+            residue[i] ^ (i < base.size() ? base[i] : 0));
+}
+
+void
+testDeltaCodecMatchesReference()
+{
+    Xoshiro256StarStar rng(0xc0dec0e971ull);
+    std::uint64_t refusals = 0;
+    for (int i = 0; i < 12000; ++i) {
+        std::vector<std::uint8_t> base, data;
+        makeEdgePair(rng, base, data);
+        const std::vector<std::uint8_t> delta =
+            util::deltaEncode(base, data);
+        if (!(delta == refEncode(base, data))) {
+            CHECK(delta == refEncode(base, data));
+            return; // one diagnostic is enough.
+        }
+
+        std::vector<std::uint8_t> state = base;
+        std::string error;
+        CHECK(util::deltaApply(state, delta.data(), delta.size(),
+                               &error));
+        const auto ref = refDecode(base, delta, &error);
+        CHECK(ref.has_value() && state == *ref && state == data);
+
+        // A mutated stream: same verdict and diagnostic as the
+        // reference, and a refused one leaves the state as it was.
+        const std::vector<std::uint8_t> bad = mutate(delta, rng);
+        std::string refError;
+        const auto want = refDecode(base, bad, &refError);
+        state = base;
+        error.clear();
+        const bool applied =
+            util::deltaApply(state, bad.data(), bad.size(), &error);
+        CHECK_EQ(applied, want.has_value());
+        if (applied) {
+            CHECK(state == *want);
+        } else {
+            ++refusals;
+            CHECK(state == base);
+            CHECK_EQ(error, refError);
+        }
+    }
+    CHECK(refusals > 0);
+}
+
 void
 writeBytes(const std::string &path,
            const std::vector<std::uint8_t> &bytes)
@@ -248,6 +463,7 @@ main()
     fs::create_directories(kRoot);
 
     testDeltaCodecFuzz();
+    testDeltaCodecMatchesReference();
     testStoreIndexJournalFuzz();
     TEST_MAIN_SUMMARY();
 }

@@ -10,9 +10,13 @@
  * of the full-run estimate; and the completion-mode bar —
  * runAnytime with epsilon = 0 must fold to an estimate
  * bit-identical to serial run() at 1, 2 and 5 threads. Runs under
- * TSan in CI to guard the batch-dispatch/pool handoff.
+ * TSan in CI to guard the batch-dispatch/pool handoff. Also pins the
+ * bulk and borrowed BinaryReader paths the loader parses through,
+ * and the record-count bound that keeps a crafted count from sizing
+ * memory the file cannot back.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -710,6 +714,135 @@ testEstimateAnytimeEndToEnd()
           fingerprint(cold.estimate));
 }
 
+void
+testBinaryReaderBulkAndBorrowed()
+{
+    // Bulk vectors decode little-endian, element for element.
+    {
+        util::BinaryWriter w;
+        w.vecU32({0x01020304u, 0xa0b0c0d0u});
+        w.vecU64({0x0102030405060708ull});
+        const std::vector<std::uint8_t> &b = w.buffer();
+        CHECK_EQ(b.size(), std::size_t(8 + 8 + 8 + 8));
+        CHECK_EQ(int(b[8]), 0x04);
+        CHECK_EQ(int(b[11]), 0x01);
+        CHECK_EQ(int(b[24]), 0x08);
+        util::BinaryReader in(b.data(), b.size());
+        const std::vector<std::uint32_t> v32 = in.vecU32();
+        const std::vector<std::uint64_t> v64 = in.vecU64();
+        CHECK(in.ok());
+        CHECK_EQ(in.remaining(), std::size_t(0));
+        CHECK(v32 == std::vector<std::uint32_t>(
+                         {0x01020304u, 0xa0b0c0d0u}));
+        CHECK(v64 == std::vector<std::uint64_t>({0x0102030405060708ull}));
+    }
+
+    // Hostile lengths: one element past the bytes present, and a
+    // count whose byte size wraps 64 bits. Both refuse stickily.
+    for (const std::uint64_t n : {3ull, 1ull << 62, ~0ull}) {
+        util::BinaryWriter w;
+        w.u64(n);
+        w.u64(0); // 8 bytes: room for two u32s or one u64.
+        util::BinaryReader in32(w.buffer());
+        CHECK(in32.vecU32().empty());
+        CHECK(in32.failed());
+        CHECK_EQ(in32.u8(), std::uint8_t(0));
+        util::BinaryReader in64(w.buffer().data(), w.size());
+        CHECK(in64.vecU64().empty());
+        CHECK(in64.failed());
+    }
+
+    // view() borrows in place and fails stickily past the end.
+    {
+        const std::uint8_t bytes[5] = {1, 2, 3, 4, 5};
+        util::BinaryReader in(bytes, sizeof bytes);
+        const util::ByteView head = in.view(3);
+        CHECK(in.ok());
+        CHECK(head.data == bytes);
+        CHECK_EQ(head.size, std::size_t(3));
+        const util::ByteView past = in.view(3);
+        CHECK(in.failed());
+        CHECK(past.data == nullptr);
+        CHECK_EQ(past.size, std::size_t(0));
+        CHECK_EQ(in.u8(), std::uint8_t(0)); // 2 bytes left, still failed.
+        CHECK(in.failed());
+        CHECK_EQ(in.view(0).size, std::size_t(0));
+        CHECK(in.failed());
+    }
+
+    // A captured live-point's state round-trips write -> read ->
+    // write byte-equal through both an owned and a borrowed reader.
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("chase-1", workloads::Scale::Mini);
+    core::SimSession session(spec, config);
+    const core::LivePointLibrary library =
+        core::LivePointLibrary::build(session, defaultSampling());
+    CHECK(library.unitCount() > 1);
+    const core::LivePoint &point =
+        library.at(library.unitCount() / 2);
+    util::BinaryWriter first;
+    point.arch.write(first);
+    point.timing.write(first);
+    util::BinaryReader borrowed(first.buffer().data(), first.size());
+    util::BinaryReader owned(first.buffer());
+    for (util::BinaryReader *in : {&borrowed, &owned}) {
+        core::ArchState arch;
+        core::TimingState timing;
+        arch.read(*in);
+        timing.read(*in);
+        CHECK(in->ok());
+        CHECK_EQ(in->remaining(), std::size_t(0));
+        util::BinaryWriter again;
+        arch.write(again);
+        timing.write(again);
+        CHECK(again.buffer() == first.buffer());
+    }
+}
+
+void
+testRecordCountBounded()
+{
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
+    const core::SamplingConfig sc = defaultSampling();
+    const core::LibraryKey key =
+        core::LibraryKey::of(spec, config, sc);
+    core::SimSession session(spec, config);
+    const core::LivePointLibrary library =
+        core::LivePointLibrary::build(session, sc);
+    const std::string path = std::string(kDir) + "/count.smlp";
+    CHECK(library.save(key, path));
+    const std::vector<std::uint8_t> good = readFileBytes(path);
+
+    // The count u64 follows the 17-byte header, the key and the
+    // streamLength u64.
+    util::BinaryWriter keyBytes;
+    key.write(keyBytes);
+    const std::size_t at = 17 + keyBytes.size() + 8;
+    const std::size_t payload = good.size() - 8;
+    CHECK(std::equal(keyBytes.buffer().begin(), keyBytes.buffer().end(),
+                     good.begin() + 17));
+    CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + at),
+             std::uint64_t(library.unitCount()));
+
+    // Counts a checksummed file cannot back — every record encodes
+    // in at least 40 bytes — are refused by name, not allocated.
+    const std::uint64_t remaining = payload - (at + 8);
+    for (const std::uint64_t count :
+         {remaining / 40 + 1, remaining, std::uint64_t(17311614)}) {
+        std::vector<std::uint8_t> bad = good;
+        util::storeLE(bad.data() + at, count);
+        writeFileBytes(path, bad);
+        resealChecksum(path);
+        std::string why;
+        CHECK(!core::LivePointLibrary::load(path, key, &why)
+                   .has_value());
+        CHECK(why.find("live-point count") != std::string::npos);
+    }
+}
+
 } // namespace
 
 int
@@ -723,6 +856,8 @@ main()
     testLibraryCaptureGeometry();
     testLibraryRoundtripAndRefusals();
     testStoreRoundtrip();
+    testBinaryReaderBulkAndBorrowed();
+    testRecordCountBounded();
     testAnytimeCompletionBitIdentical();
     testLeapfrogColdOverlapBitIdentical();
     testShuffleReproducibilityAndEarlyStop();

@@ -290,6 +290,27 @@ testRefusals()
         expectRefusal("magic", "not a smarts checkpoint library");
     }
 
+    // Shard count beyond what the payload could hold (a ShardSpec
+    // encodes in at least 25 bytes): refused by name before the
+    // plan is sized from it. The count u64 follows the 17-byte
+    // header and the solo key.
+    {
+        util::BinaryWriter keyBytes;
+        key.write(keyBytes);
+        const std::size_t at = 17 + keyBytes.size();
+        CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + at),
+                 std::uint64_t(plan.size()));
+        const std::uint64_t remaining = good.size() - 8 - (at + 8);
+        for (const std::uint64_t count :
+             {remaining / 25 + 1, remaining}) {
+            std::vector<std::uint8_t> bad = good;
+            util::storeLE(bad.data() + at, count);
+            writeFileBytes(path, bad);
+            resealChecksum(path);
+            expectRefusal("shard count", "shard count");
+        }
+    }
+
     // Restore the good bytes: mis-keyed loads must refuse even when
     // the file itself is pristine.
     writeFileBytes(path, good);
