@@ -24,15 +24,16 @@
  * run's observation bit for bit, and runAnytime driven to
  * completion folds to an estimate byte-identical to run()'s.
  *
- * On disk (save()/load(), version 2 of docs/checkpoint-format.md,
- * `.smlp`) the per-unit states are delta-encoded against the
- * previous unit's raw state (util/delta_codec.hh) — consecutive
+ * On disk (save()/load(), docs/checkpoint-format.md § Live-point
+ * libraries, `.smlp`) the per-unit states are delta-encoded against
+ * the previous unit's raw state (util/delta_codec.hh) — consecutive
  * units share nearly all serialized state, so a library of hundreds
  * of live-points costs a small multiple of one full checkpoint —
- * with a per-record FNV-1a checksum over the DECODED state so
- * corruption anywhere in a chain is pinned to the record where it
- * breaks. CheckpointStore persists live-point libraries next to
- * shard libraries under the same LibraryKey geometry-hash scheme.
+ * with a per-record hash over the DECODED state (XXH64 since
+ * version 4) so corruption anywhere in a chain is pinned to the
+ * record where it breaks. CheckpointStore persists live-point
+ * libraries next to shard libraries under the same LibraryKey
+ * geometry-hash scheme.
  */
 
 #ifndef SMARTS_CORE_LIVEPOINT_HH
@@ -55,11 +56,13 @@ namespace smarts::core {
  * On-disk live-point library format version (`.smlp` files).
  * Version 3 adds the same flavor byte as checkpoint format v2
  * (kCheckpointFlavorSolo/Mix, after the endianness marker);
- * version-2 files — always solo — still load. Flavor 1 (co-run mix
+ * version 4 changes only the per-record state hash, FNV-1a → XXH64,
+ * so files keep their length. Version-2 files — always solo — and
+ * version-3 files still load. Flavor 1 (co-run mix
  * live-points) is RESERVED: no writer exists yet, and the loader
  * refuses it by name so the reservation cannot rot silently.
  */
-constexpr std::uint32_t kLivePointFormatVersion = 3;
+constexpr std::uint32_t kLivePointFormatVersion = 4;
 
 /**
  * Warm resume state for ONE measured unit's (W + U) window: a full
@@ -117,9 +120,10 @@ class LivePointLibrary
     buildMulti(MultiSession &session, const SamplingConfig &config);
 
     /**
-     * Serialize under @p key into the delta-encoded v2 format
-     * (docs/checkpoint-format.md § Version 2) and publish atomically
-     * at @p path. False with @p error set on filesystem failure.
+     * Serialize under @p key into the delta-encoded `.smlp` format
+     * (docs/checkpoint-format.md § Live-point libraries) and publish
+     * atomically at @p path. False with @p error set on filesystem
+     * failure.
      */
     bool save(const LibraryKey &key, const std::string &path,
               std::string *error = nullptr,
@@ -129,7 +133,7 @@ class LivePointLibrary
      * Load a library from @p path, refusing — nullopt plus a
      * diagnostic in @p error — on anything short of an exact match:
      * missing/truncated/corrupt file, a record failing its state
-     * checksum, an unknown format version, a key whose benchmark,
+     * hash, an unknown format version, a key whose benchmark,
      * sampling design or config geometry differs from @p expect, or
      * records off the sampling grid. Refusal is the contract: a
      * mis-keyed live-point must never silently mis-warm a unit.

@@ -11,7 +11,8 @@
  * corrupt files are refused rather than mis-parsed. A reader either
  * owns its bytes or borrows a range (a delta payload, a decoded
  * live-point state) and hands out bounds-checked view() slices, so
- * nested records parse without being copied.
+ * nested records parse without being copied. xxh64() is the
+ * word-wide hash `.smlp` v4 records check their decoded state with.
  *
  * Writers accumulate into a memory buffer; writeFile() appends an
  * FNV-1a checksum of everything before it and publishes the file
@@ -93,6 +94,65 @@ fnv1a(const std::uint8_t *data, std::size_t size,
         hash *= 0x100000001b3ull;
     }
     return hash;
+}
+
+/**
+ * XXH64 (seed 0) over @p size bytes: the `.smlp` v4 per-record state
+ * hash (docs/checkpoint-format.md § Record hash and the version
+ * ladder). Standard XXH64 reads its lanes as little-endian words,
+ * which loadLE makes true on every host, so a file hashes the same
+ * wherever it is written or read.
+ */
+inline std::uint64_t
+xxh64(const std::uint8_t *data, std::size_t size)
+{
+    constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
+    constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+    constexpr std::uint64_t kP3 = 0x165667b19e3779f9ull;
+    constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+    constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ull;
+    auto rotl = [](std::uint64_t x, int r) {
+        return (x << r) | (x >> (64 - r));
+    };
+    auto round = [&rotl](std::uint64_t acc, std::uint64_t lane) {
+        return rotl(acc + lane * kP2, 31) * kP1;
+    };
+    auto merge = [&round](std::uint64_t acc, std::uint64_t lane) {
+        return (acc ^ round(0, lane)) * kP1 + kP4;
+    };
+
+    const std::uint8_t *p = data;
+    const std::uint8_t *const end = data + size;
+    std::uint64_t h;
+    if (size >= 32) {
+        // Four independent lanes over 32-byte stripes.
+        std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+        for (; end - p >= 32; p += 32) {
+            v1 = round(v1, loadLE<std::uint64_t>(p));
+            v2 = round(v2, loadLE<std::uint64_t>(p + 8));
+            v3 = round(v3, loadLE<std::uint64_t>(p + 16));
+            v4 = round(v4, loadLE<std::uint64_t>(p + 24));
+        }
+        h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+        h = merge(merge(merge(merge(h, v1), v2), v3), v4);
+    } else {
+        h = kP5;
+    }
+    h += size;
+    for (; end - p >= 8; p += 8)
+        h = rotl(h ^ round(0, loadLE<std::uint64_t>(p)), 27) * kP1 +
+            kP4;
+    if (end - p >= 4) {
+        h = rotl(h ^ loadLE<std::uint32_t>(p) * kP1, 23) * kP2 + kP3;
+        p += 4;
+    }
+    for (; p < end; ++p)
+        h = rotl(h ^ *p * kP5, 11) * kP1;
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    return h ^ (h >> 32);
 }
 
 /** Accumulates little-endian encoded values into a byte buffer. */

@@ -24,7 +24,8 @@
  * refused with a diagnostic instead of mis-decoded.
  *
  * Both directions work a word at a time: the encoder finds zero
- * residue by XORing 8-byte words, and deltaApply() rewrites a chain's
+ * residue by XORing 8-byte words (skipping 32-byte blocks equal to
+ * the base whole), and deltaApply() rewrites a chain's
  * running state in place — zero runs cost nothing, literals XOR in —
  * so decoding a record costs O(changed bytes), not O(state).
  */

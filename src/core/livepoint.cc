@@ -52,8 +52,15 @@ measureLivePoint(SimSession &session, const SamplingConfig &config,
                         out, detail::observeUnit);
 }
 
+/** The v2 and v3 per-record state hash, FNV-1a (v4: XXH64). */
+std::uint64_t
+stateFnv1a(const std::uint8_t *data, std::size_t size)
+{
+    return util::fnv1a(data, size);
+}
+
 /**
- * Smallest encoded record: unitIndex, position, stateFnv, the delta's
+ * Smallest encoded record: unitIndex, position, stateHash, the delta's
  * u64 length and the delta's own u64 rawSize. Bounds the record count
  * a payload can justify before any record is parsed.
  */
@@ -209,9 +216,9 @@ LivePointLibrary::serialize(const LibraryKey &key,
         point.timing.write(raw);
         out.u64(point.unitIndex);
         out.u64(point.position);
-        // Checksum of the DECODED state: corruption anywhere in the
+        // Hash of the DECODED state: corruption anywhere in the
         // delta chain is pinned to the record where it breaks.
-        out.u64(util::fnv1a(raw.buffer().data(), raw.size()));
+        out.u64(util::xxh64(raw.buffer().data(), raw.size()));
         out.vecU8(util::deltaEncode(prev, raw.buffer()));
         raw.swapOut(prev);
     }
@@ -246,14 +253,17 @@ LivePointLibrary::load(const std::string &path,
         if (in.u8() != static_cast<std::uint8_t>(c))
             return refuse(log::format(
                 path, " is not a smarts live-point library"));
-    // v2 files (no flavor byte, always solo state) still load: the
-    // same migration policy as checkpoint v1→v2.
+    // v2 files (no flavor byte, always solo state) and v3 files
+    // (FNV-1a record hashes) still load: the same migration policy
+    // as checkpoint v1→v2.
     const std::uint32_t version = in.u32();
-    if (version != 2 && version != kLivePointFormatVersion)
+    if (version < 2 || version > kLivePointFormatVersion)
         return refuse(log::format(
             path, " is format version ", version,
-            "; this build reads versions 2 and ",
+            "; this build reads versions 2 to ",
             kLivePointFormatVersion));
+    // The one place the version picks the per-record state hash.
+    const auto stateHash = version >= 4 ? &util::xxh64 : &stateFnv1a;
     if (in.u32() != kCheckpointEndianMark)
         return refuse(log::format(path,
                                   " has a bad endianness marker"));
@@ -293,7 +303,7 @@ LivePointLibrary::load(const std::string &path,
         LivePoint &point = library.points_.emplace_back();
         point.unitIndex = in.u64();
         point.position = in.u64();
-        const std::uint64_t checksum = in.u64();
+        const std::uint64_t hash = in.u64();
         const util::ByteView delta = in.view(in.u64());
         if (in.failed())
             return refuse(log::format(
@@ -304,10 +314,10 @@ LivePointLibrary::load(const std::string &path,
                               &deltaError))
             return refuse(log::format(path, " is corrupt (live-point ",
                                       i, ": ", deltaError, ")"));
-        if (util::fnv1a(state.data(), state.size()) != checksum)
+        if (stateHash(state.data(), state.size()) != hash)
             return refuse(log::format(
                 path, " is corrupt (live-point ", i,
-                " fails its state checksum)"));
+                " fails its state hash)"));
 
         util::BinaryReader stateIn(state.data(), state.size());
         point.arch.read(stateIn);

@@ -158,6 +158,25 @@ readShard(util::BinaryReader &in)
     return shard;
 }
 
+/**
+ * Smallest encoded manifest config: a machine config with an empty
+ * name, plus its u64 geometry hash.
+ */
+std::uint64_t
+minConfigBytes()
+{
+    static const std::uint64_t bytes = [] {
+        util::BinaryWriter out;
+        writeMachine(out, uarch::MachineConfig{});
+        return out.size() + sizeof(std::uint64_t);
+    }();
+    return bytes;
+}
+
+/** Fixed encoded widths of a shard spec and a unit range. */
+constexpr std::uint64_t kShardBytes = 3 * sizeof(std::uint64_t) + 1;
+constexpr std::uint64_t kRangeBytes = 2 * sizeof(std::uint64_t);
+
 /** A process-unique temp name next to @p path (atomic-publish
  *  discipline, docs/distributed-runners.md § Atomicity). */
 std::string
@@ -524,12 +543,14 @@ JobManifest::load(const std::string &path, std::string *error)
     m.benchmark = base.benchmark;
     m.sampling = base.sampling;
 
+    // Every count is bounded by the elements the remaining payload
+    // could hold, and the vectors grow only as elements parse — a
+    // count must never size memory the file cannot back.
     const std::uint32_t configCount = in.u32();
-    if (configCount == 0 || configCount > in.remaining())
+    if (configCount == 0 ||
+        configCount > in.remaining() / minConfigBytes())
         return refuse(log::format(path, " is corrupt (config count ",
                                   configCount, ")"));
-    m.configs.reserve(configCount);
-    m.geometryHashes.reserve(configCount);
     for (std::uint32_t c = 0; c < configCount; ++c) {
         m.configs.push_back(readMachine(in));
         m.geometryHashes.push_back(in.u64());
@@ -542,19 +563,17 @@ JobManifest::load(const std::string &path, std::string *error)
     m.mode = static_cast<JobMode>(modeByte);
 
     const std::uint64_t shardCount = in.u64();
-    if (shardCount > in.remaining())
+    if (shardCount > in.remaining() / kShardBytes)
         return refuse(log::format(path, " is corrupt (shard count ",
                                   shardCount, ")"));
-    m.plan.reserve(shardCount);
     for (std::uint64_t s = 0; s < shardCount; ++s)
         m.plan.push_back(readShard(in));
 
     m.totalUnits = in.u64();
     const std::uint64_t rangeCount = in.u64();
-    if (rangeCount > in.remaining())
+    if (rangeCount > in.remaining() / kRangeBytes)
         return refuse(log::format(path, " is corrupt (range count ",
                                   rangeCount, ")"));
-    m.ranges.reserve(rangeCount);
     for (std::uint64_t r = 0; r < rangeCount; ++r)
         m.ranges.push_back(readRange(in));
 

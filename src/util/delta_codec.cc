@@ -23,6 +23,9 @@ constexpr std::size_t kMaxRun = 0xffffffffu;
 
 constexpr std::size_t kWord = sizeof(std::uint64_t);
 
+/** Zero-run scans first skip whole blocks of this many bytes. */
+constexpr std::size_t kBlock = 4 * kWord;
+
 /** The word at @p at of a @p size-byte range, zero past its end. */
 inline std::uint64_t
 wordAt(const std::uint8_t *bytes, std::size_t size, std::size_t at)
@@ -40,6 +43,20 @@ inline std::size_t
 firstSetByte(std::uint64_t word)
 {
     return static_cast<std::size_t>(__builtin_ctzll(word)) / 8;
+}
+
+/** True when the kBlock bytes at @p a and @p b are equal. */
+inline bool
+blockEqual(const std::uint8_t *a, const std::uint8_t *b)
+{
+    std::uint64_t diff = 0;
+    for (std::size_t i = 0; i < kBlock; i += kWord) {
+        std::uint64_t x = 0, y = 0;
+        std::memcpy(&x, a + i, kWord);
+        std::memcpy(&y, b + i, kWord);
+        diff |= x ^ y;
+    }
+    return diff == 0;
 }
 
 /** dst[i] ^= src[i] for @p n bytes, a word at a time. */
@@ -85,7 +102,12 @@ struct Residue
     std::size_t
     zeroRunAt(std::size_t at) const
     {
-        for (std::size_t i = at; i < size; i += kWord)
+        // Blocks inside the base need no padding: compare them
+        // whole, then find the run's end a word at a time.
+        std::size_t i = at;
+        while (i + kBlock <= baseSize && blockEqual(data + i, base + i))
+            i += kBlock;
+        for (; i < size; i += kWord)
             if (const std::uint64_t x = word(i))
                 return i + firstSetByte(x) - at;
         return size - at;

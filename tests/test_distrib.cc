@@ -267,6 +267,119 @@ testManifestRoundtripAndRefusals()
     }
 }
 
+/**
+ * Byte offsets of the manifest's three counts in @p manifest's
+ * encoding: the config count, the shard count and the range count.
+ */
+struct CountOffsets
+{
+    std::size_t configs, shards, ranges;
+};
+
+CountOffsets
+countOffsets(const distrib::JobManifest &manifest)
+{
+    core::LibraryKey base;
+    base.benchmark = manifest.benchmark;
+    base.sampling = manifest.sampling;
+    util::BinaryWriter key;
+    base.write(key);
+    CountOffsets at{};
+    // magic, version, endian, studyId, fingerprint, streamLength.
+    at.configs = 8 + 4 + 4 + 3 * 8 + key.size();
+    std::size_t configBytes = 0;
+    for (const uarch::MachineConfig &c : manifest.configs) {
+        util::BinaryWriter w;
+        distrib::writeMachineConfig(w, c);
+        configBytes += w.size() + 8; // + geometry hash.
+    }
+    at.shards = at.configs + 4 + configBytes + 1; // + mode byte.
+    // + totalUnits after the plan.
+    at.ranges = at.shards + 8 + 25 * manifest.plan.size() + 8;
+    return at;
+}
+
+void
+testManifestCountsBounded()
+{
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    const core::SamplingConfig sc = defaultSampling();
+    const std::uint64_t length = streamLengthOf(spec, config);
+    const std::string path =
+        (fs::path(kQueue) / "counts.smjm").string();
+
+    // The smallest config a manifest can carry: empty name, plus
+    // its u64 geometry hash.
+    util::BinaryWriter minimal;
+    distrib::writeMachineConfig(minimal, uarch::MachineConfig{});
+    const std::uint64_t minConfig = minimal.size() + 8;
+
+    // A count the remaining payload cannot back is refused by name
+    // before anything is sized from it — including counts at or
+    // under the remaining BYTE count, which parse no further.
+    auto craft = [&](const distrib::JobManifest &manifest,
+                     std::size_t at, int width,
+                     std::uint64_t elementBytes, const char *what) {
+        CHECK(manifest.save(path));
+        const std::vector<std::uint8_t> good = readFileBytes(path);
+        const std::uint64_t remaining = good.size() - 8 - (at + width);
+        std::uint64_t counts[] = {remaining / elementBytes + 1,
+                                  remaining, ~std::uint64_t(0)};
+        if (width == 4)
+            counts[2] = 0xffffffffu;
+        for (const std::uint64_t count : counts) {
+            std::vector<std::uint8_t> bad = good;
+            if (width == 4)
+                util::storeLE(bad.data() + at,
+                              static_cast<std::uint32_t>(count));
+            else
+                util::storeLE(bad.data() + at, count);
+            writeFileBytes(path, bad);
+            resealChecksum(path);
+            std::string why;
+            CHECK(!distrib::JobManifest::load(path, &why).has_value());
+            const std::string needle =
+                std::string("is corrupt (") + what + " count " +
+                std::to_string(count) + ")";
+            const bool named = why.find(needle) != std::string::npos;
+            CHECK(named);
+            if (!named)
+                std::fprintf(stderr, "  diagnostic \"%s\" lacks \"%s\"\n",
+                             why.c_str(), needle.c_str());
+        }
+    };
+
+    const distrib::JobManifest shards = distrib::planStudy(
+        spec, {config, uarch::MachineConfig::sixteenWay()}, sc,
+        length, 4);
+    const CountOffsets s = countOffsets(shards);
+    {
+        // The offsets are right: each names the encoded count.
+        CHECK(shards.save(path));
+        const std::vector<std::uint8_t> good = readFileBytes(path);
+        CHECK_EQ(util::loadLE<std::uint32_t>(good.data() + s.configs),
+                 std::uint32_t(2));
+        CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + s.shards),
+                 std::uint64_t(4));
+        CHECK_EQ(s.ranges + 8, good.size() - 8);
+    }
+    craft(shards, s.configs, 4, minConfig, "config");
+    craft(shards, s.shards, 8, 25, "shard");
+
+    const distrib::JobManifest ranges =
+        distrib::planUnitStudy(spec, {config}, sc, length, 60, 6);
+    const CountOffsets r = countOffsets(ranges);
+    {
+        CHECK(ranges.save(path));
+        const std::vector<std::uint8_t> good = readFileBytes(path);
+        CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + r.ranges),
+                 std::uint64_t(6));
+    }
+    craft(ranges, r.ranges, 8, 16, "range");
+}
+
 void
 testResultRoundtripAndRefusals()
 {
@@ -1086,6 +1199,7 @@ main()
     fs::create_directories(kStore);
 
     testManifestRoundtripAndRefusals();
+    testManifestCountsBounded();
     testResultRoundtripAndRefusals();
     testMergeBitIdentityAtRunnerCounts();
     testClaimsDuplicatesAndRecovery();

@@ -13,7 +13,10 @@
  * byte-at-a-time reference encoder and decoder kept here as the
  * oracle: identical delta bytes, identical decoded payloads,
  * identical refusals — and a refused stream leaves deltaApply's
- * in-place state untouched.
+ * in-place state untouched. Long equal runs at every phase mod 32
+ * pin the encoder's 32-byte block skip. util::xxh64 (the `.smlp` v4
+ * record hash) is held to its published known answers and to a
+ * byte-at-a-time reference at every length 0..96 and offset 0..7.
  */
 
 #include <algorithm>
@@ -27,6 +30,7 @@
 
 #include "check.hh"
 #include "core/store_index.hh"
+#include "util/binary_io.hh"
 #include "util/delta_codec.hh"
 #include "util/rng.hh"
 
@@ -316,6 +320,90 @@ makeEdgePair(Xoshiro256StarStar &rng, std::vector<std::uint8_t> &base,
             residue[i] ^ (i < base.size() ? base[i] : 0));
 }
 
+/**
+ * A (base, data) pair aimed at the encoder's 32-byte block skip:
+ * zero-residue runs of 32·m + @p phase bytes, so runs end at every
+ * offset mod 32 of their start, between short literals — over a base
+ * that ends inside the data (usually mid-run, so runs cross it),
+ * runs past the data's end, or matches it exactly.
+ */
+void
+makeBlockPair(Xoshiro256StarStar &rng, std::size_t phase,
+              std::vector<std::uint8_t> &base,
+              std::vector<std::uint8_t> &data)
+{
+    std::vector<std::uint8_t> residue;
+    const std::size_t target = 64 + rng.below(512);
+    while (residue.size() < target) {
+        const std::size_t literal = rng.below(6);
+        for (std::size_t i = 0; i < literal; ++i)
+            residue.push_back(
+                static_cast<std::uint8_t>(1 + rng.below(255)));
+        residue.insert(residue.end(), 32 * (1 + rng.below(4)) + phase,
+                       0);
+    }
+    if (rng.chance(0.5))
+        residue.push_back(static_cast<std::uint8_t>(1 + rng.below(255)));
+    const std::size_t size = residue.size();
+
+    // Shorter, longer or equal base, a third each.
+    const std::uint64_t shape = rng.below(3);
+    const std::size_t baseSize =
+        shape == 0   ? static_cast<std::size_t>(rng.below(size))
+        : shape == 1 ? size + 1 + static_cast<std::size_t>(rng.below(64))
+                     : size;
+    base.resize(baseSize);
+    for (std::uint8_t &b : base)
+        b = static_cast<std::uint8_t>(rng.next());
+    data.resize(size);
+    for (std::size_t i = 0; i < size; ++i)
+        data[i] = static_cast<std::uint8_t>(
+            residue[i] ^ (i < baseSize ? base[i] : 0));
+}
+
+/**
+ * One property case: deltaEncode matches the reference encoder byte
+ * for byte and deltaApply inverts it; a mutated stream gets the
+ * reference decoder's verdict and diagnostic, and a refused one
+ * leaves the state as it was. False on an encoder mismatch.
+ */
+bool
+checkAgainstReference(Xoshiro256StarStar &rng,
+                      const std::vector<std::uint8_t> &base,
+                      const std::vector<std::uint8_t> &data,
+                      std::uint64_t &refusals)
+{
+    const std::vector<std::uint8_t> delta =
+        util::deltaEncode(base, data);
+    if (!(delta == refEncode(base, data))) {
+        CHECK(delta == refEncode(base, data));
+        return false;
+    }
+
+    std::vector<std::uint8_t> state = base;
+    std::string error;
+    CHECK(util::deltaApply(state, delta.data(), delta.size(), &error));
+    const auto ref = refDecode(base, delta, &error);
+    CHECK(ref.has_value() && state == *ref && state == data);
+
+    const std::vector<std::uint8_t> bad = mutate(delta, rng);
+    std::string refError;
+    const auto want = refDecode(base, bad, &refError);
+    state = base;
+    error.clear();
+    const bool applied =
+        util::deltaApply(state, bad.data(), bad.size(), &error);
+    CHECK_EQ(applied, want.has_value());
+    if (applied) {
+        CHECK(state == *want);
+    } else {
+        ++refusals;
+        CHECK(state == base);
+        CHECK_EQ(error, refError);
+    }
+    return true;
+}
+
 void
 testDeltaCodecMatchesReference()
 {
@@ -324,39 +412,124 @@ testDeltaCodecMatchesReference()
     for (int i = 0; i < 12000; ++i) {
         std::vector<std::uint8_t> base, data;
         makeEdgePair(rng, base, data);
-        const std::vector<std::uint8_t> delta =
-            util::deltaEncode(base, data);
-        if (!(delta == refEncode(base, data))) {
-            CHECK(delta == refEncode(base, data));
+        if (!checkAgainstReference(rng, base, data, refusals))
             return; // one diagnostic is enough.
-        }
-
-        std::vector<std::uint8_t> state = base;
-        std::string error;
-        CHECK(util::deltaApply(state, delta.data(), delta.size(),
-                               &error));
-        const auto ref = refDecode(base, delta, &error);
-        CHECK(ref.has_value() && state == *ref && state == data);
-
-        // A mutated stream: same verdict and diagnostic as the
-        // reference, and a refused one leaves the state as it was.
-        const std::vector<std::uint8_t> bad = mutate(delta, rng);
-        std::string refError;
-        const auto want = refDecode(base, bad, &refError);
-        state = base;
-        error.clear();
-        const bool applied =
-            util::deltaApply(state, bad.data(), bad.size(), &error);
-        CHECK_EQ(applied, want.has_value());
-        if (applied) {
-            CHECK(state == *want);
-        } else {
-            ++refusals;
-            CHECK(state == base);
-            CHECK_EQ(error, refError);
-        }
     }
+    for (std::size_t phase = 0; phase < 32; ++phase)
+        for (int i = 0; i < 100; ++i) {
+            std::vector<std::uint8_t> base, data;
+            makeBlockPair(rng, phase, base, data);
+            if (!checkAgainstReference(rng, base, data, refusals))
+                return;
+        }
     CHECK(refusals > 0);
+}
+
+// ----------------------------------------------------------------
+// XXH64: known answers plus a plain reference, one byte at a time.
+// ----------------------------------------------------------------
+
+std::uint64_t
+refRead(const std::uint8_t *p, int bytes)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= std::uint64_t(p[i]) << (8 * i);
+    return v;
+}
+
+std::uint64_t
+refRotl(std::uint64_t x, int r)
+{
+    return (x << r) | (x >> (64 - r));
+}
+
+/** XXH64, seed 0, straight from the published algorithm. */
+std::uint64_t
+refXxh64(const std::uint8_t *p, std::size_t len)
+{
+    const std::uint64_t P1 = 11400714785074694791ull;
+    const std::uint64_t P2 = 14029467366897019727ull;
+    const std::uint64_t P3 = 1609587929392839161ull;
+    const std::uint64_t P4 = 9650029242287828579ull;
+    const std::uint64_t P5 = 2870177450012600261ull;
+    auto round = [&](std::uint64_t acc, std::uint64_t input) {
+        acc += input * P2;
+        acc = refRotl(acc, 31);
+        return acc * P1;
+    };
+    std::size_t i = 0;
+    std::uint64_t h = 0;
+    if (len >= 32) {
+        std::uint64_t v[4] = {P1 + P2, P2, 0, 0 - P1};
+        while (i + 32 <= len) {
+            for (int lane = 0; lane < 4; ++lane)
+                v[lane] = round(v[lane], refRead(p + i + 8 * lane, 8));
+            i += 32;
+        }
+        h = refRotl(v[0], 1) + refRotl(v[1], 7) + refRotl(v[2], 12) +
+            refRotl(v[3], 18);
+        for (int lane = 0; lane < 4; ++lane) {
+            h ^= round(0, v[lane]);
+            h = h * P1 + P4;
+        }
+    } else {
+        h = P5;
+    }
+    h += len;
+    while (i + 8 <= len) {
+        h ^= round(0, refRead(p + i, 8));
+        h = refRotl(h, 27) * P1 + P4;
+        i += 8;
+    }
+    if (i + 4 <= len) {
+        h ^= refRead(p + i, 4) * P1;
+        h = refRotl(h, 23) * P2 + P3;
+        i += 4;
+    }
+    while (i < len) {
+        h ^= p[i] * P5;
+        h = refRotl(h, 11) * P1;
+        ++i;
+    }
+    h ^= h >> 33;
+    h *= P2;
+    h ^= h >> 29;
+    h *= P3;
+    h ^= h >> 32;
+    return h;
+}
+
+std::uint64_t
+xxh64Of(const std::string &text)
+{
+    return util::xxh64(
+        reinterpret_cast<const std::uint8_t *>(text.data()),
+        text.size());
+}
+
+void
+testXxh64()
+{
+    CHECK_EQ(xxh64Of(""), 0xEF46DB3751D8E999ull);
+    CHECK_EQ(xxh64Of("abc"), 0x44BC2CF5AD770999ull);
+    CHECK_EQ(xxh64Of("Nobody inspects the spammish repetition"),
+             0xFBCEA83C8A378BF1ull);
+
+    // Every length 0..96 (the 32-byte stripe loop, the 8-, 4- and
+    // 1-byte tails) at every start offset 0..7 (unaligned input).
+    Xoshiro256StarStar rng(0x7868683634ull);
+    std::vector<std::uint8_t> buffer(8 + 96);
+    for (std::uint8_t &b : buffer)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 96; ++len) {
+            const std::uint8_t *p = buffer.data() + offset;
+            if (util::xxh64(p, len) != refXxh64(p, len)) {
+                CHECK_EQ(util::xxh64(p, len), refXxh64(p, len));
+                return; // one diagnostic is enough.
+            }
+        }
 }
 
 void
@@ -464,6 +637,7 @@ main()
 
     testDeltaCodecFuzz();
     testDeltaCodecMatchesReference();
+    testXxh64();
     testStoreIndexJournalFuzz();
     TEST_MAIN_SUMMARY();
 }

@@ -5,7 +5,11 @@
  * byte-identity and its refusal matrix; `.smlp` save/load
  * roundtrips and the library's own refusals (truncated, corrupt,
  * version-bumped, mis-keyed, off-grid files are REJECTED with a
- * diagnostic, never loaded); same-seed shuffle reproducibility;
+ * diagnostic, never loaded); format migration (v2 and v3 files,
+ * FNV-1a record hashes, load to the same estimate as v4's XXH64
+ * ones; v3 and v4 differ only in the version and the hashes; a
+ * header naming the wrong hash refuses); same-seed shuffle
+ * reproducibility;
  * the early-stop estimate landing inside its confidence interval
  * of the full-run estimate; and the completion-mode bar —
  * runAnytime with epsilon = 0 must fold to an estimate
@@ -318,10 +322,12 @@ testLibraryRoundtripAndRefusals()
         refuses(victim);
     }
 
-    // Version bump: a future format must refuse, not misparse.
-    {
+    // Version bump: a future format must refuse, not misparse; so
+    // must a version older than the oldest readable one.
+    for (const std::uint32_t version :
+         {core::kLivePointFormatVersion + 1, std::uint32_t(1)}) {
         std::vector<std::uint8_t> bad = good;
-        bad[8] = 4;
+        util::storeLE(bad.data() + 8, version);
         writeFileBytes(victim, bad);
         resealChecksum(victim);
         refuses(victim);
@@ -378,6 +384,146 @@ testLibraryRoundtripAndRefusals()
                    &why)
                    .has_value());
         CHECK(!why.empty());
+    }
+}
+
+using StateHash = std::uint64_t (*)(const std::uint8_t *, std::size_t);
+
+std::uint64_t
+fnv1aState(const std::uint8_t *data, std::size_t size)
+{
+    return util::fnv1a(data, size);
+}
+
+/**
+ * A test-local `.smlp` writer for any header version over any record
+ * hash, field for field as LivePointLibrary::serialize: version 2
+ * omits the flavor byte, and each record carries @p hash of its
+ * decoded state.
+ */
+void
+writeVersioned(const core::LivePointLibrary &library,
+               const core::LibraryKey &key, std::uint32_t version,
+               StateHash hash, const std::string &path)
+{
+    util::BinaryWriter out;
+    for (const char c : {'S', 'M', 'R', 'T', 'L', 'V', 'P', 'T'})
+        out.u8(static_cast<std::uint8_t>(c));
+    out.u32(version);
+    out.u32(core::kCheckpointEndianMark);
+    if (version >= 3)
+        out.u8(core::kCheckpointFlavorSolo);
+    key.write(out);
+    out.u64(library.streamLength());
+    out.u64(library.unitCount());
+    std::vector<std::uint8_t> prev;
+    for (std::size_t i = 0; i < library.unitCount(); ++i) {
+        util::BinaryWriter raw;
+        library.at(i).arch.write(raw);
+        library.at(i).timing.write(raw);
+        out.u64(library.at(i).unitIndex);
+        out.u64(library.at(i).position);
+        out.u64(hash(raw.buffer().data(), raw.size()));
+        out.vecU8(util::deltaEncode(prev, raw.buffer()));
+        prev = raw.buffer();
+    }
+    std::string error;
+    CHECK(out.writeFile(path, &error));
+}
+
+void
+testFormatMigration()
+{
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    const core::SamplingConfig sc = defaultSampling();
+    const core::LibraryKey key =
+        core::LibraryKey::of(spec, config, sc);
+    core::SimSession session(spec, config);
+    const core::LivePointLibrary library =
+        core::LivePointLibrary::build(session, sc);
+    CHECK(library.unitCount() > 1);
+
+    const std::string v4 = std::string(kDir) + "/migrate-v4.smlp";
+    const std::string v3 = std::string(kDir) + "/migrate-v3.smlp";
+    const std::string v2 = std::string(kDir) + "/migrate-v2.smlp";
+    CHECK(library.save(key, v4));
+    writeVersioned(library, key, 3, fnv1aState, v3);
+    writeVersioned(library, key, 2, fnv1aState, v2);
+
+    // The test writer mirrors the library's own: at version 4 over
+    // XXH64 it writes the saved file byte for byte.
+    const std::string mirror = std::string(kDir) + "/mirror.smlp";
+    writeVersioned(library, key, 4, util::xxh64, mirror);
+    CHECK(readFileBytes(mirror) == readFileBytes(v4));
+
+    // Every readable version measures the same estimate.
+    auto factory = [&spec, &config] {
+        return std::make_unique<core::SimSession>(spec, config);
+    };
+    core::AnytimeOptions options;
+    options.target.epsilon = 0.0; // completion mode: measure all.
+    exec::ThreadPool pool(2);
+    std::vector<std::vector<std::uint64_t>> prints;
+    for (const std::string &path : {v4, v3, v2}) {
+        std::string why;
+        const auto loaded = core::LivePointLibrary::load(path, key, &why);
+        CHECK(loaded.has_value());
+        CHECK_EQ(why, std::string());
+        if (!loaded)
+            return;
+        prints.push_back(fingerprint(
+            core::SystematicSampler(sc)
+                .runAnytime(factory, *loaded, pool, options)
+                .estimate));
+    }
+    CHECK(prints[1] == prints[0]);
+    CHECK(prints[2] == prints[0]);
+
+    // v4 keeps v3's length and differs only at the version field and
+    // each record's 8 state-hash bytes...
+    const std::vector<std::uint8_t> bytes4 = readFileBytes(v4);
+    const std::vector<std::uint8_t> bytes3 = readFileBytes(v3);
+    CHECK_EQ(bytes4.size(), bytes3.size());
+    std::vector<bool> mayDiffer(bytes4.size(), false);
+    for (std::size_t b = 8; b < 12; ++b)
+        mayDiffer[b] = true;
+    util::BinaryWriter keyBytes;
+    key.write(keyBytes);
+    std::size_t at = 17 + keyBytes.size() + 16; // first record.
+    for (std::size_t i = 0; i < library.unitCount(); ++i) {
+        for (std::size_t b = at + 16; b < at + 24; ++b)
+            mayDiffer[b] = true;
+        at += 24;
+        at += 8 + util::loadLE<std::uint64_t>(bytes4.data() + at);
+    }
+    // ...and so does the whole-file trailer over them.
+    CHECK_EQ(at, bytes4.size() - 8);
+    std::fill(mayDiffer.end() - 8, mayDiffer.end(), true);
+    std::size_t differing = 0;
+    for (std::size_t b = 0; b < std::min(bytes4.size(), bytes3.size());
+         ++b)
+        if (bytes4[b] != bytes3[b]) {
+            ++differing;
+            if (!mayDiffer[b]) {
+                CHECK(mayDiffer[b]);
+                break; // one diagnostic is enough.
+            }
+        }
+    CHECK(differing > 0);
+
+    // A header that names the wrong record hash refuses at record 0.
+    const std::string mixed = std::string(kDir) + "/mixed.smlp";
+    for (const auto &[version, hash] :
+         {std::pair<std::uint32_t, StateHash>{3, util::xxh64},
+          std::pair<std::uint32_t, StateHash>{4, fnv1aState}}) {
+        writeVersioned(library, key, version, hash, mixed);
+        std::string why;
+        CHECK(!core::LivePointLibrary::load(mixed, key, &why)
+                   .has_value());
+        CHECK(why.find("live-point 0 fails its state hash") !=
+              std::string::npos);
     }
 }
 
@@ -855,6 +1001,7 @@ main()
     testDeltaCodecRefusals();
     testLibraryCaptureGeometry();
     testLibraryRoundtripAndRefusals();
+    testFormatMigration();
     testStoreRoundtrip();
     testBinaryReaderBulkAndBorrowed();
     testRecordCountBounded();
