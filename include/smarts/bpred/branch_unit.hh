@@ -15,6 +15,7 @@
 #include "sisa/encoding.hh"
 #include "util/binary_io.hh"
 #include "util/logging.hh"
+#include "util/reducer.hh"
 
 namespace smarts::bpred {
 
@@ -85,6 +86,16 @@ class BranchUnit
   public:
     explicit BranchUnit(const BpredConfig &config) : config_(config)
     {
+        if (config.historyBits >= 32)
+            SMARTS_FATAL("branch unit: ", config.historyBits,
+                         " history bits (at most 31)");
+        if (!config.btbEntries || !config.rasEntries)
+            SMARTS_FATAL("branch unit: ", config.btbEntries,
+                         " BTB entries and ", config.rasEntries,
+                         " RAS entries (each needs at least one)");
+        tableMask_ = (1u << config.historyBits) - 1u;
+        btbSlot_ = util::Reducer(config.btbEntries);
+        rasSlot_ = util::Reducer(config.rasEntries);
         counters_.assign(std::size_t(1) << config.historyBits, 1);
         btbTags_.assign(config.btbEntries, 0);
         btbTargets_.assign(config.btbEntries, 0);
@@ -96,7 +107,7 @@ class BranchUnit
      * RAS for returns (JR through the r31 link convention); callers
      * never roll back, so speculative RAS repair is unnecessary.
      */
-    Prediction
+    [[gnu::always_inline]] Prediction
     predict(std::uint32_t pc, const sisa::DecodedInst &di)
     {
         ++lookups_;
@@ -110,7 +121,7 @@ class BranchUnit
         } else if (di.op == sisa::Opcode::JR) {
             p.taken = true;
             if (di.a == 31 && rasTop_ > 0) {
-                p.target = ras_[--rasTop_ % ras_.size()];
+                p.target = ras_[rasSlot_.mod(--rasTop_)];
             } else {
                 const std::uint32_t slot = btbIndex(pc);
                 p.target =
@@ -125,7 +136,7 @@ class BranchUnit
      * every executed branch and by functional warming in program
      * order (WarmingMode::BpredOnly / Functional).
      */
-    void
+    [[gnu::always_inline]] void
     update(std::uint32_t pc, const sisa::DecodedInst &di, bool taken,
            std::uint32_t target)
     {
@@ -137,7 +148,7 @@ class BranchUnit
                 --ctr;
             history_ = (history_ << 1) | (taken ? 1u : 0u);
         } else if (di.op == sisa::Opcode::JAL && di.a != 0) {
-            ras_[rasTop_++ % ras_.size()] = pc + 4;
+            ras_[rasSlot_.mod(rasTop_++)] = pc + 4;
         } else if (di.op == sisa::Opcode::JR) {
             const std::uint32_t slot = btbIndex(pc);
             btbTags_[slot] = pc;
@@ -203,18 +214,19 @@ class BranchUnit
     std::uint32_t
     tableIndex(std::uint32_t pc) const
     {
-        const std::uint32_t mask =
-            (1u << config_.historyBits) - 1u;
-        return ((pc >> 2) ^ history_) & mask;
+        return ((pc >> 2) ^ history_) & tableMask_;
     }
 
     std::uint32_t
     btbIndex(std::uint32_t pc) const
     {
-        return (pc >> 2) % config_.btbEntries;
+        return btbSlot_.mod(pc >> 2);
     }
 
     BpredConfig config_;
+    std::uint32_t tableMask_ = 0; ///< 2^historyBits - 1.
+    util::Reducer btbSlot_;       ///< pc -> BTB slot.
+    util::Reducer rasSlot_;       ///< stack depth -> RAS slot.
     std::vector<std::uint8_t> counters_;
     std::vector<std::uint32_t> btbTags_;
     std::vector<std::uint32_t> btbTargets_;

@@ -78,16 +78,29 @@ struct ArchState
 };
 
 /**
- * Page-aligns a function on the simulator's hot path: the interpreter
- * (ArchCore::step) and the stepping loops that call it once per
- * instruction (SimSession). Branch predictors and the decoded-uop
- * cache index code by its low address bits, so without a fixed
- * alignment any size change in code the linker places earlier moves
- * these loops and can shift interpreter speed by 10-30% (measured on
- * a 4-vCPU Xeon Sapphire Rapids VM). A page fixes all twelve low
- * bits.
+ * Page-aligns a stepping entry point: the SimSession, MultiSession
+ * and MixSession fastForward/warmAsDetailed/detailedRun, each of
+ * which holds its whole per-instruction loop once the stepping
+ * kernel (detail::stepLoop, with ArchCore::step and the per-step
+ * timing work inlined) is expanded in it. Branch predictors and the
+ * decoded-uop cache index code by its low address bits, so without a
+ * fixed alignment any size change in code the linker places earlier
+ * moves these loops and can shift interpreter speed by 10-30%
+ * (measured on a 4-vCPU Xeon Sapphire Rapids VM). A page fixes all
+ * twelve low bits.
  */
 #define SMARTS_HOT_CODE [[gnu::aligned(4096)]]
+
+/**
+ * Expands a lambda's body at its call site, written after the
+ * lambda's parameter list (the GNU attribute form applies to its call
+ * operator). Every lambda a stepping entry point passes down to
+ * detail::stepLoop carries it: an entry point holds one loop per
+ * instantiation, and without it the compiler's growth limits outline
+ * whichever loop body comes last, putting a call back on the
+ * per-instruction path.
+ */
+#define SMARTS_INLINE_LAMBDA __attribute__((always_inline))
 
 class ArchCore
 {
@@ -105,8 +118,12 @@ class ArchCore
             decoded_.push_back(sisa::decode(word));
     }
 
-    /** Execute one instruction architecturally. False at HALT/end. */
-    SMARTS_HOT_CODE bool
+    /**
+     * Execute one instruction architecturally. False at HALT/end.
+     * Always inlined, so a stepping loop keeps StepInfo in registers
+     * and pays no call per instruction.
+     */
+    [[gnu::always_inline]] bool
     step(StepInfo &info)
     {
         using sisa::Opcode;
@@ -290,6 +307,32 @@ class ArchCore
     bool finished_ = false;
     std::uint64_t instCount_ = 0;
 };
+
+namespace detail {
+
+/**
+ * The stepping kernel under every session loop: step @p arch up to
+ * @p maxInsts times, handing each executed instruction's StepInfo to
+ * @p perStep. Returns the instructions executed (fewer than
+ * @p maxInsts only at end of stream). ArchCore::step and @p perStep
+ * are expanded in place, so each caller's loop is one straight-line
+ * body specialized for its per-step work: no call, no run-time mode
+ * test, no StepInfo round trip through memory.
+ */
+template <typename PerStep>
+[[gnu::always_inline]] inline std::uint64_t
+stepLoop(ArchCore &arch, std::uint64_t maxInsts, PerStep &&perStep)
+{
+    std::uint64_t executed = 0;
+    StepInfo info;
+    while (executed < maxInsts && arch.step(info)) {
+        ++executed;
+        perStep(info);
+    }
+    return executed;
+}
+
+} // namespace detail
 
 } // namespace smarts::core
 

@@ -42,13 +42,14 @@ class MultiSession
      * Execute up to @p maxInsts functionally, warming every config's
      * long-history state per @p mode from one interpretation pass.
      */
-    std::uint64_t fastForward(std::uint64_t maxInsts, WarmingMode mode);
+    SMARTS_HOT_CODE std::uint64_t fastForward(std::uint64_t maxInsts,
+                                              WarmingMode mode);
 
     /**
      * Execute up to @p maxInsts with every config's detailed timing
      * model consuming the same architectural stream.
      */
-    MultiSegment detailedRun(std::uint64_t maxInsts);
+    SMARTS_HOT_CODE MultiSegment detailedRun(std::uint64_t maxInsts);
 
     /**
      * Execute up to @p maxInsts applying every config's detailedRun
@@ -59,7 +60,7 @@ class MultiSession
      * every config's microarchitectural state bit-identical to what
      * its own serial capture would have produced.
      */
-    std::uint64_t warmAsDetailed(std::uint64_t maxInsts);
+    SMARTS_HOT_CODE std::uint64_t warmAsDetailed(std::uint64_t maxInsts);
 
     /**
      * Snapshot the shared architectural state and every config's

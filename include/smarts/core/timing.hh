@@ -24,6 +24,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "bpred/branch_unit.hh"
 #include "core/arch.hh"
@@ -42,18 +43,29 @@ enum class WarmingMode
     Functional, ///< the paper's functional warming: everything.
 };
 
-constexpr bool
-warmsCaches(WarmingMode mode)
+/**
+ * Call @p f(caches, bpred) with the two halves of @p mode as
+ * std::bool_constant arguments: the one place a run-time
+ * WarmingMode becomes compile-time flags, so a stepping loop tests
+ * the mode once per call instead of once per instruction.
+ */
+template <typename F>
+decltype(auto)
+withWarmingMode(WarmingMode mode, F &&f)
 {
-    return mode == WarmingMode::CachesOnly ||
-           mode == WarmingMode::Functional;
-}
-
-constexpr bool
-warmsBpred(WarmingMode mode)
-{
-    return mode == WarmingMode::BpredOnly ||
-           mode == WarmingMode::Functional;
+    using Yes = std::true_type;
+    using No = std::false_type;
+    switch (mode) {
+      case WarmingMode::CachesOnly:
+        return f(Yes{}, No{});
+      case WarmingMode::BpredOnly:
+        return f(No{}, Yes{});
+      case WarmingMode::Functional:
+        return f(Yes{}, Yes{});
+      case WarmingMode::None:
+        break;
+    }
+    return f(No{}, No{});
 }
 
 /** One detailed-simulation segment's measurements. */
@@ -140,6 +152,8 @@ class TimingModel
           hierarchy_(config.mem),
           bpred_(config.bpred)
     {
+        if (!config.width)
+            SMARTS_FATAL("machine '", config.name, "': issue width 0");
         fetchLineShift_ = 0;
         while ((1u << fetchLineShift_) < config_.mem.l1i.lineBytes)
             ++fetchLineShift_;
@@ -157,11 +171,16 @@ class TimingModel
         eBpredFx_ = toFixed(config.energy.bpredAccess);
     }
 
-    /** Consume one instruction in a fast-forward (warming) mode. */
-    void
-    warm(const StepInfo &info, bool warmCaches, bool warmBpred)
+    /**
+     * Consume one instruction in a fast-forward (warming) mode:
+     * caches and TLBs warm when @p Caches, predictors when @p Bpred
+     * (withWarmingMode picks the instantiation from a WarmingMode).
+     */
+    template <bool Caches, bool Bpred>
+    [[gnu::always_inline]] void
+    warm(const StepInfo &info)
     {
-        if (warmCaches) {
+        if constexpr (Caches) {
             const std::uint32_t line = info.pc >> fetchLineShift_;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
@@ -178,7 +197,7 @@ class TimingModel
             ++activity_.stores;
         else if (info.di.isBranch()) {
             ++activity_.branches;
-            if (warmBpred) {
+            if constexpr (Bpred) {
                 // Mirror the detailed core's RAS traffic: predict()
                 // pops on returns there, so warming must pop too or
                 // the stack depth drifts across warming gaps.
@@ -204,7 +223,7 @@ class TimingModel
      * added there needs its mirror here (tests/test_checkpoint.cc
      * fails on divergence).
      */
-    void
+    [[gnu::always_inline]] void
     warmDetailed(const StepInfo &info)
     {
         const std::uint32_t line = info.pc >> fetchLineShift_;
@@ -243,7 +262,7 @@ class TimingModel
     }
 
     /** Consume one instruction with the full detailed timing model. */
-    void
+    [[gnu::always_inline]] void
     detailedStep(const StepInfo &info)
     {
         cyclesFx_ += invWidthFx_;

@@ -17,6 +17,7 @@
 
 #include "util/binary_io.hh"
 #include "util/logging.hh"
+#include "util/reducer.hh"
 
 namespace smarts::mem {
 
@@ -105,19 +106,23 @@ class Cache
     Cache(std::string name, const CacheConfig &config)
         : name_(std::move(name)), config_(config)
     {
-        if (!config.sizeBytes || !config.assoc || !config.lineBytes ||
-            config.sizeBytes % (config.assoc * config.lineBytes))
+        const std::uint64_t setBytes =
+            std::uint64_t(config.assoc) * config.lineBytes;
+        if (!config.sizeBytes || !setBytes ||
+            config.sizeBytes % setBytes || config.lineBytes > (1u << 31))
             SMARTS_FATAL("cache '", name_, "': size ", config.sizeBytes,
                          " not divisible into ", config.assoc,
                          "-way sets of ", config.lineBytes, "B lines");
-        sets_ = config.sizeBytes / (config.assoc * config.lineBytes);
+        const auto sets =
+            static_cast<std::uint32_t>(config.sizeBytes / setBytes);
+        setOf_ = util::Reducer(sets);
         lineShift_ = 0;
         while ((1u << lineShift_) < config.lineBytes)
             ++lineShift_;
-        tags_.assign(static_cast<std::size_t>(sets_) * config.assoc, 0);
+        tags_.assign(static_cast<std::size_t>(sets) * config.assoc, 0);
         valid_.assign(tags_.size(), 0);
         lastUse_.assign(tags_.size(), 0);
-        mruWay_.assign(sets_, 0);
+        mruWay_.assign(sets, 0);
     }
 
     /**
@@ -125,12 +130,12 @@ class Cache
      * recorded for the store counters only: allocation policy is
      * identical for loads and stores.
      */
-    AccessResult
+    [[gnu::always_inline]] AccessResult
     access(std::uint32_t addr, bool write)
     {
         ++(write ? stores_ : loads_);
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = line % sets_;
+        const std::uint32_t set = setOf_.mod(line);
         const std::size_t base =
             static_cast<std::size_t>(set) * config_.assoc;
         ++tick_;
@@ -170,7 +175,7 @@ class Cache
     probe(std::uint32_t addr) const
     {
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = line % sets_;
+        const std::uint32_t set = setOf_.mod(line);
         const std::size_t base =
             static_cast<std::size_t>(set) * config_.assoc;
         for (std::size_t w = base; w < base + config_.assoc; ++w)
@@ -233,7 +238,7 @@ class Cache
   private:
     std::string name_;
     CacheConfig config_;
-    std::uint32_t sets_ = 1;
+    util::Reducer setOf_; ///< line -> set, no hardware divide.
     std::uint32_t lineShift_ = 6;
     std::vector<std::uint32_t> tags_;
     std::vector<std::uint8_t> valid_;

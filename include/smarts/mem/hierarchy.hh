@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "mem/cache.hh"
+#include "util/reducer.hh"
 
 namespace smarts::mem {
 
@@ -122,12 +123,15 @@ class Tlb
     {
         if (!config.entries)
             SMARTS_FATAL("TLB needs at least one entry");
+        if (!config.pageBytes)
+            SMARTS_FATAL("TLB page size must be nonzero");
+        pageOf_ = util::Reducer(config.pageBytes);
         pages_.assign(config.entries, 0);
         valid_.assign(config.entries, 0);
         next_.assign(config.entries, 0);
         prev_.assign(config.entries, 0);
         slots_ = 4;
-        while (slots_ < 4 * config.entries)
+        while (slots_ < 4 * std::size_t(config.entries))
             slots_ <<= 1;
         keys_.assign(slots_, 0); ///< page + 1; 0 marks empty.
         vals_.assign(slots_, 0);
@@ -135,10 +139,10 @@ class Tlb
     }
 
     /** Returns true on a miss (and fills). */
-    bool
+    [[gnu::always_inline]] bool
     access(std::uint32_t addr)
     {
-        const std::uint32_t page = addr / config_.pageBytes;
+        const std::uint32_t page = pageOf_.div(addr);
         // MRU fast path: consecutive same-page references.
         if (valid_[head_] && pages_[head_] == page)
             return false;
@@ -306,6 +310,7 @@ class Tlb
     }
 
     TlbConfig config_;
+    util::Reducer pageOf_; ///< addr -> page, no hardware divide.
     std::vector<std::uint32_t> pages_;
     std::vector<std::uint8_t> valid_;
     std::vector<std::uint32_t> next_; ///< intrusive LRU list.
@@ -355,6 +360,12 @@ struct HierarchyState
     }
 };
 
+/**
+ * Every access path below (and Cache::access, Tlb::access) is always
+ * inlined: together they are the body of the stepping loops
+ * (core::detail::stepLoop), and the compiler's growth limits would
+ * otherwise leave a call per memory access in them.
+ */
 class MemHierarchy
 {
   public:
@@ -368,37 +379,37 @@ class MemHierarchy
     {
     }
 
-    MemResult
+    [[gnu::always_inline]] MemResult
     fetch(std::uint32_t addr)
     {
         return timingAccess(l1i_, itlb_, addr, false);
     }
 
-    MemResult
+    [[gnu::always_inline]] MemResult
     load(std::uint32_t addr)
     {
         return timingAccess(l1d_, dtlb_, addr, false);
     }
 
-    MemResult
+    [[gnu::always_inline]] MemResult
     store(std::uint32_t addr)
     {
         return timingAccess(l1d_, dtlb_, addr, true);
     }
 
-    void
+    [[gnu::always_inline]] void
     warmFetch(std::uint32_t addr)
     {
         warmAccess(l1i_, itlb_, addr, false);
     }
 
-    void
+    [[gnu::always_inline]] void
     warmLoad(std::uint32_t addr)
     {
         warmAccess(l1d_, dtlb_, addr, false);
     }
 
-    void
+    [[gnu::always_inline]] void
     warmStore(std::uint32_t addr)
     {
         warmAccess(l1d_, dtlb_, addr, true);
@@ -442,7 +453,7 @@ class MemHierarchy
     const Tlb &dtlb() const { return dtlb_; }
 
   private:
-    MemResult
+    [[gnu::always_inline]] MemResult
     timingAccess(Cache &l1, Tlb &tlb, std::uint32_t addr, bool write)
     {
         MemResult result;
@@ -462,7 +473,7 @@ class MemHierarchy
         return result;
     }
 
-    void
+    [[gnu::always_inline]] void
     warmAccess(Cache &l1, Tlb &tlb, std::uint32_t addr, bool write)
     {
         tlb.access(addr);

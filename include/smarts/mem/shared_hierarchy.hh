@@ -32,6 +32,7 @@
 #include "mem/hierarchy.hh"
 #include "util/binary_io.hh"
 #include "util/logging.hh"
+#include "util/reducer.hh"
 
 namespace smarts::mem {
 
@@ -126,8 +127,10 @@ class SharedCache
         : name_(std::move(name)), config_(config),
           programs_(programs), policy_(policy)
     {
-        if (!config.sizeBytes || !config.assoc || !config.lineBytes ||
-            config.sizeBytes % (config.assoc * config.lineBytes))
+        const std::uint64_t setBytes =
+            std::uint64_t(config.assoc) * config.lineBytes;
+        if (!config.sizeBytes || !setBytes ||
+            config.sizeBytes % setBytes || config.lineBytes > (1u << 31))
             SMARTS_FATAL("cache '", name_, "': size ", config.sizeBytes,
                          " not divisible into ", config.assoc,
                          "-way sets of ", config.lineBytes, "B lines");
@@ -139,7 +142,9 @@ class SharedCache
             SMARTS_FATAL("cache '", name_, "': cannot way-partition ",
                          config.assoc, " ways across ", programs,
                          " programs");
-        sets_ = config.sizeBytes / (config.assoc * config.lineBytes);
+        const auto sets =
+            static_cast<std::uint32_t>(config.sizeBytes / setBytes);
+        setOf_ = util::Reducer(sets);
         lineShift_ = 0;
         while ((1u << lineShift_) < config.lineBytes)
             ++lineShift_;
@@ -151,11 +156,11 @@ class SharedCache
         for (std::uint32_t p = 0; p < programs; ++p)
             wayBase_[p + 1] =
                 wayBase_[p] + share + (p < extra ? 1 : 0);
-        tags_.assign(static_cast<std::size_t>(sets_) * config.assoc, 0);
+        tags_.assign(static_cast<std::size_t>(sets) * config.assoc, 0);
         owners_.assign(tags_.size(), 0);
         valid_.assign(tags_.size(), 0);
         lastUse_.assign(tags_.size(), 0);
-        mruWay_.assign(sets_, 0);
+        mruWay_.assign(sets, 0);
         loads_.assign(programs, 0);
         stores_.assign(programs, 0);
         misses_.assign(programs, 0);
@@ -166,12 +171,12 @@ class SharedCache
      * mem::Cache::access with the owner predicate and the policy's
      * victim range.
      */
-    AccessResult
+    [[gnu::always_inline]] AccessResult
     access(std::uint32_t prog, std::uint32_t addr, bool write)
     {
         ++(write ? stores_ : loads_)[prog];
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = line % sets_;
+        const std::uint32_t set = setOf_.mod(line);
         const std::size_t base =
             static_cast<std::size_t>(set) * config_.assoc;
         ++tick_;
@@ -282,7 +287,7 @@ class SharedCache
     CacheConfig config_;
     std::uint32_t programs_ = 1;
     PartitionPolicy policy_ = PartitionPolicy::Shared;
-    std::uint32_t sets_ = 1;
+    util::Reducer setOf_; ///< line -> set, no hardware divide.
     std::uint32_t lineShift_ = 6;
     std::vector<std::uint32_t> wayBase_; ///< per-program way ranges.
     std::vector<std::uint32_t> tags_;
@@ -381,7 +386,8 @@ struct SharedMemResult
  * L2. Access semantics per lane mirror MemHierarchy::timingAccess /
  * warmAccess exactly; on an L1 miss the request goes to BOTH the
  * shared L2 (the co-run world) and the lane's shadow L2 (the solo
- * world), each resolving its own latency and level.
+ * world), each resolving its own latency and level. The access paths
+ * are always inlined, as MemHierarchy's are.
  */
 class SharedHierarchy
 {
@@ -396,7 +402,7 @@ class SharedHierarchy
             lanes_.emplace_back(config, p);
     }
 
-    SharedMemResult
+    [[gnu::always_inline]] SharedMemResult
     fetch(std::uint32_t prog, std::uint32_t addr)
     {
         Lane &lane = lanes_[prog];
@@ -404,7 +410,7 @@ class SharedHierarchy
                             lane.shadowL2, addr, false);
     }
 
-    SharedMemResult
+    [[gnu::always_inline]] SharedMemResult
     load(std::uint32_t prog, std::uint32_t addr)
     {
         Lane &lane = lanes_[prog];
@@ -412,7 +418,7 @@ class SharedHierarchy
                             lane.shadowL2, addr, false);
     }
 
-    SharedMemResult
+    [[gnu::always_inline]] SharedMemResult
     store(std::uint32_t prog, std::uint32_t addr)
     {
         Lane &lane = lanes_[prog];
@@ -420,7 +426,7 @@ class SharedHierarchy
                             lane.shadowL2, addr, true);
     }
 
-    void
+    [[gnu::always_inline]] void
     warmFetch(std::uint32_t prog, std::uint32_t addr)
     {
         Lane &lane = lanes_[prog];
@@ -428,7 +434,7 @@ class SharedHierarchy
                    false);
     }
 
-    void
+    [[gnu::always_inline]] void
     warmLoad(std::uint32_t prog, std::uint32_t addr)
     {
         Lane &lane = lanes_[prog];
@@ -436,7 +442,7 @@ class SharedHierarchy
                    false);
     }
 
-    void
+    [[gnu::always_inline]] void
     warmStore(std::uint32_t prog, std::uint32_t addr)
     {
         Lane &lane = lanes_[prog];
@@ -510,7 +516,7 @@ class SharedHierarchy
      * shared (private structures, one physical access); on an L1
      * miss each world's L2 resolves independently.
      */
-    SharedMemResult
+    [[gnu::always_inline]] SharedMemResult
     timingAccess(std::uint32_t prog, Cache &l1, Tlb &tlb,
                  Cache &shadow, std::uint32_t addr, bool write)
     {
@@ -542,7 +548,7 @@ class SharedHierarchy
         return r;
     }
 
-    void
+    [[gnu::always_inline]] void
     warmAccess(std::uint32_t prog, Cache &l1, Tlb &tlb, Cache &shadow,
                std::uint32_t addr, bool write)
     {

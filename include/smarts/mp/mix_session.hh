@@ -181,11 +181,11 @@ class MixSession
      * @p mode. Returns the number of COMPLETE rounds executed (less
      * than @p maxRounds only at end of stream).
      */
-    std::uint64_t fastForward(std::uint64_t maxRounds,
-                              core::WarmingMode mode);
+    SMARTS_HOT_CODE std::uint64_t fastForward(std::uint64_t maxRounds,
+                                              core::WarmingMode mode);
 
     /** Execute up to @p maxRounds rounds with full dual-world timing. */
-    MixSegment detailedRun(std::uint64_t maxRounds);
+    SMARTS_HOT_CODE MixSegment detailedRun(std::uint64_t maxRounds);
 
     /**
      * Execute up to @p maxRounds rounds applying detailedRun's EXACT
@@ -193,7 +193,7 @@ class MixSession
      * checkpoint capture pass's fast path (cf.
      * SimSession::warmAsDetailed).
      */
-    std::uint64_t warmAsDetailed(std::uint64_t maxRounds);
+    SMARTS_HOT_CODE std::uint64_t warmAsDetailed(std::uint64_t maxRounds);
 
     void saveState(MixState &state) const;
     void restoreState(const MixState &state);
@@ -258,22 +258,28 @@ class MixSession
         core::Activity activity;
     };
 
-    void warmStep(std::uint32_t p, const core::StepInfo &info,
-                  bool warmCaches, bool warmBpred);
-    void warmDetailedStep(std::uint32_t p,
-                          const core::StepInfo &info);
-    void detailedStep(std::uint32_t p, const core::StepInfo &info);
+    // Per-(program, instruction) work of the three stepping loops,
+    // expanded in place inside rounds() (defined in mix_session.cc,
+    // the only translation unit that calls them).
+    template <bool Caches, bool Bpred>
+    [[gnu::always_inline]] inline void
+    warmStep(std::uint32_t p, const core::StepInfo &info);
+    [[gnu::always_inline]] inline void
+    warmDetailedStep(std::uint32_t p, const core::StepInfo &info);
+    [[gnu::always_inline]] inline void
+    detailedStep(std::uint32_t p, const core::StepInfo &info);
 
     /**
      * Up to @p maxRounds rounds, each stepping every core in program
      * order and applying @p perStep to each (program, StepInfo) —
      * the one stepping loop under fastForward, warmAsDetailed and
-     * detailedRun. Returns the COMPLETE rounds executed: a round in
-     * which any core's stream ends is not counted and finishes the
-     * session.
+     * detailedRun. It is core::detail::stepLoop's round-robin form:
+     * ArchCore::step and @p perStep expand in place. Returns the
+     * COMPLETE rounds executed: a round in which any core's stream
+     * ends is not counted and finishes the session.
      */
     template <typename PerStep>
-    std::uint64_t
+    [[gnu::always_inline]] std::uint64_t
     rounds(std::uint64_t maxRounds, PerStep &&perStep)
     {
         std::uint64_t executed = 0;

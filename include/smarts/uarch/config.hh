@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "bpred/branch_unit.hh"
 #include "mem/hierarchy.hh"
@@ -99,6 +100,47 @@ struct MachineConfig
         return c;
     }
 };
+
+/**
+ * Why a TimingModel or MixSession cannot be built from @p c, or ""
+ * when it can: a zero issue width, cache geometry, TLB page size or
+ * branch-unit table (each a divisor on the per-instruction path), or
+ * a history length past the 32-bit register. Readers of configs from
+ * files and the wire refuse such a config as corrupt; the structures'
+ * constructors FATAL on the same conditions.
+ */
+inline std::string
+configError(const MachineConfig &c)
+{
+    if (!c.width)
+        return "issue width 0";
+    const std::pair<const char *, const mem::CacheConfig *> caches[] = {
+        {"l1i", &c.mem.l1i}, {"l1d", &c.mem.l1d}, {"l2", &c.mem.l2}};
+    for (const auto &[name, cc] : caches) {
+        const std::uint64_t set =
+            std::uint64_t(cc->assoc) * cc->lineBytes;
+        if (!set || !cc->sizeBytes || cc->sizeBytes % set ||
+            cc->lineBytes > (1u << 31))
+            return std::string(name) + " geometry " +
+                   std::to_string(cc->sizeBytes) + "B / " +
+                   std::to_string(cc->assoc) + " ways / " +
+                   std::to_string(cc->lineBytes) + "B lines";
+    }
+    const std::pair<const char *, const mem::TlbConfig *> tlbs[] = {
+        {"itlb", &c.mem.itlb}, {"dtlb", &c.mem.dtlb}};
+    for (const auto &[name, tc] : tlbs)
+        if (!tc->entries || !tc->pageBytes)
+            return std::string(name) + " of " +
+                   std::to_string(tc->entries) + " entries of " +
+                   std::to_string(tc->pageBytes) + "B pages";
+    if (c.bpred.historyBits >= 32 || !c.bpred.btbEntries ||
+        !c.bpred.rasEntries)
+        return "branch unit of " + std::to_string(c.bpred.historyBits) +
+               " history bits, " + std::to_string(c.bpred.btbEntries) +
+               " BTB and " + std::to_string(c.bpred.rasEntries) +
+               " RAS entries";
+    return "";
+}
 
 /**
  * FNV-1a fingerprint of the parts of a MachineConfig that shape its

@@ -19,34 +19,26 @@ MultiSession::MultiSession(
 std::uint64_t
 MultiSession::fastForward(std::uint64_t maxInsts, WarmingMode mode)
 {
-    const bool warmCaches = warmsCaches(mode);
-    const bool warmBpred = warmsBpred(mode);
-
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        for (TimingModel &model : models_)
-            model.warm(info, warmCaches, warmBpred);
-    }
-    return executed;
+    return withWarmingMode(
+        mode, [&](auto caches, auto bpred) SMARTS_INLINE_LAMBDA {
+            return detail::stepLoop(
+                arch_, maxInsts,
+                [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
+                    for (TimingModel &model : models_)
+                        model.warm<decltype(caches)::value,
+                                   decltype(bpred)::value>(info);
+                });
+        });
 }
 
 std::uint64_t
 MultiSession::warmAsDetailed(std::uint64_t maxInsts)
 {
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        for (TimingModel &model : models_)
-            model.warmDetailed(info);
-    }
-    return executed;
+    return detail::stepLoop(
+        arch_, maxInsts, [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
+            for (TimingModel &model : models_)
+                model.warmDetailed(info);
+        });
 }
 
 void
@@ -67,15 +59,11 @@ MultiSession::detailedRun(std::uint64_t maxInsts)
     for (const TimingModel &model : models_)
         marks.push_back(model.beginSegment());
 
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        for (TimingModel &model : models_)
-            model.detailedStep(info);
-    }
+    const std::uint64_t executed = detail::stepLoop(
+        arch_, maxInsts, [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
+            for (TimingModel &model : models_)
+                model.detailedStep(info);
+        });
 
     MultiSegment seg;
     seg.instructions = executed;

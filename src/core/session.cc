@@ -14,46 +14,34 @@ SimSession::SimSession(const workloads::BenchmarkSpec &spec,
 std::uint64_t
 SimSession::fastForward(std::uint64_t maxInsts, WarmingMode mode)
 {
-    const bool warmCaches = warmsCaches(mode);
-    const bool warmBpred = warmsBpred(mode);
-
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        model_.warm(info, warmCaches, warmBpred);
-    }
-    return executed;
+    return withWarmingMode(
+        mode, [&](auto caches, auto bpred) SMARTS_INLINE_LAMBDA {
+            return detail::stepLoop(
+                arch_, maxInsts,
+                [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
+                    model_.warm<decltype(caches)::value,
+                                decltype(bpred)::value>(info);
+                });
+        });
 }
 
 std::uint64_t
 SimSession::warmAsDetailed(std::uint64_t maxInsts)
 {
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        model_.warmDetailed(info);
-    }
-    return executed;
+    return detail::stepLoop(
+        arch_, maxInsts, [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
+            model_.warmDetailed(info);
+        });
 }
 
 Segment
 SimSession::detailedRun(std::uint64_t maxInsts)
 {
     const TimingModel::SegmentMark mark = model_.beginSegment();
-    std::uint64_t executed = 0;
-    StepInfo info;
-    while (executed < maxInsts) {
-        if (!arch_.step(info))
-            break;
-        ++executed;
-        model_.detailedStep(info);
-    }
+    const std::uint64_t executed = detail::stepLoop(
+        arch_, maxInsts, [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
+            model_.detailedStep(info);
+        });
     return model_.endSegment(mark, executed);
 }
 

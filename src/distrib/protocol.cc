@@ -554,6 +554,11 @@ JobManifest::load(const std::string &path, std::string *error)
     for (std::uint32_t c = 0; c < configCount; ++c) {
         m.configs.push_back(readMachine(in));
         m.geometryHashes.push_back(in.u64());
+        const std::string configError =
+            uarch::configError(m.configs.back());
+        if (!in.failed() && !configError.empty())
+            return refuse(log::format(path, " is corrupt (config ", c,
+                                      ": ", configError, ")"));
     }
 
     const std::uint8_t modeByte = in.u8();

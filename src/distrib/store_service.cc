@@ -157,6 +157,10 @@ StoreRequest::load(const std::string &path, std::string *error)
                                         "trailing bytes"));
     if (r.reqId.empty())
         return refuse(log::format(path, " has an empty request id"));
+    const std::string configError = uarch::configError(r.machine);
+    if (!configError.empty())
+        return refuse(log::format(path, " is corrupt (machine config: ",
+                                  configError, ")"));
 
     // The geometry-hash claim must be reproducible from the embedded
     // config by THIS build — a client built from incompatible

@@ -15,6 +15,8 @@ MixSession::MixSession(const WorkloadMix &mix,
 {
     if (mix.programs.empty())
         SMARTS_FATAL("a workload mix needs at least one program");
+    if (!config.width)
+        SMARTS_FATAL("machine '", config.name, "': issue width 0");
     cores_.reserve(mix.programs.size());
     lanes_.reserve(mix.programs.size());
     for (const workloads::BenchmarkSpec &spec : mix.programs) {
@@ -43,12 +45,12 @@ MixSession::MixSession(const WorkloadMix &mix,
 }
 
 /** Mirrors TimingModel::warm per lane (shared/shadow fed together). */
+template <bool Caches, bool Bpred>
 void
-MixSession::warmStep(std::uint32_t p, const core::StepInfo &info,
-                     bool warmCaches, bool warmBpred)
+MixSession::warmStep(std::uint32_t p, const core::StepInfo &info)
 {
     Lane &lane = lanes_[p];
-    if (warmCaches) {
+    if constexpr (Caches) {
         const std::uint32_t line = info.pc >> fetchLineShift_;
         if (line != lane.lastFetchLine) {
             lane.lastFetchLine = line;
@@ -65,7 +67,7 @@ MixSession::warmStep(std::uint32_t p, const core::StepInfo &info,
         ++lane.activity.stores;
     else if (info.di.isBranch()) {
         ++lane.activity.branches;
-        if (warmBpred) {
+        if constexpr (Bpred) {
             // Mirror the detailed lane's RAS traffic (see
             // TimingModel::warm).
             if (info.di.op == sisa::Opcode::JR && info.di.a == 31)
@@ -221,22 +223,25 @@ std::uint64_t
 MixSession::fastForward(std::uint64_t maxRounds,
                         core::WarmingMode mode)
 {
-    const bool caches = core::warmsCaches(mode);
-    const bool bpred = core::warmsBpred(mode);
-    return rounds(maxRounds, [this, caches, bpred](
-                                 std::uint32_t p,
-                                 const core::StepInfo &info) {
-        warmStep(p, info, caches, bpred);
-    });
+    return core::withWarmingMode(
+        mode, [&](auto caches, auto bpred) SMARTS_INLINE_LAMBDA {
+            constexpr bool kCaches = decltype(caches)::value;
+            constexpr bool kBpred = decltype(bpred)::value;
+            return rounds(
+                maxRounds,
+                [this](std::uint32_t p, const core::StepInfo &info)
+                    SMARTS_INLINE_LAMBDA {
+                        warmStep<kCaches, kBpred>(p, info);
+                    });
+        });
 }
 
 std::uint64_t
 MixSession::warmAsDetailed(std::uint64_t maxRounds)
 {
     return rounds(maxRounds,
-                  [this](std::uint32_t p, const core::StepInfo &info) {
-                      warmDetailedStep(p, info);
-                  });
+                  [this](std::uint32_t p, const core::StepInfo &info)
+                      SMARTS_INLINE_LAMBDA { warmDetailedStep(p, info); });
 }
 
 MixSegment
@@ -263,9 +268,8 @@ MixSession::detailedRun(std::uint64_t maxRounds)
     }
 
     const std::uint64_t executed = rounds(
-        maxRounds, [this](std::uint32_t p, const core::StepInfo &info) {
-            detailedStep(p, info);
-        });
+        maxRounds, [this](std::uint32_t p, const core::StepInfo &info)
+                       SMARTS_INLINE_LAMBDA { detailedStep(p, info); });
 
     MixSegment seg;
     seg.rounds = executed;

@@ -6,6 +6,9 @@
  * pop including overflow wrap-around and underflow fallback.
  */
 
+#include <cstdio>
+#include <string>
+
 #include "bpred/branch_unit.hh"
 #include "sisa/encoding.hh"
 
@@ -193,11 +196,64 @@ testReset()
     CHECK_EQ(bp.lookups(), 2u);
 }
 
+/**
+ * Non-power-of-two tables index exactly as `%` would: a 12-entry BTB
+ * aliases pcs 12 words apart (and only those), a 3-entry RAS wraps
+ * after three frames.
+ */
+void
+testNonPowerOfTwoTables()
+{
+    bpred::BranchUnit bp({4, 12, 3});
+    const auto jr = jumpReg(5);
+    const std::uint32_t pc = 0x2000;
+    bp.update(pc, jr, true, 0x3000);
+    bp.update(pc + 8 * 4, jr, true, 0x5000); // a different slot.
+    CHECK_EQ(bp.predict(pc, jr).target, 0x3000u);
+    bp.update(pc + 12 * 4, jr, true, 0x4000); // same slot, evicts.
+    CHECK_EQ(bp.predict(pc, jr).target, pc + 4);
+    CHECK_EQ(bp.predict(pc + 8 * 4, jr).target, 0x5000u);
+
+    const auto ret = jumpReg(31);
+    for (std::uint32_t i = 0; i < 5; ++i)
+        bp.update(0x1000 + i * 0x100, call(31, 64), true, 0);
+    for (std::uint32_t i = 5; i > 2; --i)
+        CHECK_EQ(bp.predict(0x9000, ret).target,
+                 0x1000u + (i - 1) * 0x100 + 4);
+    // Depth 2 and 1 now read slots 1 and 0, overwritten by frames
+    // 4 and 3.
+    CHECK_EQ(bp.predict(0x9000, ret).target, 0x1404u);
+    CHECK_EQ(bp.predict(0x9000, ret).target, 0x1304u);
+}
+
+/**
+ * Construct a branch unit from a geometry its indexing cannot use.
+ * Each ctest registration runs one case and passes only on the
+ * constructor's FATAL diagnostic (PASS_REGULAR_EXPRESSION).
+ */
+int
+refuse(const std::string &what)
+{
+    bpred::BpredConfig config;
+    if (what == "btb0")
+        config.btbEntries = 0;
+    else if (what == "ras0")
+        config.rasEntries = 0;
+    else if (what == "history32")
+        config.historyBits = 32;
+    const bpred::BranchUnit bp(config);
+    std::printf("accepted %s\n", what.c_str());
+    return 1;
+}
+
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        return refuse(argv[1]);
+    testNonPowerOfTwoTables();
     testCounterTraining();
     testGshareAliasing();
     testBtbIndirectTargets();

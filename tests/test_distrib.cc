@@ -37,6 +37,7 @@
 #include "distrib/leader.hh"
 #include "distrib/protocol.hh"
 #include "distrib/runner.hh"
+#include "distrib/store_service.hh"
 #include "exec/thread_pool.hh"
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
@@ -378,6 +379,90 @@ testManifestCountsBounded()
                  std::uint64_t(6));
     }
     craft(ranges, r.ranges, 8, 16, "range");
+}
+
+/**
+ * A config whose geometry divides by zero or overflows a shift
+ * (zero page size, empty BTB or RAS, 32+ history bits, zero width or
+ * cache set size) is refused as corrupt by the manifest and store-
+ * request readers, before any runner builds a session from it; an
+ * odd but valid geometry (non-power-of-two sets, BTB, RAS and pages)
+ * still round-trips.
+ */
+void
+testConfigGeometryRefused()
+{
+    const auto spec =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    const core::SamplingConfig sc = defaultSampling();
+    const std::string path =
+        (fs::path(kQueue) / "geometry.smjm").string();
+    fs::create_directories(kQueue);
+
+    uarch::MachineConfig odd = uarch::MachineConfig::eightWay();
+    odd.mem.l1d = {192 * 4 * 64, 4, 64, 2};
+    odd.mem.dtlb.pageBytes = 6 * 1024;
+    odd.bpred.btbEntries = 384;
+    odd.bpred.rasEntries = 12;
+    const distrib::JobManifest good =
+        distrib::planStudy(spec, {odd}, sc, 1000000, 2);
+    CHECK(good.save(path));
+    CHECK(distrib::JobManifest::load(path).has_value());
+
+    struct Case
+    {
+        const char *what;
+        void (*corrupt)(uarch::MachineConfig &);
+    };
+    const Case cases[] = {
+        {"dtlb of 64 entries of 0B pages",
+         [](uarch::MachineConfig &c) { c.mem.dtlb.pageBytes = 0; }},
+        {"itlb of 0 entries",
+         [](uarch::MachineConfig &c) { c.mem.itlb.entries = 0; }},
+        {"512 BTB and 0 RAS entries",
+         [](uarch::MachineConfig &c) { c.bpred.rasEntries = 0; }},
+        {"12 history bits, 0 BTB",
+         [](uarch::MachineConfig &c) { c.bpred.btbEntries = 0; }},
+        {"32 history bits",
+         [](uarch::MachineConfig &c) { c.bpred.historyBits = 32; }},
+        {"issue width 0", [](uarch::MachineConfig &c) { c.width = 0; }},
+        {"l1d geometry 0B",
+         [](uarch::MachineConfig &c) { c.mem.l1d.sizeBytes = 0; }},
+        // assoc * lineBytes = 2^32 wraps a 32-bit set size to zero.
+        {"l2 geometry 262144B / 65536 ways / 65536B lines",
+         [](uarch::MachineConfig &c) {
+             c.mem.l2.assoc = 65536;
+             c.mem.l2.lineBytes = 65536;
+         }},
+    };
+    for (const Case &k : cases) {
+        distrib::JobManifest bad = distrib::planStudy(
+            spec, {uarch::MachineConfig::eightWay()}, sc, 1000000, 2);
+        k.corrupt(bad.configs[0]);
+        CHECK(bad.save(path));
+        std::string why;
+        CHECK(!distrib::JobManifest::load(path, &why).has_value());
+        const bool named =
+            why.find("is corrupt (config 0: ") != std::string::npos &&
+            why.find(k.what) != std::string::npos;
+        CHECK(named);
+        if (!named)
+            std::fprintf(stderr, "  diagnostic \"%s\" lacks \"%s\"\n",
+                         why.c_str(), k.what);
+
+        distrib::StoreRequest request;
+        request.reqId = "geometry";
+        request.benchmark = spec;
+        request.sampling = sc;
+        request.machine = bad.configs[0];
+        const std::string reqPath =
+            (fs::path(kQueue) / "geometry.req").string();
+        CHECK(request.save(reqPath));
+        why.clear();
+        CHECK(!distrib::StoreRequest::load(reqPath, &why).has_value());
+        CHECK(why.find("is corrupt (machine config: ") !=
+              std::string::npos);
+    }
 }
 
 void
@@ -1200,6 +1285,7 @@ main()
 
     testManifestRoundtripAndRefusals();
     testManifestCountsBounded();
+    testConfigGeometryRefused();
     testResultRoundtripAndRefusals();
     testMergeBitIdentityAtRunnerCounts();
     testClaimsDuplicatesAndRecovery();

@@ -6,6 +6,9 @@
  * warm-vs-timing split of the hierarchy.
  */
 
+#include <cstdio>
+#include <string>
+
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 
@@ -208,11 +211,59 @@ testHierarchyLevelsAndLatencies()
     CHECK_EQ(l2hit.latency, 2u + 12u);
 }
 
+/**
+ * Non-power-of-two geometries index exactly as `%` and `/` would: a
+ * 3-set cache maps lines 3 apart to one set, 6 KiB pages split
+ * addresses at multiples of 6144.
+ */
+void
+testNonPowerOfTwoGeometry()
+{
+    mem::Cache cache("odd", {3 * 64, 1, 64, 1}); // 3 sets, direct.
+    cache.access(lineAddr(1), false);
+    cache.access(lineAddr(2), false);
+    CHECK(cache.probe(lineAddr(1)));
+    cache.access(lineAddr(4), false); // set 1: evicts line 1.
+    CHECK(!cache.probe(lineAddr(1)));
+    CHECK(cache.probe(lineAddr(2)));
+    CHECK(cache.probe(lineAddr(4)));
+
+    mem::Tlb tlb({4, 6144, 30});
+    CHECK(tlb.access(0));
+    CHECK(!tlb.access(6143));
+    CHECK(tlb.access(6144));
+    CHECK(!tlb.access(2 * 6144 - 1));
+    CHECK(tlb.access(0xffffffffu)); // page 699050, the last.
+    CHECK(!tlb.access(699050u * 6144));
+    CHECK_EQ(tlb.misses(), 3u);
+}
+
+/**
+ * Construct a cache or TLB from a geometry its indexing cannot use.
+ * Each ctest registration runs one case and passes only on the
+ * constructor's FATAL diagnostic (PASS_REGULAR_EXPRESSION).
+ */
+int
+refuse(const std::string &what)
+{
+    if (what == "tlb-page0") {
+        const mem::Tlb tlb({64, 0, 30});
+    } else if (what == "cache-set-overflow") {
+        // 65536 ways x 65536B lines: a 32-bit set size wraps to 0.
+        const mem::Cache cache("l2", {256 * 1024, 65536, 65536, 12});
+    }
+    std::printf("accepted %s\n", what.c_str());
+    return 1;
+}
+
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        return refuse(argv[1]);
+    testNonPowerOfTwoGeometry();
     testCacheLruEvictionOrder();
     testCacheMruFastPathKeepsLru();
     testCacheStoresAllocateLikeLoads();
