@@ -25,6 +25,13 @@
  *     simulator the kernel replaced — so odd geometries (which no
  *     golden CSV exercises) stay bit-identical, not merely
  *     self-consistent.
+ *  4. The same for MixSession: two-program quick-suite mixes under
+ *     both PartitionPolicy values on the same three machines, one
+ *     call per step against random chunks, counted in rounds. Every
+ *     MixSegment field and the serialized MixState after every step
+ *     fold into a per-(machine, policy) digest, so the co-run world
+ *     of a multi-program mix is pinned bit for bit, not only through
+ *     table6_mix.csv's aggregates.
  */
 
 #include <algorithm>
@@ -37,6 +44,7 @@
 #include "core/multi_session.hh"
 #include "core/session.hh"
 #include "estimate_fingerprint.hh"
+#include "mp/mix_session.hh"
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
 #include "util/reducer.hh"
@@ -321,6 +329,172 @@ testChunkedSchedulesMatchReference()
     }
 }
 
+std::vector<std::uint8_t>
+stateBytes(const mp::MixSession &s)
+{
+    mp::MixState state;
+    s.saveState(state);
+    util::BinaryWriter out;
+    state.write(out);
+    return out.buffer();
+}
+
+void
+foldMixSegment(std::uint64_t &digest, const mp::MixSegment &seg)
+{
+    fold(digest, seg.rounds);
+    for (const mp::MixLaneSegment &ls : seg.per) {
+        fold(digest, ls.instructions);
+        fold(digest, ls.coCycles);
+        fold(digest, bitsOf(ls.coEnergyNj));
+        fold(digest, ls.soloCycles);
+        fold(digest, bitsOf(ls.soloEnergyNj));
+        fold(digest, ls.sharedAccesses);
+        fold(digest, ls.sharedMisses);
+        fold(digest, ls.shadowAccesses);
+        fold(digest, ls.shadowMisses);
+    }
+}
+
+/** Every field of two segments, doubles compared by their bits. */
+bool
+sameMixSegment(const mp::MixSegment &a, const mp::MixSegment &b)
+{
+    std::uint64_t da = 0, db = 0;
+    foldMixSegment(da, a);
+    foldMixSegment(db, b);
+    return da == db && a.per.size() == b.per.size();
+}
+
+/**
+ * checkChunkedSchedule for a MixSession: a reference session takes
+ * one call per step, a second takes the step in random chunks
+ * (detailedRun unsplit, as there); both must agree after every step,
+ * and the reference's segments and states fold into @p digest.
+ */
+void
+checkChunkedMixSchedule(const mp::WorkloadMix &mix,
+                        const uarch::MachineConfig &config,
+                        std::uint64_t seed, std::uint64_t &digest,
+                        std::uint64_t &contended)
+{
+    mp::MixSession ref(mix, config);
+    mp::MixSession sim(mix, config);
+    Xoshiro256StarStar schedule(seed);
+    Xoshiro256StarStar chunks(seed ^ 0xc0ffee);
+
+    int steps = 0;
+    int pastEnd = 0;
+    bool same = true;
+    while (pastEnd < 2 && same) {
+        if (ref.finished())
+            ++pastEnd;
+        const Step step = randomStep(schedule);
+        std::uint64_t want = 0;
+        std::uint64_t got = 0;
+        switch (step.kind) {
+          case Kind::FastForward:
+            want = ref.fastForward(step.insts, step.mode);
+            got = chunked(chunks, step.insts, [&](std::uint64_t n) {
+                return sim.fastForward(n, step.mode);
+            });
+            break;
+          case Kind::WarmAsDetailed:
+            want = ref.warmAsDetailed(step.insts);
+            got = chunked(chunks, step.insts, [&](std::uint64_t n) {
+                return sim.warmAsDetailed(n);
+            });
+            break;
+          case Kind::Detailed: {
+            const mp::MixSegment a = ref.detailedRun(step.insts);
+            const mp::MixSegment b = sim.detailedRun(step.insts);
+            want = a.rounds;
+            got = b.rounds;
+            same = same && sameMixSegment(a, b);
+            foldMixSegment(digest, a);
+            for (const mp::MixLaneSegment &ls : a.per)
+                if (ls.coCycles != ls.soloCycles)
+                    ++contended;
+            break;
+          }
+        }
+        fold(digest, want);
+        const std::vector<std::uint8_t> bytes = stateBytes(ref);
+        fold(digest, util::xxh64(bytes.data(), bytes.size()));
+        same = same && got == want && bytes == stateBytes(sim);
+        if (!same)
+            std::fprintf(stderr,
+                         "  %s on %s: step %d (kind %d, mode %d, %"
+                         PRIu64 " rounds) diverged: %" PRIu64
+                         " / %" PRIu64 " executed\n",
+                         mix.name.c_str(), config.name.c_str(), steps,
+                         static_cast<int>(step.kind),
+                         static_cast<int>(step.mode), step.insts, want,
+                         got);
+        ++steps;
+    }
+    CHECK(same);
+    CHECK(ref.finished() && sim.finished());
+    CHECK(steps > 8);
+}
+
+/**
+ * Digests of the mix reference schedules, per machine and policy:
+ * each quick-suite program paired with the next. Recorded from the
+ * MixSession whose lanes kept their own copy of the timing
+ * arithmetic, before the lanes became core::TimingModel instances.
+ * A guard requires, for each policy, lane segments whose co-run
+ * cycles differ from their solo cycles, so the co-run world is
+ * really exercised (the 8-way and odd machines contend; the 16-way
+ * L2 holds both Mini footprints, so its pins cover the uncontended
+ * path).
+ */
+void
+testChunkedMixSchedulesMatchReference()
+{
+    struct Pin
+    {
+        uarch::MachineConfig config;
+        mem::PartitionPolicy policy;
+        std::uint64_t pinned;
+    };
+    const std::vector<Pin> pins = {
+        {uarch::MachineConfig::eightWay(),
+         mem::PartitionPolicy::Shared, 0x337bd8dfa5d9b9dbull},
+        {uarch::MachineConfig::eightWay(),
+         mem::PartitionPolicy::WayPartitioned, 0xe9988964ac5ed26cull},
+        {uarch::MachineConfig::sixteenWay(),
+         mem::PartitionPolicy::Shared, 0xb81530a855cafa21ull},
+        {uarch::MachineConfig::sixteenWay(),
+         mem::PartitionPolicy::WayPartitioned, 0xe9f841ad3e065ee4ull},
+        {oddGeometry(), mem::PartitionPolicy::Shared,
+         0xe6b7d13bc1cf25dbull},
+        {oddGeometry(), mem::PartitionPolicy::WayPartitioned,
+         0x696757c5c74c45e7ull},
+    };
+    const std::vector<workloads::BenchmarkSpec> suite =
+        workloads::quickSuite(workloads::Scale::Mini);
+    std::uint64_t contended[2] = {0, 0}; ///< per policy.
+    for (const Pin &pin : pins) {
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        for (std::size_t b = 0; b < suite.size(); ++b)
+            checkChunkedMixSchedule(
+                mp::WorkloadMix::of(
+                    {suite[b], suite[(b + 1) % suite.size()]},
+                    pin.policy),
+                pin.config, 2000 + b, digest,
+                contended[static_cast<int>(pin.policy)]);
+        if (digest != pin.pinned)
+            std::fprintf(stderr,
+                         "  %s/%s: mix schedule digest 0x%016" PRIx64
+                         "\n",
+                         pin.config.name.c_str(),
+                         mem::partitionPolicyName(pin.policy), digest);
+        CHECK_EQ(digest, pin.pinned);
+    }
+    CHECK(contended[0] > 0 && contended[1] > 0);
+}
+
 } // namespace
 
 int
@@ -328,5 +502,6 @@ main()
 {
     testReducerMatchesHardwareDivide();
     testChunkedSchedulesMatchReference();
+    testChunkedMixSchedulesMatchReference();
     TEST_MAIN_SUMMARY();
 }
