@@ -9,6 +9,18 @@
  * matched-pair multi-config sampling amortizes the functional
  * warming pass the paper's Table 6 identifies as the dominant cost.
  *
+ * The model is written once, as BasicTimingModel<Port>, generic over
+ * the memory it charges. A port provides fetch/load/store (timing
+ * accesses) and warmFetch/warmLoad/warmStore, and says at compile
+ * time how many timing WORLDS one access resolves in. The solo port
+ * is mem::MemHierarchy: one world, owned by the model
+ * (TimingModel). A co-run lane's port is one program's view of
+ * mem::SharedHierarchy: two worlds, the shared L2 and the program's
+ * shadow (solo) L2, so one lane charges its co-run and its would-be
+ * solo timing from one stream (mp::MixSession). The model keeps one
+ * cycle/energy accumulator pair per world; with one world it is the
+ * single-accumulator model.
+ *
  * Cycle and energy accumulation is exact 48.16 fixed-point integer
  * arithmetic: every increment is a pure function of the instruction
  * and the config (never of the accumulator value), so a segment's
@@ -22,9 +34,12 @@
 #ifndef SMARTS_CORE_TIMING_HH
 #define SMARTS_CORE_TIMING_HH
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 
 #include "bpred/branch_unit.hh"
 #include "core/arch.hh"
@@ -86,36 +101,45 @@ struct Activity
     std::uint64_t stores = 0;
 };
 
-/**
- * Serialized microarchitectural state for checkpointing: the memory
- * hierarchy, the branch unit, the fixed-point cycle/energy
- * accumulators, and the fetch-line dedup register.
- */
-struct TimingState
+/** One timing world's fixed-point cycle and energy accumulators. */
+struct WorldAccumulator
 {
-    mem::HierarchyState mem;
-    bpred::BranchUnitState bpred;
     std::uint64_t cyclesFx = 0;
     std::uint64_t energyFx = 0;
+};
+
+/**
+ * A timing model's serialized state without its port: the branch
+ * unit, one accumulator pair per world, the fetch-line dedup
+ * register and the activity counters. The port's memory state is
+ * serialized by whoever owns it: TimingState puts the solo
+ * hierarchy in front; a co-run's lanes (mp::MixLaneState) leave it
+ * to mem::SharedHierarchyState.
+ */
+template <std::size_t Worlds>
+struct PortlessTimingState
+{
+    bpred::BranchUnitState bpred;
+    std::array<WorldAccumulator, Worlds> worlds{};
     std::uint32_t lastFetchLine = ~0u;
     Activity activity;
 
     std::size_t
     byteSize() const
     {
-        return mem.byteSize() + bpred.byteSize() +
-               2 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-               sizeof(Activity);
+        return bpred.byteSize() + Worlds * 2 * sizeof(std::uint64_t) +
+               sizeof(std::uint32_t) + sizeof(Activity);
     }
 
     /** Field order is normative: docs/checkpoint-format.md. */
     void
     write(util::BinaryWriter &out) const
     {
-        mem.write(out);
         bpred.write(out);
-        out.u64(cyclesFx);
-        out.u64(energyFx);
+        for (const WorldAccumulator &world : worlds) {
+            out.u64(world.cyclesFx);
+            out.u64(world.energyFx);
+        }
         out.u32(lastFetchLine);
         out.u64(activity.branches);
         out.u64(activity.bpredLookups);
@@ -127,10 +151,11 @@ struct TimingState
     void
     read(util::BinaryReader &in)
     {
-        mem.read(in);
         bpred.read(in);
-        cyclesFx = in.u64();
-        energyFx = in.u64();
+        for (WorldAccumulator &world : worlds) {
+            world.cyclesFx = in.u64();
+            world.energyFx = in.u64();
+        }
         lastFetchLine = in.u32();
         activity.branches = in.u64();
         activity.bpredLookups = in.u64();
@@ -140,16 +165,68 @@ struct TimingState
     }
 };
 
-class TimingModel
+/**
+ * Serialized solo microarchitectural state for checkpointing: the
+ * memory hierarchy, then the one-world port-less state (branch
+ * unit, cycle/energy accumulators, fetch-line dedup register,
+ * activity counters).
+ */
+struct TimingState : PortlessTimingState<1>
+{
+    mem::HierarchyState mem;
+
+    std::size_t
+    byteSize() const
+    {
+        return mem.byteSize() + PortlessTimingState<1>::byteSize();
+    }
+
+    /** Field order is normative: docs/checkpoint-format.md. */
+    void
+    write(util::BinaryWriter &out) const
+    {
+        mem.write(out);
+        PortlessTimingState<1>::write(out);
+    }
+
+    void
+    read(util::BinaryReader &in)
+    {
+        mem.read(in);
+        PortlessTimingState<1>::read(in);
+    }
+};
+
+/**
+ * The timing model over memory port @p Port (see the file comment).
+ * Port::kWorlds fixes the number of accumulator pairs at compile
+ * time and Port::world(result, w) picks world w's MemResult out of
+ * one timing access, so each transition below is written once for
+ * every session: SimSession and MultiSession instantiate it over
+ * mem::MemHierarchy, mp::MixSession once per program over
+ * mem::SharedHierarchy::Port.
+ */
+template <typename Port>
+class BasicTimingModel
 {
   public:
-    /** 48.16 fixed point: exact for widths, latencies, stall terms. */
-    static constexpr std::uint32_t kFixedShift = 16;
-    static constexpr double kFixedOne = 65536.0;
+    static constexpr std::size_t kWorlds = Port::kWorlds;
 
-    explicit TimingModel(const uarch::MachineConfig &config)
+    /** The serialized state, the port's memory excluded. */
+    using State = PortlessTimingState<kWorlds>;
+
+    /** One detailed segment's measurements, one per world. */
+    using Segments = std::array<Segment, kWorlds>;
+
+    /** A model owning a fresh port built from @p config's memory. */
+    explicit BasicTimingModel(const uarch::MachineConfig &config)
+        : BasicTimingModel(config, Port(config.mem))
+    {
+    }
+
+    BasicTimingModel(const uarch::MachineConfig &config, Port port)
         : config_(config),
-          hierarchy_(config.mem),
+          port_(std::move(port)),
           bpred_(config.bpred)
     {
         if (!config.width)
@@ -184,12 +261,12 @@ class TimingModel
             const std::uint32_t line = info.pc >> fetchLineShift_;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                hierarchy_.warmFetch(info.pc);
+                port_.warmFetch(info.pc);
             }
             if (info.di.isLoad())
-                hierarchy_.warmLoad(info.memAddr);
+                port_.warmLoad(info.memAddr);
             else if (info.di.isStore())
-                hierarchy_.warmStore(info.memAddr);
+                port_.warmStore(info.memAddr);
         }
         if (info.di.isLoad())
             ++activity_.loads;
@@ -229,15 +306,15 @@ class TimingModel
         const std::uint32_t line = info.pc >> fetchLineShift_;
         if (line != lastFetchLine_) {
             lastFetchLine_ = line;
-            hierarchy_.warmFetch(info.pc);
+            port_.warmFetch(info.pc);
         }
 
         if (info.di.isLoad()) {
             ++activity_.loads;
-            hierarchy_.warmLoad(info.memAddr);
+            port_.warmLoad(info.memAddr);
         } else if (info.di.isStore()) {
             ++activity_.stores;
-            hierarchy_.warmStore(info.memAddr);
+            port_.warmStore(info.memAddr);
         } else if (info.di.isBranch()) {
             ++activity_.branches;
             ++activity_.bpredLookups;
@@ -247,128 +324,113 @@ class TimingModel
                 (info.taken && p.target != info.nextPc);
             if (mispredict) {
                 ++activity_.bpredMispredicts;
-                if (config_.modelWrongPath) {
-                    const std::uint32_t wrong =
-                        p.taken ? p.target : info.pc + 4;
-                    for (std::uint32_t i = 0;
-                         i < config_.wrongPathFetches; ++i)
-                        hierarchy_.warmFetch(
-                            wrong + i * config_.mem.l1i.lineBytes);
-                    lastFetchLine_ = ~0u;
-                }
+                if (config_.modelWrongPath)
+                    wrongPathFetch(p.taken ? p.target : info.pc + 4);
             }
             bpred_.update(info.pc, info.di, info.taken, info.nextPc);
         }
     }
 
-    /** Consume one instruction with the full detailed timing model. */
+    /**
+     * Consume one instruction with the full detailed timing model,
+     * charging every cycle and energy term in every world, each
+     * from its own MemResult. The branch unit, the fetch-line
+     * register and the port's private L1s/TLBs are accessed once:
+     * every world shares them.
+     */
     [[gnu::always_inline]] void
     detailedStep(const StepInfo &info)
     {
-        cyclesFx_ += invWidthFx_;
-        energyFx_ += ePerInstFx_;
-
-        auto chargeMem = [&](const mem::MemResult &r) {
-            energyFx_ += eL1Fx_;
-            if (r.level != mem::ServedBy::L1)
-                energyFx_ += eL2Fx_;
-            if (r.level == mem::ServedBy::Memory)
-                energyFx_ += eMemFx_;
-        };
+        for (WorldAccumulator &world : worlds_) {
+            world.cyclesFx += invWidthFx_;
+            world.energyFx += ePerInstFx_;
+        }
 
         // Front end: one I-cache access per fetched line.
         const std::uint32_t line = info.pc >> fetchLineShift_;
         if (line != lastFetchLine_) {
             lastFetchLine_ = line;
-            const mem::MemResult f = hierarchy_.fetch(info.pc);
-            chargeMem(f);
-            if (f.latency > config_.mem.l1i.latency)
-                cyclesFx_ += static_cast<std::uint64_t>(
-                                 f.latency - config_.mem.l1i.latency)
-                             << kFixedShift;
+            chargeMem(port_.fetch(info.pc), config_.mem.l1i.latency,
+                      std::uint64_t{1} << kFixedShift);
         }
 
         if (info.di.isLoad()) {
             ++activity_.loads;
-            const mem::MemResult r = hierarchy_.load(info.memAddr);
-            chargeMem(r);
-            if (r.latency > config_.mem.l1d.latency)
-                cyclesFx_ += (r.latency - config_.mem.l1d.latency) *
-                             loadStallFx_;
+            chargeMem(port_.load(info.memAddr),
+                      config_.mem.l1d.latency, loadStallFx_);
         } else if (info.di.isStore()) {
             ++activity_.stores;
-            const mem::MemResult r = hierarchy_.store(info.memAddr);
-            chargeMem(r);
-            if (r.latency > config_.mem.l1d.latency)
-                cyclesFx_ += (r.latency - config_.mem.l1d.latency) *
-                             storeStallFx_;
+            chargeMem(port_.store(info.memAddr),
+                      config_.mem.l1d.latency, storeStallFx_);
         } else if (info.di.isBranch()) {
             ++activity_.branches;
             ++activity_.bpredLookups;
             const bpred::Prediction p = bpred_.predict(info.pc, info.di);
-            energyFx_ += eBpredFx_;
+            for (WorldAccumulator &world : worlds_)
+                world.energyFx += eBpredFx_;
             const bool mispredict =
                 p.taken != info.taken ||
                 (info.taken && p.target != info.nextPc);
             if (mispredict) {
                 ++activity_.bpredMispredicts;
-                cyclesFx_ += mispredictFx_;
-                if (config_.modelWrongPath) {
-                    // The front end ran down the predicted (wrong)
-                    // path: pollute the I-side and refetch after
-                    // the redirect.
-                    const std::uint32_t wrong =
-                        p.taken ? p.target : info.pc + 4;
-                    for (std::uint32_t i = 0;
-                         i < config_.wrongPathFetches; ++i)
-                        hierarchy_.warmFetch(
-                            wrong + i * config_.mem.l1i.lineBytes);
-                    lastFetchLine_ = ~0u;
-                }
+                for (WorldAccumulator &world : worlds_)
+                    world.cyclesFx += mispredictFx_;
+                // The front end ran down the predicted (wrong) path:
+                // pollute the I-side and refetch after the redirect.
+                if (config_.modelWrongPath)
+                    wrongPathFetch(p.taken ? p.target : info.pc + 4);
             }
             bpred_.update(info.pc, info.di, info.taken, info.nextPc);
         }
     }
 
-    /** Bracketing state for one detailed segment's measurements. */
-    struct SegmentMark
+    /**
+     * Open a detailed segment: remember every world's accumulators
+     * in the model, so bracketing a segment allocates nothing.
+     */
+    void
+    beginSegment()
     {
-        std::uint64_t cyclesFx = 0;
-        std::uint64_t energyFx = 0;
-    };
-
-    SegmentMark
-    beginSegment() const
-    {
-        return {cyclesFx_, energyFx_};
+        mark_ = worlds_;
     }
 
-    /** Charge per-cycle energy for the segment and extract it. */
-    Segment
-    endSegment(const SegmentMark &mark, std::uint64_t executed)
+    /**
+     * Close the segment beginSegment() opened: charge each world's
+     * per-cycle energy for it and extract its measurements.
+     */
+    Segments
+    endSegment(std::uint64_t executed)
     {
-        const std::uint64_t cycDeltaFx = cyclesFx_ - mark.cyclesFx;
-        energyFx_ += mulFixed(ePerCycleFx_, cycDeltaFx);
-        Segment seg;
-        seg.instructions = executed;
-        seg.cycles = cycDeltaFx >> kFixedShift;
-        seg.energyNj =
-            static_cast<double>(energyFx_ - mark.energyFx) / kFixedOne;
-        return seg;
+        Segments segs;
+        for (std::size_t w = 0; w < kWorlds; ++w) {
+            WorldAccumulator &world = worlds_[w];
+            const std::uint64_t cycDeltaFx =
+                world.cyclesFx - mark_[w].cyclesFx;
+            world.energyFx += mulFixed(ePerCycleFx_, cycDeltaFx);
+            segs[w].instructions = executed;
+            segs[w].cycles = cycDeltaFx >> kFixedShift;
+            segs[w].energyNj =
+                static_cast<double>(world.energyFx - mark_[w].energyFx) /
+                kFixedOne;
+        }
+        return segs;
     }
 
-    /** Exact detailed cycles so far (fractional issue slots kept). */
+    /**
+     * Exact detailed cycles so far (fractional issue slots kept), in
+     * the first world.
+     */
     double
     cycleCount() const
     {
-        return static_cast<double>(cyclesFx_) / kFixedOne;
+        return static_cast<double>(worlds_[0].cyclesFx) / kFixedOne;
     }
 
-    /** Detailed energy so far, nanojoules. */
+    /** Detailed energy so far in the first world, nanojoules. */
     double
     energyCount() const
     {
-        return static_cast<double>(energyFx_) / kFixedOne;
+        return static_cast<double>(worlds_[0].energyFx) / kFixedOne;
     }
 
     const Activity &
@@ -384,28 +446,43 @@ class TimingModel
     }
 
     void
-    saveState(TimingState &state) const
+    saveState(State &state) const
     {
-        hierarchy_.saveState(state.mem);
         bpred_.saveState(state.bpred);
-        state.cyclesFx = cyclesFx_;
-        state.energyFx = energyFx_;
+        state.worlds = worlds_;
         state.lastFetchLine = lastFetchLine_;
         state.activity = activity_;
     }
 
     void
-    restoreState(const TimingState &state)
+    restoreState(const State &state)
     {
-        hierarchy_.restoreState(state.mem);
         bpred_.restoreState(state.bpred);
-        cyclesFx_ = state.cyclesFx;
-        energyFx_ = state.energyFx;
+        worlds_ = state.worlds;
         lastFetchLine_ = state.lastFetchLine;
         activity_ = state.activity;
     }
 
+    /** The whole state of a model that owns its (solo) hierarchy. */
+    void
+    saveState(TimingState &state) const
+    {
+        port_.saveState(state.mem);
+        saveState(static_cast<State &>(state));
+    }
+
+    void
+    restoreState(const TimingState &state)
+    {
+        port_.restoreState(state.mem);
+        restoreState(static_cast<const State &>(state));
+    }
+
   private:
+    /** 48.16 fixed point: exact for widths, latencies, stall terms. */
+    static constexpr std::uint32_t kFixedShift = 16;
+    static constexpr double kFixedOne = 65536.0;
+
     static std::uint64_t
     toFixed(double v)
     {
@@ -422,8 +499,40 @@ class TimingModel
         return a * hi + ((a * lo) >> kFixedShift);
     }
 
+    /**
+     * Charge one timing access in every world: its energy by the
+     * level that served it, and @p stallFx per cycle of latency
+     * beyond the L1's @p l1Latency.
+     */
+    template <typename Result>
+    [[gnu::always_inline]] void
+    chargeMem(const Result &result, std::uint32_t l1Latency,
+              std::uint64_t stallFx)
+    {
+        for (std::size_t w = 0; w < kWorlds; ++w) {
+            const mem::MemResult &r = Port::world(result, w);
+            WorldAccumulator &world = worlds_[w];
+            world.energyFx += eL1Fx_;
+            if (r.level != mem::ServedBy::L1)
+                world.energyFx += eL2Fx_;
+            if (r.level == mem::ServedBy::Memory)
+                world.energyFx += eMemFx_;
+            if (r.latency > l1Latency)
+                world.cyclesFx += (r.latency - l1Latency) * stallFx;
+        }
+    }
+
+    /** Wrong-path I-side pollution after a mispredict at @p from. */
+    [[gnu::always_inline]] void
+    wrongPathFetch(std::uint32_t from)
+    {
+        for (std::uint32_t i = 0; i < config_.wrongPathFetches; ++i)
+            port_.warmFetch(from + i * config_.mem.l1i.lineBytes);
+        lastFetchLine_ = ~0u;
+    }
+
     uarch::MachineConfig config_;
-    mem::MemHierarchy hierarchy_;
+    Port port_;
     bpred::BranchUnit bpred_;
 
     // Per-event fixed-point increments, precomputed from the config.
@@ -438,12 +547,15 @@ class TimingModel
     std::uint64_t eMemFx_ = 0;
     std::uint64_t eBpredFx_ = 0;
 
-    std::uint64_t cyclesFx_ = 0;
-    std::uint64_t energyFx_ = 0;
+    std::array<WorldAccumulator, kWorlds> worlds_{};
+    std::array<WorldAccumulator, kWorlds> mark_{}; ///< segment start.
     std::uint32_t fetchLineShift_ = 6; ///< log2(L1I line bytes).
     std::uint32_t lastFetchLine_ = ~0u;
     Activity activity_;
 };
+
+/** The solo timing model: one world, its own memory hierarchy. */
+using TimingModel = BasicTimingModel<mem::MemHierarchy>;
 
 } // namespace smarts::core
 

@@ -10,6 +10,7 @@
 #ifndef SMARTS_MEM_HIERARCHY_HH
 #define SMARTS_MEM_HIERARCHY_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "mem/cache.hh"
@@ -369,6 +370,18 @@ struct HierarchyState
 class MemHierarchy
 {
   public:
+    /**
+     * As a timing model's port (core::BasicTimingModel), a timing
+     * access resolves in one world: its own MemResult.
+     */
+    static constexpr std::size_t kWorlds = 1;
+
+    static const MemResult &
+    world(const MemResult &result, std::size_t)
+    {
+        return result;
+    }
+
     explicit MemHierarchy(const HierarchyConfig &config)
         : config_(config),
           l1i_("l1i", config.l1i),

@@ -25,6 +25,7 @@
 #ifndef SMARTS_MEM_SHARED_HIERARCHY_HH
 #define SMARTS_MEM_SHARED_HIERARCHY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -386,11 +387,30 @@ struct SharedMemResult
  * L2. Access semantics per lane mirror MemHierarchy::timingAccess /
  * warmAccess exactly; on an L1 miss the request goes to BOTH the
  * shared L2 (the co-run world) and the lane's shadow L2 (the solo
- * world), each resolving its own latency and level. The access paths
- * are always inlined, as MemHierarchy's are.
+ * world), each resolving its own latency and level. A program reaches
+ * its lane only through its Port (port()); the access paths are
+ * always inlined, as MemHierarchy's are.
  */
 class SharedHierarchy
 {
+  private:
+    struct Lane
+    {
+        Lane(const HierarchyConfig &config, std::uint32_t prog)
+            : l1i(log::format("l1i.", prog), config.l1i),
+              l1d(log::format("l1d.", prog), config.l1d),
+              shadowL2(log::format("shadow-l2.", prog), config.l2),
+              itlb(config.itlb), dtlb(config.dtlb)
+        {
+        }
+
+        Cache l1i;
+        Cache l1d;
+        Cache shadowL2; ///< the solo world: a plain solo-config L2.
+        Tlb itlb;
+        Tlb dtlb;
+    };
+
   public:
     SharedHierarchy(const HierarchyConfig &config,
                     std::uint32_t programs, PartitionPolicy policy)
@@ -402,52 +422,143 @@ class SharedHierarchy
             lanes_.emplace_back(config, p);
     }
 
-    [[gnu::always_inline]] SharedMemResult
-    fetch(std::uint32_t prog, std::uint32_t addr)
-    {
-        Lane &lane = lanes_[prog];
-        return timingAccess(prog, lane.l1i, lane.itlb,
-                            lane.shadowL2, addr, false);
-    }
+    // Ports point at the hierarchy: it stays where it was built.
+    SharedHierarchy(const SharedHierarchy &) = delete;
+    SharedHierarchy &operator=(const SharedHierarchy &) = delete;
 
-    [[gnu::always_inline]] SharedMemResult
-    load(std::uint32_t prog, std::uint32_t addr)
+    /**
+     * One program's view of the hierarchy: the memory port its
+     * co-run lane's core::BasicTimingModel charges. A timing access
+     * resolves in two worlds, the co-run (shared L2) and the solo
+     * (shadow L2); a warm access fills both. The port holds no state
+     * of its own: SharedHierarchyState serializes what it touches.
+     */
+    class Port
     {
-        Lane &lane = lanes_[prog];
-        return timingAccess(prog, lane.l1d, lane.dtlb,
-                            lane.shadowL2, addr, false);
-    }
+      public:
+        static constexpr std::size_t kWorlds = 2;
+        static constexpr std::size_t kCoRun = 0; ///< world indices.
+        static constexpr std::size_t kSolo = 1;
 
-    [[gnu::always_inline]] SharedMemResult
-    store(std::uint32_t prog, std::uint32_t addr)
-    {
-        Lane &lane = lanes_[prog];
-        return timingAccess(prog, lane.l1d, lane.dtlb,
-                            lane.shadowL2, addr, true);
-    }
+        static const MemResult &
+        world(const SharedMemResult &result, std::size_t w)
+        {
+            return w == kCoRun ? result.co : result.solo;
+        }
 
-    [[gnu::always_inline]] void
-    warmFetch(std::uint32_t prog, std::uint32_t addr)
-    {
-        Lane &lane = lanes_[prog];
-        warmAccess(prog, lane.l1i, lane.itlb, lane.shadowL2, addr,
-                   false);
-    }
+        Port(SharedHierarchy &hierarchy, std::uint32_t prog)
+            : hierarchy_(&hierarchy), prog_(prog)
+        {
+        }
 
-    [[gnu::always_inline]] void
-    warmLoad(std::uint32_t prog, std::uint32_t addr)
-    {
-        Lane &lane = lanes_[prog];
-        warmAccess(prog, lane.l1d, lane.dtlb, lane.shadowL2, addr,
-                   false);
-    }
+        [[gnu::always_inline]] SharedMemResult
+        fetch(std::uint32_t addr)
+        {
+            Lane &lane = this->lane();
+            return timingAccess(lane, lane.l1i, lane.itlb, addr, false);
+        }
 
-    [[gnu::always_inline]] void
-    warmStore(std::uint32_t prog, std::uint32_t addr)
+        [[gnu::always_inline]] SharedMemResult
+        load(std::uint32_t addr)
+        {
+            Lane &lane = this->lane();
+            return timingAccess(lane, lane.l1d, lane.dtlb, addr, false);
+        }
+
+        [[gnu::always_inline]] SharedMemResult
+        store(std::uint32_t addr)
+        {
+            Lane &lane = this->lane();
+            return timingAccess(lane, lane.l1d, lane.dtlb, addr, true);
+        }
+
+        [[gnu::always_inline]] void
+        warmFetch(std::uint32_t addr)
+        {
+            Lane &lane = this->lane();
+            warmAccess(lane, lane.l1i, lane.itlb, addr, false);
+        }
+
+        [[gnu::always_inline]] void
+        warmLoad(std::uint32_t addr)
+        {
+            Lane &lane = this->lane();
+            warmAccess(lane, lane.l1d, lane.dtlb, addr, false);
+        }
+
+        [[gnu::always_inline]] void
+        warmStore(std::uint32_t addr)
+        {
+            Lane &lane = this->lane();
+            warmAccess(lane, lane.l1d, lane.dtlb, addr, true);
+        }
+
+      private:
+        [[gnu::always_inline]] Lane &
+        lane() const
+        {
+            return hierarchy_->lanes_[prog_];
+        }
+
+        /**
+         * MemHierarchy::timingAccess per world: TLB + L1 latency are
+         * shared (private structures, one physical access); on an L1
+         * miss the shared L2 and @p lane's shadow L2 each resolve
+         * their own world.
+         */
+        [[gnu::always_inline]] SharedMemResult
+        timingAccess(Lane &lane, Cache &l1, Tlb &tlb,
+                     std::uint32_t addr, bool write)
+        {
+            const HierarchyConfig &config = hierarchy_->config_;
+            SharedMemResult r;
+            const bool tlbMiss = tlb.access(addr);
+            const std::uint32_t base =
+                (tlbMiss ? tlb.config().missLatency : 0) +
+                l1.config().latency;
+            r.co.tlbMiss = r.solo.tlbMiss = tlbMiss;
+            r.co.latency = r.solo.latency = base;
+            if (l1.access(addr, write).hit) {
+                r.co.level = r.solo.level = ServedBy::L1;
+                return r;
+            }
+            if (hierarchy_->l2_.access(prog_, addr, write).hit) {
+                r.co.level = ServedBy::L2;
+                r.co.latency += config.l2.latency;
+            } else {
+                r.co.level = ServedBy::Memory;
+                r.co.latency += config.l2.latency + config.memLatency;
+            }
+            if (lane.shadowL2.access(addr, write).hit) {
+                r.solo.level = ServedBy::L2;
+                r.solo.latency += config.l2.latency;
+            } else {
+                r.solo.level = ServedBy::Memory;
+                r.solo.latency += config.l2.latency + config.memLatency;
+            }
+            return r;
+        }
+
+        [[gnu::always_inline]] void
+        warmAccess(Lane &lane, Cache &l1, Tlb &tlb, std::uint32_t addr,
+                   bool write)
+        {
+            tlb.access(addr);
+            if (!l1.access(addr, write).hit) {
+                hierarchy_->l2_.access(prog_, addr, write);
+                lane.shadowL2.access(addr, write);
+            }
+        }
+
+        SharedHierarchy *hierarchy_;
+        std::uint32_t prog_;
+    };
+
+    /** Program @p prog's port. */
+    Port
+    port(std::uint32_t prog)
     {
-        Lane &lane = lanes_[prog];
-        warmAccess(prog, lane.l1d, lane.dtlb, lane.shadowL2, addr,
-                   true);
+        return Port(*this, prog);
     }
 
     void
@@ -494,71 +605,6 @@ class SharedHierarchy
     }
 
   private:
-    struct Lane
-    {
-        Lane(const HierarchyConfig &config, std::uint32_t prog)
-            : l1i(log::format("l1i.", prog), config.l1i),
-              l1d(log::format("l1d.", prog), config.l1d),
-              shadowL2(log::format("shadow-l2.", prog), config.l2),
-              itlb(config.itlb), dtlb(config.dtlb)
-        {
-        }
-
-        Cache l1i;
-        Cache l1d;
-        Cache shadowL2; ///< the solo world: a plain solo-config L2.
-        Tlb itlb;
-        Tlb dtlb;
-    };
-
-    /**
-     * MemHierarchy::timingAccess per world: TLB + L1 latency are
-     * shared (private structures, one physical access); on an L1
-     * miss each world's L2 resolves independently.
-     */
-    [[gnu::always_inline]] SharedMemResult
-    timingAccess(std::uint32_t prog, Cache &l1, Tlb &tlb,
-                 Cache &shadow, std::uint32_t addr, bool write)
-    {
-        SharedMemResult r;
-        const bool tlbMiss = tlb.access(addr);
-        const std::uint32_t base =
-            (tlbMiss ? tlb.config().missLatency : 0) +
-            l1.config().latency;
-        r.co.tlbMiss = r.solo.tlbMiss = tlbMiss;
-        r.co.latency = r.solo.latency = base;
-        if (l1.access(addr, write).hit) {
-            r.co.level = r.solo.level = ServedBy::L1;
-            return r;
-        }
-        if (l2_.access(prog, addr, write).hit) {
-            r.co.level = ServedBy::L2;
-            r.co.latency += config_.l2.latency;
-        } else {
-            r.co.level = ServedBy::Memory;
-            r.co.latency += config_.l2.latency + config_.memLatency;
-        }
-        if (shadow.access(addr, write).hit) {
-            r.solo.level = ServedBy::L2;
-            r.solo.latency += config_.l2.latency;
-        } else {
-            r.solo.level = ServedBy::Memory;
-            r.solo.latency += config_.l2.latency + config_.memLatency;
-        }
-        return r;
-    }
-
-    [[gnu::always_inline]] void
-    warmAccess(std::uint32_t prog, Cache &l1, Tlb &tlb, Cache &shadow,
-               std::uint32_t addr, bool write)
-    {
-        tlb.access(addr);
-        if (!l1.access(addr, write).hit) {
-            l2_.access(prog, addr, write);
-            shadow.access(addr, write);
-        }
-    }
-
     HierarchyConfig config_;
     std::vector<Lane> lanes_;
     SharedCache l2_;

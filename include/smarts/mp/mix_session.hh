@@ -1,9 +1,10 @@
 /**
  * @file
  * MixSession: N ArchCores advancing in round-robin (one instruction
- * per program per round, in program order) over one SharedHierarchy,
- * with per-program "lane" accounting that charges TWO timing worlds
- * from the one architectural stream:
+ * per program per round, in program order) over one SharedHierarchy.
+ * Each program's timing lane is a core::BasicTimingModel over its
+ * port of the hierarchy (mem::SharedHierarchy::Port), which charges
+ * TWO timing worlds from the one architectural stream:
  *
  *  - the CO-RUN world, whose memory latencies come from the shared
  *    owner-tagged L2, and
@@ -15,12 +16,11 @@
  * program's architectural stream and every front-end event inside
  * the co-run are identical to its solo run — so the solo world IS a
  * second timing pass of a true solo run, reusing the one functional-
- * warming stream (the tentpole's matched-pair QoS trick). The lane
- * accounting mirrors core::TimingModel's warm/warmDetailed/
- * detailedStep transitions term for term (same 48.16 fixed-point
- * increments, same charge order); tests/test_shared_mem.cc pins a
- * one-program mix bit-identical to a real solo SimSession run, so
- * the mirror cannot drift silently.
+ * warming stream (the matched-pair QoS trick). The lanes run the
+ * very warm/warmDetailed/detailedStep/endSegment code a SimSession
+ * runs, one accumulator pair per world; tests/test_shared_mem.cc
+ * pins a one-program mix bit-identical to a real solo SimSession
+ * run.
  *
  * Progress is counted in ROUNDS: after R complete rounds every
  * program has executed exactly R instructions, so a sampling unit of
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bpred/branch_unit.hh"
 #include "core/arch.hh"
 #include "core/timing.hh"
 #include "mem/shared_hierarchy.hh"
@@ -66,61 +65,14 @@ struct MixSegment
 };
 
 /**
- * One lane's serialized timing-world state: branch unit, both
- * worlds' fixed-point accumulators, the fetch-line dedup register
- * and the activity counters (the lane's memory state lives in
- * mem::SharedHierarchyState).
+ * One lane's serialized timing state: the timing model's port-less
+ * state with one accumulator pair per world — branch unit, co-run
+ * then solo {cycles, energy}, the fetch-line dedup register and the
+ * activity counters. The lane's memory state lives in
+ * mem::SharedHierarchyState.
  */
-struct MixLaneState
-{
-    bpred::BranchUnitState bpred;
-    std::uint64_t coCyclesFx = 0;
-    std::uint64_t coEnergyFx = 0;
-    std::uint64_t soloCyclesFx = 0;
-    std::uint64_t soloEnergyFx = 0;
-    std::uint32_t lastFetchLine = ~0u;
-    core::Activity activity;
-
-    std::size_t
-    byteSize() const
-    {
-        return bpred.byteSize() + 4 * sizeof(std::uint64_t) +
-               sizeof(std::uint32_t) + sizeof(core::Activity);
-    }
-
-    /** Field order is normative: docs/checkpoint-format.md. */
-    void
-    write(util::BinaryWriter &out) const
-    {
-        bpred.write(out);
-        out.u64(coCyclesFx);
-        out.u64(coEnergyFx);
-        out.u64(soloCyclesFx);
-        out.u64(soloEnergyFx);
-        out.u32(lastFetchLine);
-        out.u64(activity.branches);
-        out.u64(activity.bpredLookups);
-        out.u64(activity.bpredMispredicts);
-        out.u64(activity.loads);
-        out.u64(activity.stores);
-    }
-
-    void
-    read(util::BinaryReader &in)
-    {
-        bpred.read(in);
-        coCyclesFx = in.u64();
-        coEnergyFx = in.u64();
-        soloCyclesFx = in.u64();
-        soloEnergyFx = in.u64();
-        lastFetchLine = in.u32();
-        activity.branches = in.u64();
-        activity.bpredLookups = in.u64();
-        activity.bpredMispredicts = in.u64();
-        activity.loads = in.u64();
-        activity.stores = in.u64();
-    }
-};
+using MixLaneState = core::PortlessTimingState<
+    mem::SharedHierarchy::Port::kWorlds>;
 
 /** Full serialized co-run session state (checkpoint flavor 1). */
 struct MixState
@@ -238,40 +190,13 @@ class MixSession
     }
 
   private:
-    /**
-     * Per-program timing lane: one branch unit plus TWO accumulator
-     * pairs charged in lockstep with core::TimingModel's arithmetic.
-     */
-    struct Lane
-    {
-        explicit Lane(const bpred::BpredConfig &config)
-            : bpred(config)
-        {
-        }
-
-        bpred::BranchUnit bpred;
-        std::uint64_t coCyclesFx = 0;
-        std::uint64_t coEnergyFx = 0;
-        std::uint64_t soloCyclesFx = 0;
-        std::uint64_t soloEnergyFx = 0;
-        std::uint32_t lastFetchLine = ~0u;
-        core::Activity activity;
-    };
-
-    // Per-(program, instruction) work of the three stepping loops,
-    // expanded in place inside rounds() (defined in mix_session.cc,
-    // the only translation unit that calls them).
-    template <bool Caches, bool Bpred>
-    [[gnu::always_inline]] inline void
-    warmStep(std::uint32_t p, const core::StepInfo &info);
-    [[gnu::always_inline]] inline void
-    warmDetailedStep(std::uint32_t p, const core::StepInfo &info);
-    [[gnu::always_inline]] inline void
-    detailedStep(std::uint32_t p, const core::StepInfo &info);
+    /** A program's timing lane: the timing model over its port. */
+    using LaneModel =
+        core::BasicTimingModel<mem::SharedHierarchy::Port>;
 
     /**
      * Up to @p maxRounds rounds, each stepping every core in program
-     * order and applying @p perStep to each (program, StepInfo) —
+     * order and applying @p perStep to each (lane, StepInfo) —
      * the one stepping loop under fastForward, warmAsDetailed and
      * detailedRun. It is core::detail::stepLoop's round-robin form:
      * ArchCore::step and @p perStep expand in place. Returns the
@@ -290,50 +215,19 @@ class MixSession
                     finished_ = true;
                     return executed;
                 }
-                perStep(p, info);
+                perStep(lanes_[p], info);
             }
             ++rounds_;
         }
         return executed;
     }
 
-    static std::uint64_t
-    toFixed(double v)
-    {
-        return static_cast<std::uint64_t>(
-            std::llround(v * core::TimingModel::kFixedOne));
-    }
-
-    /** Exact (a * b) >> kFixedShift (cf. TimingModel::mulFixed). */
-    static std::uint64_t
-    mulFixed(std::uint64_t a, std::uint64_t b)
-    {
-        const std::uint64_t hi =
-            b >> core::TimingModel::kFixedShift;
-        const std::uint64_t lo =
-            b & ((1ull << core::TimingModel::kFixedShift) - 1);
-        return a * hi + ((a * lo) >> core::TimingModel::kFixedShift);
-    }
-
     uarch::MachineConfig config_;
     std::vector<core::ArchCore> cores_;
     mem::SharedHierarchy shared_;
-    std::vector<Lane> lanes_;
+    std::vector<LaneModel> lanes_;
     std::uint64_t rounds_ = 0;
     bool finished_ = false;
-
-    // Per-event fixed-point increments (cf. TimingModel's ctor).
-    std::uint64_t invWidthFx_ = 0;
-    std::uint64_t loadStallFx_ = 0;
-    std::uint64_t storeStallFx_ = 0;
-    std::uint64_t mispredictFx_ = 0;
-    std::uint64_t ePerInstFx_ = 0;
-    std::uint64_t ePerCycleFx_ = 0;
-    std::uint64_t eL1Fx_ = 0;
-    std::uint64_t eL2Fx_ = 0;
-    std::uint64_t eMemFx_ = 0;
-    std::uint64_t eBpredFx_ = 0;
-    std::uint32_t fetchLineShift_ = 6;
 };
 
 } // namespace smarts::mp

@@ -54,10 +54,8 @@ MultiSession::saveState(ArchState &arch,
 MultiSegment
 MultiSession::detailedRun(std::uint64_t maxInsts)
 {
-    std::vector<TimingModel::SegmentMark> marks;
-    marks.reserve(models_.size());
-    for (const TimingModel &model : models_)
-        marks.push_back(model.beginSegment());
+    for (TimingModel &model : models_)
+        model.beginSegment();
 
     const std::uint64_t executed = detail::stepLoop(
         arch_, maxInsts, [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
@@ -68,8 +66,8 @@ MultiSession::detailedRun(std::uint64_t maxInsts)
     MultiSegment seg;
     seg.instructions = executed;
     seg.per.reserve(models_.size());
-    for (std::size_t i = 0; i < models_.size(); ++i)
-        seg.per.push_back(models_[i].endSegment(marks[i], executed));
+    for (TimingModel &model : models_)
+        seg.per.push_back(model.endSegment(executed)[0]);
     return seg;
 }
 

@@ -37,12 +37,12 @@ SimSession::warmAsDetailed(std::uint64_t maxInsts)
 Segment
 SimSession::detailedRun(std::uint64_t maxInsts)
 {
-    const TimingModel::SegmentMark mark = model_.beginSegment();
+    model_.beginSegment();
     const std::uint64_t executed = detail::stepLoop(
         arch_, maxInsts, [&](const StepInfo &info) SMARTS_INLINE_LAMBDA {
             model_.detailedStep(info);
         });
-    return model_.endSegment(mark, executed);
+    return model_.endSegment(executed)[0];
 }
 
 std::vector<std::vector<double>>

@@ -5,8 +5,10 @@ Usage:
 
     bench_diff.py PARENT CHANGE
 
-Each argument is a file whose last non-empty line is the JSON result
-line `perfbench/run.py` prints (the whole run output may be passed).
+Each argument is either a file whose last non-empty line is the JSON
+result line `perfbench/run.py` prints (the whole run output may be
+passed), or a committed BENCH_*.json file: one JSON document that
+holds that result under "result".
 Prints one row per metric. Deterministic metrics must be equal: every
 metric with unit "count", plus `store_mb`, whose bytes a change must
 not move. Any other metric (times, sizes, rates) prints as a
@@ -23,13 +25,23 @@ EXACT_NAMES = {"store_mb"}
 
 def load(path):
     with open(path) as f:
-        lines = [line for line in f.read().splitlines() if line.strip()]
-    if not lines:
-        sys.exit("bench_diff: %s is empty" % path)
+        text = f.read()
     try:
-        return json.loads(lines[-1])
-    except json.JSONDecodeError as e:
-        sys.exit("bench_diff: %s: last line is not JSON (%s)" % (path, e))
+        document = json.loads(text)  # a committed BENCH_*.json
+    except json.JSONDecodeError:
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            sys.exit("bench_diff: %s is empty" % path)
+        try:
+            document = json.loads(lines[-1])  # a run's output
+        except json.JSONDecodeError as e:
+            sys.exit("bench_diff: %s: last line is not JSON (%s)"
+                     % (path, e))
+    result = (document.get("result", document)
+              if isinstance(document, dict) else None)
+    if not isinstance(result, dict) or "metrics" not in result:
+        sys.exit("bench_diff: %s: no perfbench result in it" % path)
+    return result
 
 
 def exact(name, unit):
