@@ -26,7 +26,8 @@
  *     golden CSV exercises) stay bit-identical, not merely
  *     self-consistent.
  *  4. The same for MixSession: two-program quick-suite mixes under
- *     both PartitionPolicy values on the same three machines, one
+ *     both PartitionPolicy values on the same three machines, plus
+ *     a four-program mix that overflows the 16-way shared L2, one
  *     call per step against random chunks, counted in rounds. Every
  *     MixSegment field and the serialized MixState after every step
  *     fold into a per-(machine, policy) digest, so the co-run world
@@ -38,6 +39,9 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check.hh"
@@ -438,16 +442,44 @@ checkChunkedMixSchedule(const mp::WorkloadMix &mix,
     CHECK(steps > 8);
 }
 
+/** Each program of @p suite paired with the next, under @p policy. */
+std::vector<mp::WorkloadMix>
+adjacentPairs(const std::vector<workloads::BenchmarkSpec> &suite,
+              mem::PartitionPolicy policy)
+{
+    std::vector<mp::WorkloadMix> mixes;
+    for (std::size_t b = 0; b < suite.size(); ++b)
+        mixes.push_back(mp::WorkloadMix::of(
+            {suite[b], suite[(b + 1) % suite.size()]}, policy));
+    return mixes;
+}
+
 /**
- * Digests of the mix reference schedules, per machine and policy:
- * each quick-suite program paired with the next. Recorded from the
- * MixSession whose lanes kept their own copy of the timing
- * arithmetic, before the lanes became core::TimingModel instances.
- * A guard requires, for each policy, lane segments whose co-run
- * cycles differ from their solo cycles, so the co-run world is
- * really exercised (the 8-way and odd machines contend; the 16-way
- * L2 holds both Mini footprints, so its pins cover the uncontended
- * path).
+ * A mix whose footprint overflows the 16-way machine's 1 MiB shared
+ * L2. No pair can: the largest footprint a program touches is
+ * stream-1's 384 KiB, at every scale. These four touch 1168 KiB, and
+ * way-partitioning leaves each of them 2 of the 8 ways (256 KiB).
+ */
+std::vector<mp::WorkloadMix>
+largeMix(mem::PartitionPolicy policy)
+{
+    std::vector<workloads::BenchmarkSpec> programs;
+    for (const char *name : {"stream-1", "phase-1", "chase-1", "mix-1"})
+        programs.push_back(
+            workloads::findBenchmark(name, workloads::Scale::Mini));
+    return {mp::WorkloadMix::of(std::move(programs), policy)};
+}
+
+/**
+ * Digests of the mix reference schedules, per machine, policy and
+ * mix set. The quick-suite pins pair each Mini program with the next
+ * and were recorded from the MixSession whose lanes kept their own
+ * copy of the timing arithmetic, before the lanes became
+ * core::TimingModel instances. The 16-way L2 holds both Mini
+ * footprints of every such pair, so the 16-way machine also runs
+ * largeMix(). A guard requires, for each (machine, policy), lane
+ * segments whose co-run cycles differ from their solo cycles, so
+ * every pinned co-run world is really contended.
  */
 void
 testChunkedMixSchedulesMatchReference()
@@ -456,43 +488,63 @@ testChunkedMixSchedulesMatchReference()
     {
         uarch::MachineConfig config;
         mem::PartitionPolicy policy;
+        bool large; ///< largeMix() instead of the quick-suite pairs.
         std::uint64_t pinned;
     };
     const std::vector<Pin> pins = {
         {uarch::MachineConfig::eightWay(),
-         mem::PartitionPolicy::Shared, 0x337bd8dfa5d9b9dbull},
+         mem::PartitionPolicy::Shared, false, 0x337bd8dfa5d9b9dbull},
         {uarch::MachineConfig::eightWay(),
-         mem::PartitionPolicy::WayPartitioned, 0xe9988964ac5ed26cull},
+         mem::PartitionPolicy::WayPartitioned, false,
+         0xe9988964ac5ed26cull},
         {uarch::MachineConfig::sixteenWay(),
-         mem::PartitionPolicy::Shared, 0xb81530a855cafa21ull},
+         mem::PartitionPolicy::Shared, false, 0xb81530a855cafa21ull},
         {uarch::MachineConfig::sixteenWay(),
-         mem::PartitionPolicy::WayPartitioned, 0xe9f841ad3e065ee4ull},
-        {oddGeometry(), mem::PartitionPolicy::Shared,
+         mem::PartitionPolicy::WayPartitioned, false,
+         0xe9f841ad3e065ee4ull},
+        {uarch::MachineConfig::sixteenWay(),
+         mem::PartitionPolicy::Shared, true, 0x7e8035a19d955a70ull},
+        {uarch::MachineConfig::sixteenWay(),
+         mem::PartitionPolicy::WayPartitioned, true,
+         0x400c9cd2029dce68ull},
+        {oddGeometry(), mem::PartitionPolicy::Shared, false,
          0xe6b7d13bc1cf25dbull},
-        {oddGeometry(), mem::PartitionPolicy::WayPartitioned,
+        {oddGeometry(), mem::PartitionPolicy::WayPartitioned, false,
          0x696757c5c74c45e7ull},
     };
     const std::vector<workloads::BenchmarkSpec> suite =
         workloads::quickSuite(workloads::Scale::Mini);
-    std::uint64_t contended[2] = {0, 0}; ///< per policy.
+    /// Contended lane segments per (machine name, policy).
+    std::map<std::pair<std::string, int>, std::uint64_t> contended;
     for (const Pin &pin : pins) {
+        const std::vector<mp::WorkloadMix> mixes =
+            pin.large ? largeMix(pin.policy)
+                      : adjacentPairs(suite, pin.policy);
         std::uint64_t digest = 0xcbf29ce484222325ull;
-        for (std::size_t b = 0; b < suite.size(); ++b)
-            checkChunkedMixSchedule(
-                mp::WorkloadMix::of(
-                    {suite[b], suite[(b + 1) % suite.size()]},
-                    pin.policy),
-                pin.config, 2000 + b, digest,
-                contended[static_cast<int>(pin.policy)]);
+        std::uint64_t &count = contended[{
+            pin.config.name, static_cast<int>(pin.policy)}];
+        const std::uint64_t seed = pin.large ? 3000 : 2000;
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            checkChunkedMixSchedule(mixes[m], pin.config, seed + m,
+                                    digest, count);
         if (digest != pin.pinned)
             std::fprintf(stderr,
-                         "  %s/%s: mix schedule digest 0x%016" PRIx64
+                         "  %s/%s%s: mix schedule digest 0x%016" PRIx64
                          "\n",
                          pin.config.name.c_str(),
-                         mem::partitionPolicyName(pin.policy), digest);
+                         mem::partitionPolicyName(pin.policy),
+                         pin.large ? " (large mix)" : "", digest);
         CHECK_EQ(digest, pin.pinned);
     }
-    CHECK(contended[0] > 0 && contended[1] > 0);
+    for (const auto &[key, count] : contended) {
+        if (!count)
+            std::fprintf(stderr, "  %s/%s: no contended segment\n",
+                         key.first.c_str(),
+                         mem::partitionPolicyName(
+                             static_cast<mem::PartitionPolicy>(
+                                 key.second)));
+        CHECK(count > 0);
+    }
 }
 
 } // namespace
