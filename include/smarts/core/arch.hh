@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/paged_image.hh"
 #include "sisa/encoding.hh"
 #include "util/binary_io.hh"
 #include "util/logging.hh"
@@ -37,6 +38,8 @@ struct StepInfo
  * Serialized architectural state for checkpointing: registers, PC,
  * progress counters, and the mutable data image (code is rebuilt
  * deterministically from the benchmark spec, so it is not stored).
+ * The image is a PagedImage: snapshots of one program share every
+ * page their words have in common.
  */
 struct ArchState
 {
@@ -44,8 +47,9 @@ struct ArchState
     std::uint32_t pc = 0;
     bool finished = false;
     std::uint64_t instCount = 0;
-    std::vector<std::uint32_t> data;
+    PagedImage data;
 
+    /** Serialized footprint, the image counted in full. */
     std::size_t
     byteSize() const
     {
@@ -62,7 +66,7 @@ struct ArchState
         out.u32(pc);
         out.u8(finished ? 1 : 0);
         out.u64(instCount);
-        out.vecU32(data);
+        data.write(out);
     }
 
     void
@@ -73,7 +77,7 @@ struct ArchState
         pc = in.u32();
         finished = in.u8() != 0;
         instCount = in.u64();
-        data = in.vecU32();
+        data.read(in);
     }
 };
 
@@ -257,6 +261,19 @@ class ArchCore
         return pc_;
     }
 
+    /** Instruction slots in the code image, from kCodeBase. */
+    std::size_t
+    codeWords() const
+    {
+        return decoded_.size();
+    }
+
+    /**
+     * Snapshot into @p state. Its image keeps every page it already
+     * holds whose words are unchanged, so seeding @p state with the
+     * previous snapshot's image shares all the pages not written
+     * since.
+     */
     void
     saveState(ArchState &state) const
     {
@@ -265,7 +282,7 @@ class ArchCore
         state.pc = pc_;
         state.finished = finished_;
         state.instCount = instCount_;
-        state.data = program_.data;
+        state.data.assign(program_.data.data(), program_.data.size());
     }
 
     void
@@ -279,7 +296,7 @@ class ArchCore
         pc_ = state.pc;
         finished_ = state.finished;
         instCount_ = state.instCount;
-        program_.data = state.data;
+        state.data.copyTo(program_.data.data());
     }
 
   private:

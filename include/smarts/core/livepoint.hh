@@ -34,6 +34,13 @@
  * record where it breaks. CheckpointStore persists live-point
  * libraries next to shard libraries under the same LibraryKey
  * geometry-hash scheme.
+ *
+ * In memory the points share their data images page by page
+ * (core/paged_image.hh): each new point, captured or loaded, is
+ * seeded with the previous point's image and replaces only the
+ * 4 KiB pages its words changed, so a library holds each distinct
+ * page once instead of one full image per unit, and byteSize()
+ * reports what is resident.
  */
 
 #ifndef SMARTS_CORE_LIVEPOINT_HH
@@ -174,15 +181,12 @@ class LivePointLibrary
         return points_[unit];
     }
 
-    /** Total in-memory footprint of the captured live-points. */
-    std::size_t
-    byteSize() const
-    {
-        std::size_t total = 0;
-        for (const LivePoint &point : points_)
-            total += point.byteSize();
-        return total;
-    }
+    /**
+     * In-memory footprint of the captured live-points: each point's
+     * state, with every data-image page its points share counted
+     * once.
+     */
+    std::size_t byteSize() const;
 
   private:
     SamplingConfig config_;

@@ -220,6 +220,23 @@ class BinaryWriter
         words(v.data(), v.size());
     }
 
+    /**
+     * Append @p count host words as packed little-endian bytes, with
+     * no length prefix: a vector written in pieces (core::PagedImage)
+     * writes its u64 count, then each piece.
+     */
+    template <typename Word>
+    void
+    words(const Word *values, std::size_t count)
+    {
+        const auto *bytes =
+            reinterpret_cast<const std::uint8_t *>(values);
+        const std::size_t at = buffer_.size();
+        buffer_.insert(buffer_.end(), bytes,
+                       bytes + count * sizeof(Word));
+        swapLittleEndian<Word>(buffer_.data() + at, count);
+    }
+
     const std::vector<std::uint8_t> &
     buffer() const
     {
@@ -256,19 +273,6 @@ class BinaryWriter
                    bool createDirs = true) const;
 
   private:
-    /** Append @p count host words as packed little-endian bytes. */
-    template <typename Word>
-    void
-    words(const Word *values, std::size_t count)
-    {
-        const auto *bytes =
-            reinterpret_cast<const std::uint8_t *>(values);
-        const std::size_t at = buffer_.size();
-        buffer_.insert(buffer_.end(), bytes,
-                       bytes + count * sizeof(Word));
-        swapLittleEndian<Word>(buffer_.data() + at, count);
-    }
-
     std::vector<std::uint8_t> buffer_;
 };
 
@@ -382,6 +386,28 @@ class BinaryReader
         return bytes;
     }
 
+    /**
+     * A u64-counted run of little-endian @p Word values, borrowed in
+     * place: the count is checked against the bytes left before
+     * anything is sized from it, so a hostile count fails here
+     * instead of driving an allocation. An empty view and fail()
+     * when the words are not there.
+     */
+    template <typename Word>
+    ByteView
+    wordsView()
+    {
+        // Divide, don't multiply: sizeof(Word) * n wraps for a
+        // hostile length field, and the whole point is refusing
+        // such files.
+        const std::uint64_t n = u64();
+        if (failed_ || n > remaining() / sizeof(Word)) {
+            failed_ = true;
+            return {};
+        }
+        return view(n * sizeof(Word));
+    }
+
     /** False once any read overran the buffer (truncated payload). */
     bool
     failed() const
@@ -429,17 +455,9 @@ class BinaryReader
     std::vector<Word>
     words()
     {
-        // Divide, don't multiply: sizeof(Word) * n wraps for a
-        // hostile length field, and the whole point is refusing
-        // such files.
-        const std::uint64_t n = u64();
-        if (failed_ || n > remaining() / sizeof(Word)) {
-            failed_ = true;
-            return {};
-        }
-        std::vector<Word> v(static_cast<std::size_t>(n));
-        const ByteView bytes = view(n * sizeof(Word));
-        if (n) {
+        const ByteView bytes = wordsView<Word>();
+        std::vector<Word> v(bytes.size / sizeof(Word));
+        if (!v.empty()) {
             auto *out = reinterpret_cast<std::uint8_t *>(v.data());
             std::memcpy(out, bytes.data, bytes.size);
             swapLittleEndian<Word>(out, v.size());

@@ -153,7 +153,11 @@ LivePointLibrary::build(SimSession &session,
     library.config_ = config;
     library.streamLength_ = captureLivePoints(
         session, config, [&](std::uint64_t unitIdx) {
+            // Seeded with the previous point's image, the snapshot
+            // shares every page the unit's gap left unwritten.
             LivePoint point;
+            if (!library.points_.empty())
+                point.arch.data = library.points_.back().arch.data;
             point.saveFrom(session);
             point.unitIndex = unitIdx;
             library.points_.push_back(std::move(point));
@@ -319,6 +323,10 @@ LivePointLibrary::load(const std::string &path,
                 path, " is corrupt (live-point ", i,
                 " fails its state hash)"));
 
+        // Seeded with record i-1's image, the parse shares every
+        // page the two decoded states have in common.
+        if (i > 0)
+            point.arch.data = library.points_[i - 1].arch.data;
         util::BinaryReader stateIn(state.data(), state.size());
         point.arch.read(stateIn);
         point.timing.read(stateIn);
@@ -350,6 +358,19 @@ LivePointLibrary::load(const std::string &path,
         return refuse(log::format(
             path, " is truncated or has trailing garbage"));
     return library;
+}
+
+std::size_t
+LivePointLibrary::byteSize() const
+{
+    std::size_t total = 0;
+    std::vector<const PagedImage *> images;
+    images.reserve(points_.size());
+    for (const LivePoint &point : points_) {
+        total += point.byteSize() - point.arch.data.size() * 4;
+        images.push_back(&point.arch.data);
+    }
+    return total + PagedImage::residentBytes(images);
 }
 
 AnytimeResult

@@ -45,14 +45,39 @@ SimSession::detailedRun(std::uint64_t maxInsts)
     return model_.endSegment(executed)[0];
 }
 
+namespace {
+
+/** profileBbvs's projection of a block start onto @p dims buckets. */
+[[gnu::noinline, gnu::cold]] std::size_t
+bucketOf(std::uint32_t blockPc, std::size_t dims)
+{
+    return static_cast<std::size_t>(mix64(blockPc) % dims);
+}
+
+} // namespace
+
 std::vector<std::vector<double>>
 SimSession::profileBbvs(std::uint64_t intervalSize, std::size_t dims)
 {
     if (!intervalSize || !dims)
         SMARTS_FATAL("profileBbvs needs nonzero interval and dims");
 
-    auto bucket = [dims](std::uint32_t blockPc) {
-        return static_cast<std::size_t>(mix64(blockPc) % dims);
+    // mix64(pc) % dims once per code slot, so the per-block path
+    // reads a table instead of dividing. A block starts at the PC of
+    // an executed instruction, which names a slot unless a JR jumped
+    // to an unaligned address; that PC, and a zero-length block's
+    // start past the end of code, take the exact formula off the
+    // table.
+    std::vector<std::size_t> slotBucket(arch_.codeWords());
+    for (std::size_t i = 0; i < slotBucket.size(); ++i)
+        slotBucket[i] = bucketOf(
+            static_cast<std::uint32_t>(workloads::kCodeBase + 4 * i),
+            dims);
+    auto bucket = [&slotBucket, dims](std::uint32_t blockPc) {
+        const std::uint32_t offset = blockPc - workloads::kCodeBase;
+        if (!(offset & 3) && (offset >> 2) < slotBucket.size())
+            return slotBucket[offset >> 2];
+        return bucketOf(blockPc, dims);
     };
 
     std::vector<std::vector<double>> intervals;

@@ -17,24 +17,60 @@
  * pin the encoder's 32-byte block skip. util::xxh64 (the `.smlp` v4
  * record hash) is held to its published known answers and to a
  * byte-at-a-time reference at every length 0..96 and offset 0..7.
+ * core::PagedImage::read (ArchState's data image) decodes mutated
+ * word vectors exactly as BinaryReader::vecU32 does, and refuses a
+ * hostile word count before any allocation (the test counts calls
+ * to the global operator new).
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "check.hh"
+#include "core/paged_image.hh"
 #include "core/store_index.hh"
 #include "util/binary_io.hh"
 #include "util/delta_codec.hh"
 #include "util/rng.hh"
 
 namespace fs = std::filesystem;
+
+/** Calls to the global operator new (array new included). */
+static std::uint64_t gAllocations = 0;
+
+void *
+operator new(std::size_t size)
+{
+    ++gAllocations;
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// GCC pairs inlined operator new calls with these frees and cannot
+// see that both sides are the malloc/free pair defined here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -627,6 +663,77 @@ testStoreIndexJournalFuzz()
     (void)replayed;
 }
 
+/**
+ * core::PagedImage::read against BinaryReader::vecU32, the decoder of
+ * the same bytes it replaced: on 10k mutated vecU32 payloads (half
+ * with a rewritten word count) both fail alike or decode the same
+ * words, whatever image the read was seeded with. A hostile count —
+ * one word past the payload, or one whose byte size wraps — fails
+ * before anything is allocated and leaves the image empty.
+ */
+void
+testPagedImageReadFuzz()
+{
+    Xoshiro256StarStar rng(0x9a6ed);
+    for (int iter = 0; iter < 10000; ++iter) {
+        std::vector<std::uint32_t> words(rng.below(3000));
+        for (std::uint32_t &w : words)
+            w = static_cast<std::uint32_t>(rng.next());
+        util::BinaryWriter out;
+        out.vecU32(words);
+        std::vector<std::uint8_t> bytes = mutate(out.buffer(), rng);
+        if (bytes.size() >= 8 && rng.chance(0.5))
+            util::storeLE<std::uint64_t>(
+                bytes.data(), rng.chance(0.5)
+                                  ? rng.below(bytes.size() / 4 + 2)
+                                  : rng.next());
+
+        util::BinaryReader flat(bytes.data(), bytes.size());
+        const std::vector<std::uint32_t> want = flat.vecU32();
+        core::PagedImage image;
+        if (rng.chance(0.5))
+            image.assign(words.data(), words.size());
+        util::BinaryReader paged(bytes.data(), bytes.size());
+        image.read(paged);
+        CHECK_EQ(paged.failed(), flat.failed());
+        CHECK_EQ(paged.remaining(), flat.remaining());
+        std::vector<std::uint32_t> got(image.size());
+        image.copyTo(got.data());
+        CHECK(got == want);
+    }
+
+    const std::uint32_t four[4] = {1, 2, 3, 4};
+    for (const std::uint64_t count :
+         {std::uint64_t(5), std::uint64_t(1) << 61,
+          (std::uint64_t(1) << 62) + 1, ~std::uint64_t(0)}) {
+        util::BinaryWriter out;
+        out.u64(count);
+        out.words(four, 4);
+        core::PagedImage image;
+        std::vector<std::uint32_t> seed(2000, 7);
+        image.assign(seed.data(), seed.size());
+        util::BinaryReader in(out.buffer().data(), out.size());
+        const std::uint64_t before = gAllocations;
+        image.read(in);
+        CHECK_EQ(gAllocations, before);
+        CHECK(in.failed());
+        CHECK(image.empty());
+        CHECK_EQ(image.pageCount(), std::size_t(0));
+    }
+    // Exactly remaining() / 4 words is not hostile.
+    util::BinaryWriter out;
+    out.u64(4);
+    out.words(four, 4);
+    core::PagedImage image;
+    util::BinaryReader in(out.buffer().data(), out.size());
+    image.read(in);
+    CHECK(in.ok());
+    std::uint32_t got[4] = {};
+    CHECK_EQ(image.size(), std::size_t(4));
+    image.copyTo(got);
+    CHECK(std::equal(got, got + 4, four));
+}
+
 } // namespace
 
 int
@@ -639,5 +746,6 @@ main()
     testDeltaCodecMatchesReference();
     testXxh64();
     testStoreIndexJournalFuzz();
+    testPagedImageReadFuzz();
     TEST_MAIN_SUMMARY();
 }

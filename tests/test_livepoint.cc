@@ -17,7 +17,8 @@
  * TSan in CI to guard the batch-dispatch/pool handoff. Also pins the
  * bulk and borrowed BinaryReader paths the loader parses through,
  * and the record-count bound that keeps a crafted count from sizing
- * memory the file cannot back.
+ * memory the file cannot back, and the copy-on-write data images
+ * consecutive live-points share their unchanged pages through.
  */
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
 #include "util/delta_codec.hh"
+#include "util/rng.hh"
 #include "workloads/benchmark.hh"
 
 #include "check.hh"
@@ -989,6 +992,173 @@ testRecordCountBounded()
     }
 }
 
+/** The words of @p image, flat. */
+std::vector<std::uint32_t>
+wordsOf(const core::PagedImage &image)
+{
+    std::vector<std::uint32_t> words(image.size());
+    image.copyTo(words.data());
+    return words;
+}
+
+/**
+ * Every consecutive pair of @p library's points shares a data-image
+ * page exactly when the page's words are unchanged. Returns the
+ * number of shared pages.
+ */
+std::size_t
+checkConsecutiveSharing(const core::LivePointLibrary &library)
+{
+    constexpr std::size_t kPageWords = core::PagedImage::kPageWords;
+    std::size_t shared = 0;
+    bool sharedIffEqual = true;
+    for (std::size_t i = 1; i < library.unitCount(); ++i) {
+        const core::PagedImage &prev = library.at(i - 1).arch.data;
+        const core::PagedImage &cur = library.at(i).arch.data;
+        CHECK_EQ(cur.pageCount(), prev.pageCount());
+        for (std::size_t p = 0; p < cur.pageCount(); ++p) {
+            const std::size_t words =
+                std::min(kPageWords, cur.size() - p * kPageWords);
+            const bool equal = std::equal(
+                cur.page(p), cur.page(p) + words, prev.page(p));
+            const bool same = cur.page(p) == prev.page(p);
+            sharedIffEqual = sharedIffEqual && equal == same;
+            shared += same;
+        }
+    }
+    CHECK(sharedIffEqual);
+    return shared;
+}
+
+/**
+ * Copy-on-write data images (core/paged_image.hh): consecutive
+ * live-points share their unchanged pages, built or loaded, and the
+ * configs of one buildMulti pass share every page; a changed page is
+ * never shared; a snapshot's bytes survive later mutation of the
+ * session it came from; and the serialized image is
+ * BinaryWriter::vecU32 of its words, zero-length and partial last
+ * pages included.
+ */
+void
+testCopyOnWriteImages()
+{
+    const auto config = uarch::MachineConfig::eightWay();
+    const core::SamplingConfig sc = defaultSampling();
+
+    // phase-1's 512 KiB image: most pages are shared, so the library
+    // is resident at well under one full image per point.
+    const auto phase =
+        workloads::findBenchmark("phase-1", workloads::Scale::Mini);
+    core::SimSession session(phase, config);
+    const core::LivePointLibrary built =
+        core::LivePointLibrary::build(session, sc);
+    CHECK(built.unitCount() > 100);
+    CHECK_EQ(built.at(0).arch.data.pageCount(), std::size_t(128));
+    const std::size_t sharedBuilt = checkConsecutiveSharing(built);
+    CHECK(sharedBuilt > (built.unitCount() - 1) * 64);
+    std::size_t flat = 0;
+    for (std::size_t i = 0; i < built.unitCount(); ++i)
+        flat += built.at(i).byteSize();
+    CHECK(built.byteSize() < flat / 2);
+
+    // A loaded library shares the same pages, so it is as small.
+    const core::LibraryKey key = core::LibraryKey::of(phase, config, sc);
+    const std::string path = std::string(kDir) + "/cow.smlp";
+    CHECK(built.save(key, path));
+    const std::optional<core::LivePointLibrary> loaded =
+        core::LivePointLibrary::load(path, key);
+    CHECK(loaded.has_value());
+    if (loaded) {
+        CHECK_EQ(loaded->unitCount(), built.unitCount());
+        CHECK_EQ(checkConsecutiveSharing(*loaded), sharedBuilt);
+        CHECK_EQ(loaded->byteSize(), built.byteSize());
+        bool sameWords = true;
+        for (std::size_t i = 0; i < built.unitCount(); ++i)
+            sameWords = sameWords && wordsOf(loaded->at(i).arch.data) ==
+                                         wordsOf(built.at(i).arch.data);
+        CHECK(sameWords);
+    }
+
+    // One buildMulti pass: every config's point i holds the very
+    // pages of the shared architectural snapshot.
+    core::MultiSession multi(
+        phase, {config, uarch::MachineConfig::sixteenWay()});
+    const std::vector<core::LivePointLibrary> perConfig =
+        core::LivePointLibrary::buildMulti(multi, sc);
+    CHECK_EQ(perConfig.size(), std::size_t(2));
+    CHECK_EQ(perConfig[0].unitCount(), built.unitCount());
+    CHECK_EQ(checkConsecutiveSharing(perConfig[0]), sharedBuilt);
+    bool acrossConfigs = true;
+    for (std::size_t i = 0; i < perConfig[0].unitCount(); ++i) {
+        const core::PagedImage &a = perConfig[0].at(i).arch.data;
+        const core::PagedImage &b = perConfig[1].at(i).arch.data;
+        for (std::size_t p = 0; p < a.pageCount(); ++p)
+            acrossConfigs = acrossConfigs && a.page(p) == b.page(p);
+    }
+    CHECK(acrossConfigs);
+
+    // sort-1's image is one partial page, rewritten every unit: no
+    // two consecutive points may share it.
+    const auto sort =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    core::SimSession sortSession(sort, config);
+    const core::LivePointLibrary sorted =
+        core::LivePointLibrary::build(sortSession, sc);
+    CHECK(sorted.unitCount() > 1);
+    CHECK_EQ(sorted.at(0).arch.data.size(), std::size_t(64));
+    CHECK_EQ(sorted.at(0).arch.data.pageCount(), std::size_t(1));
+    CHECK_EQ(checkConsecutiveSharing(sorted), std::size_t(0));
+
+    // A snapshot is immutable: seeding the next snapshot from it,
+    // running the session on and restoring it elsewhere leave its
+    // serialized bytes as they were.
+    core::SimSession live(sort, config);
+    live.fastForward(5000, core::WarmingMode::Functional);
+    core::ArchState snap;
+    core::TimingState timing;
+    live.saveState(snap, timing);
+    util::BinaryWriter before;
+    snap.write(before);
+    core::ArchState next = snap;
+    live.fastForward(5000, core::WarmingMode::Functional);
+    live.saveState(next, timing);
+    CHECK(wordsOf(next.data) != wordsOf(snap.data));
+    CHECK(next.data.page(0) != snap.data.page(0));
+    core::SimSession other(sort, config);
+    other.restoreState(snap, timing);
+    other.fastForward(5000, core::WarmingMode::Functional);
+    util::BinaryWriter after;
+    snap.write(after);
+    CHECK(after.buffer() == before.buffer());
+
+    // The serialized form is vecU32's, byte for byte, at every page
+    // boundary case; read() restores the words and keeps nothing of
+    // a differently sized image it was seeded with.
+    Xoshiro256StarStar rng(0xc0);
+    core::PagedImage seeded;
+    for (const std::size_t n :
+         {std::size_t(0), std::size_t(1), std::size_t(64),
+          std::size_t(1023), std::size_t(1024), std::size_t(1025),
+          std::size_t(2048), std::size_t(3000)}) {
+        std::vector<std::uint32_t> words(n);
+        for (std::uint32_t &w : words)
+            w = static_cast<std::uint32_t>(rng.next());
+        core::PagedImage image;
+        image.assign(words.data(), words.size());
+        util::BinaryWriter paged;
+        image.write(paged);
+        util::BinaryWriter flatOut;
+        flatOut.vecU32(words);
+        CHECK(paged.buffer() == flatOut.buffer());
+
+        util::BinaryReader in(flatOut.buffer());
+        seeded.read(in);
+        CHECK(in.ok());
+        CHECK_EQ(in.remaining(), std::size_t(0));
+        CHECK(wordsOf(seeded) == words);
+    }
+}
+
 } // namespace
 
 int
@@ -1005,6 +1175,7 @@ main()
     testStoreRoundtrip();
     testBinaryReaderBulkAndBorrowed();
     testRecordCountBounded();
+    testCopyOnWriteImages();
     testAnytimeCompletionBitIdentical();
     testLeapfrogColdOverlapBitIdentical();
     testShuffleReproducibilityAndEarlyStop();

@@ -33,6 +33,9 @@
  *     fold into a per-(machine, policy) digest, so the co-run world
  *     of a multi-program mix is pinned bit for bit, not only through
  *     table6_mix.csv's aggregates.
+ *  5. SimSession::profileBbvs, which buckets basic blocks through a
+ *     per-code-slot table instead of a divide per block, equals the
+ *     `mix64(pc) % dims` formula bit for bit on the quick suite.
  */
 
 #include <algorithm>
@@ -547,6 +550,83 @@ testChunkedMixSchedulesMatchReference()
     }
 }
 
+/**
+ * SimSession::profileBbvs as it was written before its bucket table:
+ * mix64(blockPc) % dims per basic block, on a bare ArchCore.
+ */
+std::vector<std::vector<double>>
+referenceBbvs(const workloads::BenchmarkSpec &spec,
+              std::uint64_t intervalSize, std::size_t dims)
+{
+    core::ArchCore arch(spec);
+    auto bucket = [dims](std::uint32_t blockPc) {
+        return static_cast<std::size_t>(mix64(blockPc) % dims);
+    };
+    std::vector<std::vector<double>> intervals;
+    std::vector<double> current(dims, 0.0);
+    std::uint64_t inInterval = 0;
+    std::uint32_t blockStart = arch.pc();
+    double blockLen = 0;
+    core::StepInfo info;
+    while (arch.step(info)) {
+        ++blockLen;
+        ++inInterval;
+        if (info.di.isBranch()) {
+            current[bucket(blockStart)] += blockLen;
+            blockStart = info.nextPc;
+            blockLen = 0;
+        }
+        if (inInterval == intervalSize) {
+            current[bucket(blockStart)] += blockLen;
+            blockLen = 0;
+            blockStart = arch.pc();
+            for (double &x : current)
+                x /= static_cast<double>(intervalSize);
+            intervals.push_back(current);
+            std::fill(current.begin(), current.end(), 0.0);
+            inInterval = 0;
+        }
+    }
+    return intervals;
+}
+
+/**
+ * profileBbvs buckets block starts through a per-code-slot table, not
+ * a divide per block; every projected vector must still equal the
+ * `%` formula's bit for bit, on the whole quick suite, at the
+ * SimPoint default (32 buckets) and at bucket counts that are not
+ * powers of two.
+ */
+void
+testProfileBbvsMatchesModuloFormula()
+{
+    const std::vector<workloads::BenchmarkSpec> suite =
+        workloads::quickSuite(workloads::Scale::Mini);
+    const auto config = uarch::MachineConfig::eightWay();
+    for (const workloads::BenchmarkSpec &spec : suite)
+        for (const auto &[interval, dims] :
+             {std::pair<std::uint64_t, std::size_t>{100'000, 32},
+              {9'973, 7},
+              {50'000, 1},
+              {250'000, 1000}}) {
+            core::SimSession session(spec, config);
+            const std::vector<std::vector<double>> got =
+                session.profileBbvs(interval, dims);
+            const std::vector<std::vector<double>> want =
+                referenceBbvs(spec, interval, dims);
+            bool same = got.size() == want.size() && !got.empty();
+            for (std::size_t i = 0; same && i < got.size(); ++i)
+                for (std::size_t d = 0; same && d < dims; ++d)
+                    same = bitsOf(got[i][d]) == bitsOf(want[i][d]);
+            if (!same)
+                std::fprintf(stderr,
+                             "  %s: profileBbvs(%" PRIu64
+                             ", %zu) differs from the %% formula\n",
+                             spec.name.c_str(), interval, dims);
+            CHECK(same);
+        }
+}
+
 } // namespace
 
 int
@@ -555,5 +635,6 @@ main()
     testReducerMatchesHardwareDivide();
     testChunkedSchedulesMatchReference();
     testChunkedMixSchedulesMatchReference();
+    testProfileBbvsMatchesModuloFormula();
     TEST_MAIN_SUMMARY();
 }
