@@ -10,8 +10,9 @@
  * the persistent checkpoint store (capture once per --store
  * directory, zero capture cost on every rerun), "distrib" runs the
  * multi-PROCESS regime: a leader plus smarts_runner subprocesses
- * sharing a file-based work queue and a shipped store, merged
- * estimates golden-pinned bit-identical to serial, "distrib_scale"
+ * sharing a file-based work queue of unit-range jobs and a store
+ * shipped with the study's live-points, merged estimates
+ * golden-pinned bit-identical to serial, "distrib_scale"
  * measures the elastic unit-range scheduler at 1/2/4 in-process
  * runners plus a death/join chaos pass (BENCH_distrib.json artifact
  * via --json=), and "livepoint"
@@ -495,15 +496,17 @@ persistSection(const BenchOptions &opt)
  * Distributed runners: the sections above scale one benchmark
  * across THREADS; this one scales it across PROCESSES — the
  * multi-host regime (ROADMAP "Distributed runners"), with hosts
- * stood in for by subprocesses. A leader plans the study, ships the
- * checkpoint store, and publishes a job manifest into a shared
- * queue directory; N smarts_runner subprocesses claim shard jobs
- * atomically, execute them against the store, and publish
- * checksummed result files; the leader folds completed shards in
- * shard order. The merged estimate is bit-identical to serial
- * run() — the column this section golden-pins — because every
- * process runs the same SystematicSampler::runSlice the in-process
- * sharded paths use (protocol: docs/distributed-runners.md).
+ * stood in for by subprocesses. A leader ships the study's
+ * live-point libraries in the checkpoint store, plans the study as
+ * unit-range jobs, and publishes a job manifest into a shared queue
+ * directory; N smarts_runner subprocesses claim range jobs
+ * atomically, measure their units from the store's live-points, and
+ * publish checksummed result files; the leader folds the completed
+ * ranges in unit order. The merged estimate is bit-identical to
+ * serial run() — the column this section golden-pins — because
+ * every process runs the same SystematicSampler::measureUnits the
+ * in-process live-point paths use (protocol:
+ * docs/distributed-runners.md).
  */
 void
 distribSection(const BenchOptions &opt)
@@ -531,7 +534,7 @@ distribSection(const BenchOptions &opt)
     }
     core::CheckpointStore store(root);
     constexpr int kRunners = 2;
-    constexpr std::size_t kShards = 6;
+    constexpr std::size_t kJobs = 12;
 
     // Start from an empty queue every invocation: this section
     // measures distributed EXECUTION, and a queue left by a prior
@@ -581,20 +584,24 @@ distribSection(const BenchOptions &opt)
             serialS = t.seconds();
         }
 
-        // Leader: plan, ship the store (one-time capture), publish.
-        const distrib::JobManifest manifest = distrib::planStudy(
-            spec, {config}, sc, length, kShards);
+        // Leader: ship the store (one-time live-point capture),
+        // plan, publish.
         double shipS;
+        distrib::LivePointPlan plan;
         {
             const Stopwatch t;
-            distrib::ensureStudyStore(store, manifest);
+            plan = distrib::ensureStudyLivePoints(store, spec,
+                                                  {config}, sc);
             shipS = t.seconds();
         }
+        const distrib::JobManifest manifest = distrib::planStudy(
+            spec, {config}, sc, plan.streamLength, plan.totalUnits,
+            kJobs);
         std::string error;
         if (!distrib::publishStudy(queue, manifest, &error))
             SMARTS_FATAL("cannot publish study: ", error);
 
-        // Runner subprocesses do ALL the shard work; the leader
+        // Runner subprocesses do ALL the range work; the leader
         // only polls and merges.
         double distribS;
         core::SmartsEstimate merged;
@@ -658,7 +665,7 @@ distribSection(const BenchOptions &opt)
         "fan-out safe: adding hosts can change wall-clock, never "
         "results\n"
         "(process spawn + file polling overhead dominates at mini "
-        "scale; the regime pays off when shard work is minutes, "
+        "scale; the regime pays off when range work is minutes, "
         "i.e. exactly the studies that outgrow one machine)\n",
         sumSerial, sumShip, kRunners, sumDistrib, identicalCount,
         suite.size());
@@ -752,7 +759,7 @@ distribScaleSection(const BenchOptions &opt)
         const distrib::LivePointPlan plan =
             distrib::ensureStudyLivePoints(store, spec, {config}, sc);
         row.totalUnits = plan.totalUnits;
-        const distrib::JobManifest manifest = distrib::planUnitStudy(
+        const distrib::JobManifest manifest = distrib::planStudy(
             spec, {config}, sc, plan.streamLength, plan.totalUnits,
             kJobs);
 

@@ -187,21 +187,6 @@ class CheckpointStore
                        std::size_t shards) const;
 
     /**
-     * Plan-exact variant: a stored library counts as a hit only
-     * when its shard plan equals @p plan EXACTLY; anything else —
-     * missing, refusing, or captured under a different split — is
-     * (re)captured with @p plan. The distributed leader ships
-     * stores with this (every runner of a study must resume from
-     * the manifest's own boundaries); the overload above keeps the
-     * looser "any loadable library serves" contract the in-process
-     * store-backed paths want.
-     */
-    std::size_t ensure(const workloads::BenchmarkSpec &spec,
-                       const std::vector<uarch::MachineConfig> &configs,
-                       const SamplingConfig &sampling,
-                       const std::vector<ShardSpec> &plan) const;
-
-    /**
      * Path of @p key's LIVE-POINT library (core/livepoint.hh): same
      * directory and stem as the shard library, `.smlp` extension.
      */
@@ -303,13 +288,6 @@ class CheckpointStore
     std::string indexPath() const;
 
   private:
-    std::size_t ensureImpl(
-        const workloads::BenchmarkSpec &spec,
-        const std::vector<uarch::MachineConfig> &configs,
-        const SamplingConfig &sampling,
-        const std::vector<ShardSpec> &plan,
-        bool requirePlanMatch) const;
-
     /** Key's path relative to the root ('/'-separated). */
     std::string relFor(const LibraryKey &key, bool livePoints) const;
 

@@ -50,7 +50,7 @@ struct UnitObservation
  * Raw results of one contiguous slice of the solo sampling loop —
  * the unit of work a shard (in-process or on a remote runner)
  * produces and the unit foldSlice() merges; this is also exactly
- * what a distributed per-shard result file carries
+ * what a distributed unit-range result file carries
  * (docs/distributed-runners.md).
  */
 using SliceResult = SliceOf<UnitObservation>;
@@ -309,9 +309,8 @@ class SystematicSampler
      * Execute ONE shard's slice of the sampling loop on @p session
      * (fresh at stream start for shard 0, restored from the shard's
      * checkpoint otherwise). This is the slice entry point the
-     * sharded overloads below and the distributed runner
-     * (smarts::distrib) share: the serial loop body is common code,
-     * so no execution path can drift from run()'s semantics.
+     * sharded overloads below share: the serial loop body is common
+     * code, so no execution path can drift from run()'s semantics.
      */
     SliceResult runSlice(SimSession &session, const ShardSpec &shard,
                          const ProgressTick &tick = {}) const;
@@ -323,7 +322,7 @@ class SystematicSampler
      * slot (= stream) order. This is the unit-range job body of the
      * distributed runner: folding range results in slot order
      * reproduces the serial run() bit for bit, exactly as fold of
-     * runSlice results does in shard mode. @p tick fires between
+     * runSlice results does for shards. @p tick fires between
      * units (see ProgressTick; an abandoned slice is partial and
      * must not be published). Implemented in livepoint.cc.
      */

@@ -1,12 +1,14 @@
 /**
  * @file
- * The leader side of the distributed protocol: plan a study, ship
- * the checkpoint store, publish the manifest, and fold completed
- * shard results into per-config SmartsEstimates that are
- * bit-identical to serial SystematicSampler::run() at any runner
- * count. The leader REFUSES — never silently merges — a result
- * file that is truncated, corrupt, version-bumped, mis-keyed or
- * from another study (docs/distributed-runners.md § Refusals).
+ * The leader side of the distributed protocol: ship the study's
+ * live-point libraries in the checkpoint store, plan the study as
+ * unit-range jobs, publish the manifest, re-grain the remaining
+ * ranges when runners join, and fold a tiling of completed range
+ * results into per-config SmartsEstimates that are bit-identical to
+ * serial SystematicSampler::run() at any runner count. The leader
+ * REFUSES — never silently merges — a result file that is
+ * truncated, corrupt, version-bumped, mis-keyed or from another
+ * study (docs/distributed-runners.md § Result refusals).
  */
 
 #ifndef SMARTS_DISTRIB_LEADER_HH
@@ -24,34 +26,21 @@
 
 namespace smarts::distrib {
 
-/**
- * Build the manifest of a study: ONE benchmark and sampling design,
- * N machine configs, a shard plan of at most @p shards shards
- * (CheckpointLibrary::planShards — the same split every in-process
- * sharded path uses). The study id is a deterministic digest of
- * every field, so republishing the identical study accepts prior
- * (bit-identical) results while any other manifest's results
- * refuse.
- */
-JobManifest planStudy(const workloads::BenchmarkSpec &spec,
-                      const std::vector<uarch::MachineConfig> &configs,
-                      const core::SamplingConfig &sampling,
-                      std::uint64_t streamLength,
-                      std::size_t shards);
-
 /** What ensureStudyLivePoints() learned about a study's stream. */
 struct LivePointPlan
 {
     std::uint64_t totalUnits = 0;   ///< live-points per library.
     std::uint64_t streamLength = 0; ///< true dynamic length.
+    std::size_t captured = 0;       ///< libraries this call captured.
 };
 
 /**
- * Make @p store serve a unit-range study: capture the `.smlp`
- * live-point libraries for every config (one streaming pass, misses
- * only — CheckpointStore::ensureLivePoints), then report the unit
- * count and stream length the manifest must carry. Fatal if a
- * library still refuses to load after capture.
+ * Ship a study's store: capture the `.smlp` live-point libraries for
+ * every config (one streaming pass, misses only —
+ * CheckpointStore::ensureLivePoints), then report the unit count and
+ * stream length the manifest must carry. Runners sharing the store
+ * never pay capture cost. Fatal if a library still refuses to load
+ * after capture.
  */
 LivePointPlan
 ensureStudyLivePoints(const core::CheckpointStore &store,
@@ -60,21 +49,24 @@ ensureStudyLivePoints(const core::CheckpointStore &store,
                       const core::SamplingConfig &sampling);
 
 /**
- * Build a UNIT-RANGE manifest (JobMode::UnitRange): jobs are
- * contiguous live-point ranges instead of shards, seeded as an even
- * partition of [0, totalUnits) into at most @p jobs ranges. The
- * live partition evolves in `<queue>/ranges/` — splitRemainingRanges
+ * Build the manifest of a study: ONE benchmark and sampling design,
+ * N machine configs, its jobs seeded as an even partition of
+ * [0, totalUnits) into at most @p jobs unit ranges. The live
+ * partition evolves in `<queue>/ranges/` — splitRemainingRanges
  * halves unclaimed ranges when runners join — and merge tiles
  * whatever result granularity it finds, so the estimate stays
  * bit-identical to serial run() through any split history.
  * @p totalUnits / @p streamLength come from ensureStudyLivePoints.
+ * The study id is a deterministic digest of every field, so
+ * republishing the identical study accepts prior (bit-identical)
+ * results while any other manifest's results refuse.
  */
 JobManifest
-planUnitStudy(const workloads::BenchmarkSpec &spec,
-              const std::vector<uarch::MachineConfig> &configs,
-              const core::SamplingConfig &sampling,
-              std::uint64_t streamLength, std::uint64_t totalUnits,
-              std::size_t jobs);
+planStudy(const workloads::BenchmarkSpec &spec,
+          const std::vector<uarch::MachineConfig> &configs,
+          const core::SamplingConfig &sampling,
+          std::uint64_t streamLength, std::uint64_t totalUnits,
+          std::size_t jobs);
 
 /**
  * Halve every live range that no runner has claimed (any config)
@@ -84,23 +76,11 @@ planUnitStudy(const workloads::BenchmarkSpec &spec,
  * claims. Child markers are published before the parent marker is
  * removed, so a racing claim of the parent stays mergeable (the
  * tiling merge accepts either granularity). Returns the number of
- * ranges split. Shard-mode studies: always 0.
+ * ranges split.
  */
 std::size_t splitRemainingRanges(const std::string &dir,
                                  const JobManifest &manifest,
                                  std::uint64_t minUnits = 8);
-
-/**
- * Make @p store serve every (config, shard > 0) resume of
- * @p manifest: any key whose library is missing, refuses to load,
- * or was captured under a DIFFERENT shard plan is (re)captured with
- * the manifest's plan — all misses in one MultiSession streaming
- * pass, geometry-duplicate configs captured once. Returns the
- * number of libraries captured (0 = the store already matched).
- * After this, runners sharing the store never pay capture cost.
- */
-std::size_t ensureStudyStore(const core::CheckpointStore &store,
-                             const JobManifest &manifest);
 
 /**
  * Publish @p manifest into @p dir (atomic temp+rename). A queue
@@ -114,17 +94,19 @@ std::size_t ensureStudyStore(const core::CheckpointStore &store,
 bool publishStudy(const std::string &dir, const JobManifest &manifest,
                   std::string *error = nullptr);
 
-/** True when every (config × shard) result file exists. */
+/** True when, for every config, the published results tile
+ *  [0, totalUnits) — at any granularity the split history
+ *  produced. */
 bool studyComplete(const std::string &dir,
                    const JobManifest &manifest);
 
 /**
- * Fold every result file into per-config estimates, in shard order
- * per config — the same foldSlice replay order the in-process
- * sharded paths use, so each estimate is bit-identical to serial
+ * Fold a tiling of the result files into per-config estimates, in
+ * unit order per config — the same foldSlice replay order the
+ * in-process paths use, so each estimate is bit-identical to serial
  * run() under that config. Nullopt with a diagnostic if ANY result
- * is missing or refuses validation; a partial or suspect study
- * never yields an estimate.
+ * file refuses validation or the results leave a gap; a partial or
+ * suspect study never yields an estimate.
  */
 std::optional<std::vector<core::SmartsEstimate>>
 mergeStudy(const std::string &dir, const JobManifest &manifest,
@@ -134,10 +116,13 @@ mergeStudy(const std::string &dir, const JobManifest &manifest,
  * Wait for the study to complete, then merge. @p helper (optional)
  * is a Runner the leader uses to execute still-unclaimed jobs while
  * it waits — a leader with a helper makes progress even with zero
- * external runners. A result file that refuses validation is
- * QUARANTINED (result + claim deleted, with a logged diagnostic)
- * and its job re-executed, so one poisoned file cannot wedge a live
- * study; the timeout still bounds everything. Nullopt with a
+ * external runners. A runner id never seen among the claims before
+ * (a runner JOINED mid-study) splits the remaining ranges
+ * (splitRemainingRanges) so the newcomer gets a fair share. A
+ * result file that refuses validation is QUARANTINED (result +
+ * claim deleted, with a logged diagnostic) and its job
+ * re-executed, so one poisoned file cannot wedge a live study; the
+ * timeout still bounds everything. Nullopt with a
  * diagnostic on timeout or unrecoverable refusal.
  *
  * @p pollMillis seeds the idle-poll backoff (PollBackoff): polls

@@ -1,14 +1,16 @@
 /**
  * @file
- * The on-disk protocol of the distributed shard runner
+ * The on-disk protocol of the distributed runners
  * (docs/distributed-runners.md): a LEADER writes a versioned,
- * checksummed job manifest next to a shipped CheckpointStore; RUNNER
- * processes atomically claim (config × shard) jobs, execute them
- * through the same SystematicSampler::runSlice the in-process
- * sharded paths use, and publish per-shard result files; the leader
- * folds completed shards in shard order into per-config
+ * checksummed job manifest next to a shipped CheckpointStore holding
+ * the study's `.smlp` live-point libraries; RUNNER processes
+ * atomically claim (config × unit-range) jobs, measure each range's
+ * units from their live-points through the same
+ * SystematicSampler::measureUnits the in-process live-point paths
+ * use, and publish per-range result files; the leader folds a tiling
+ * of completed ranges, in unit order, into per-config
  * SmartsEstimates that are BIT-IDENTICAL to serial run() at any
- * runner count.
+ * runner count and through any split history.
  *
  * Everything here is a plain file in a shared directory — the queue
  * needs nothing but a filesystem both sides can reach (NFS, a
@@ -39,7 +41,7 @@ namespace smarts::distrib {
 
 /** On-disk protocol version, shared by manifest and result files
  *  (docs/distributed-runners.md § Versioning). */
-constexpr std::uint32_t kDistribFormatVersion = 2;
+constexpr std::uint32_t kDistribFormatVersion = 3;
 
 /**
  * Fingerprint of THIS build's measurement semantics: the protocol
@@ -54,25 +56,6 @@ constexpr std::uint32_t kDistribFormatVersion = 2;
  * manifest load. Computed once per process, cached.
  */
 std::uint64_t buildFingerprint();
-
-/**
- * How the manifest slices the study into jobs
- * (docs/distributed-runners.md § Job modes).
- */
-enum class JobMode : std::uint8_t
-{
-    /** (config × shard) jobs over the `.smck` shard plan (v1). */
-    Shard = 0,
-
-    /**
-     * (config × unit-range) jobs over the store's `.smlp` live-point
-     * libraries: each job measures a contiguous range of measured
-     * units from their per-unit checkpoints. Ranges live as marker
-     * files under `<queue>/ranges/` so the leader can SPLIT a
-     * still-unclaimed range when a new runner joins mid-study.
-     */
-    UnitRange = 1,
-};
 
 /** A contiguous run of measured-unit slots [firstUnit,
  *  firstUnit + unitCount) of a live-point library. */
@@ -107,26 +90,20 @@ void writeMachineConfig(util::BinaryWriter &out,
                         const uarch::MachineConfig &config);
 uarch::MachineConfig readMachineConfig(util::BinaryReader &in);
 
-/** Queue-directory file names (docs/distributed-runners.md). */
+/**
+ * Queue-directory file names (docs/distributed-runners.md § Queue
+ * layout). A job is named "c<config>_u<F>_n<N>": its claim marker
+ * lives under claims/, its result under results/, and
+ * "ranges/u<F>_n<N>.range" marks a range of the live partition.
+ */
 std::string manifestPath(const std::string &dir);
-std::string claimPath(const std::string &dir, std::uint32_t config,
-                      std::uint32_t shard);
-std::string resultPath(const std::string &dir, std::uint32_t config,
-                       std::uint32_t shard);
-
-/** Unit-range job file names: "u<F>_n<N>" slots into the same
- *  claims/ and results/ directories, "ranges/u<F>_n<N>.range" is the
- *  live-range marker (docs/distributed-runners.md § Unit-range
- *  jobs). */
 std::string rangeName(const UnitRange &range);
 std::string rangeMarkerPath(const std::string &dir,
                             const UnitRange &range);
-std::string claimPathRange(const std::string &dir,
-                           std::uint32_t config,
-                           const UnitRange &range);
-std::string resultPathRange(const std::string &dir,
-                            std::uint32_t config,
-                            const UnitRange &range);
+std::string claimPath(const std::string &dir, std::uint32_t config,
+                      const UnitRange &range);
+std::string resultPath(const std::string &dir, std::uint32_t config,
+                       const UnitRange &range);
 
 /** The live ranges published under `<dir>/ranges/`, sorted by
  *  firstUnit (missing directory = empty). */
@@ -139,12 +116,13 @@ std::vector<UnitRange> listResultRanges(const std::string &dir,
 
 /**
  * The leader's statement of a study: ONE benchmark and sampling
- * design, N machine configs, and the shard plan every runner must
- * execute against. The manifest is self-describing — a runner needs
- * nothing but this file and a checkpoint store to do its share —
- * and self-validating: load() refuses a manifest whose plan no
- * planShards() could produce or whose per-config geometry hashes
- * disagree with this build's warmGeometryHash (a leader built from
+ * design, N machine configs, and the measured-unit count of the
+ * study's live-point libraries, seeded as a partition into unit
+ * ranges. The manifest is self-describing — a runner needs nothing
+ * but this file and a checkpoint store to do its share — and
+ * self-validating: load() refuses a manifest whose ranges do not
+ * tile [0, totalUnits) or whose per-config geometry hashes disagree
+ * with this build's warmGeometryHash (a leader built from
  * incompatible sources must fail loudly, not mis-warm).
  */
 struct JobManifest
@@ -168,32 +146,23 @@ struct JobManifest
     std::vector<uarch::MachineConfig> configs;
     std::vector<std::uint64_t> geometryHashes; ///< one per config.
 
-    JobMode mode = JobMode::Shard;
-
-    /** Shard mode: the plan every runner executes. Empty in
-     *  unit-range mode. */
-    std::vector<core::ShardSpec> plan;
-
-    /** Unit-range mode: measured-unit count of the study's
-     *  live-point libraries. 0 in shard mode. */
+    /** Measured-unit count of the study's live-point libraries. */
     std::uint64_t totalUnits = 0;
 
-    /** Unit-range mode: the INITIAL partition of [0, totalUnits).
-     *  The live partition evolves in `<queue>/ranges/` as the leader
-     *  splits; this field only seeds it. Empty in shard mode. */
+    /** The INITIAL partition of [0, totalUnits). The live partition
+     *  evolves in `<queue>/ranges/` as the leader splits; this field
+     *  only seeds it. */
     std::vector<UnitRange> ranges;
 
-    /** Jobs are the (config × shard) grid, or in unit-range mode the
-     *  (config × initial-range) grid (splits add more). */
+    /** Jobs are the (config × initial-range) grid (splits add
+     *  more). */
     std::size_t
     jobCount() const
     {
-        return configs.size() *
-               (mode == JobMode::UnitRange ? ranges.size()
-                                           : plan.size());
+        return configs.size() * ranges.size();
     }
 
-    /** The checkpoint-store key config @p c's shards resume from. */
+    /** The checkpoint-store key of config @p c's live-points. */
     core::LibraryKey
     keyFor(std::size_t c) const
     {
@@ -215,8 +184,8 @@ struct JobManifest
      * Load and fully validate a manifest. Refuses — nullopt plus a
      * diagnostic — on a missing/truncated/corrupt file, unknown
      * version, a build fingerprint this build does not reproduce
-     * (the diagnostic names both fingerprints), malformed shard
-     * plan or range partition, or a geometry hash this build's
+     * (the diagnostic names both fingerprints), a range partition
+     * that does not tile the study, or a geometry hash this build's
      * warmGeometryHash does not reproduce.
      */
     static std::optional<JobManifest>
@@ -224,22 +193,18 @@ struct JobManifest
 };
 
 /**
- * One completed job: the raw SliceResult of shard @p shardIndex
- * under config @p configIndex, plus everything the leader must
- * verify before folding it — the study id, the job indices, the
- * full library key, and an echo of the shard spec executed. The
- * leader REFUSES (never silently merges) a result whose any field
- * disagrees with the manifest.
+ * One completed job: the raw SliceResult of units @p range under
+ * config @p configIndex, plus everything the leader must verify
+ * before folding it — the study id, the job, and the full library
+ * key. The leader REFUSES (never silently merges) a result whose
+ * any field disagrees with the manifest.
  */
 struct ShardResult
 {
     std::uint64_t studyId = 0;
-    JobMode mode = JobMode::Shard;
     std::uint32_t configIndex = 0;
-    std::uint32_t shardIndex = 0;  ///< shard mode only.
-    UnitRange range;               ///< unit-range mode only.
+    UnitRange range;
     core::LibraryKey key;
-    core::ShardSpec shard;         ///< echo; zeroed in range mode.
     core::SliceResult slice;
 
     /** Field order is normative: docs/distributed-runners.md. */
@@ -250,32 +215,21 @@ struct ShardResult
               std::string *error = nullptr) const;
 
     /**
-     * Load the result for job (@p config, @p shard) of
+     * Load the result for job (@p config, @p range) of
      * @p manifest, refusing on anything short of an exact match:
      * missing/truncated/corrupt file, unknown version, study-id or
-     * job-index mismatch, key mismatch, a shard-spec echo that
-     * disagrees with the manifest plan, or internally inconsistent
-     * observation counts.
+     * job mismatch, a range outside [0, totalUnits), key mismatch,
+     * or observation counts inconsistent with the range or the
+     * study's stream.
      */
     static std::optional<ShardResult>
     load(const std::string &path, const JobManifest &manifest,
-         std::uint32_t config, std::uint32_t shard,
+         std::uint32_t config, const UnitRange &range,
          std::string *error = nullptr);
-
-    /**
-     * Unit-range counterpart of load(): load the result for job
-     * (@p config, @p range) of @p manifest, refusing on a mode or
-     * range-echo mismatch, a range outside [0, totalUnits), or
-     * observation counts inconsistent with the range.
-     */
-    static std::optional<ShardResult>
-    loadRange(const std::string &path, const JobManifest &manifest,
-              std::uint32_t config, const UnitRange &range,
-              std::string *error = nullptr);
 };
 
 /**
- * Atomically claim job (@p config, @p shard) in @p dir for
+ * Atomically claim job (@p config, @p range) in @p dir for
  * @p runnerId. A claim is an exclusively-created marker file
  * (write-temp + hard-link, which fails if the claim exists), so of
  * N racing runners exactly one wins. Claims are a work-avoidance
@@ -290,46 +244,35 @@ struct ShardResult
  * Returns true when this caller owns the job.
  */
 bool claimJob(const std::string &dir, std::uint32_t config,
-              std::uint32_t shard, const std::string &runnerId,
+              const UnitRange &range, const std::string &runnerId,
               double staleSeconds = -1.0);
-
-/** claimJob for a unit-range job (same claim semantics). */
-bool claimRange(const std::string &dir, std::uint32_t config,
-                const UnitRange &range, const std::string &runnerId,
-                double staleSeconds = -1.0);
 
 /**
  * Refresh the mtime of a held claim marker — the claim HEARTBEAT.
  * Staleness is judged by claim-file age, so a runner must touch its
- * marker between units/shards or a job merely LONGER than the steal
- * window gets stolen repeatedly; with heartbeats only genuinely dead
- * claims age past it. Returns false if the marker vanished (the
- * claim was stolen) — the holder should abandon the job.
+ * marker between units or a job merely LONGER than the steal window
+ * gets stolen repeatedly; with heartbeats only genuinely dead claims
+ * age past it. Returns false if the marker vanished (the claim was
+ * stolen) — the holder should abandon the job.
  */
 bool touchClaim(const std::string &claimFile);
 
 /**
- * The order in which a runner should PROBE the (config × shard) job
- * grid: a per-runner permutation (seeded from @p runnerId and the
- * study id) biased toward expensive shards first — weight is a
- * shard's measured-unit count plus a tail-run-out bonus, and jobs
- * are ranked by the weighted-shuffle key u^(1/w). N racing runners
- * therefore start at N different jobs instead of all colliding on
- * (0,0), and the expensive tail shard is claimed early instead of
- * serializing the study's critical path.
+ * The order in which a runner should PROBE the (config × range) jobs
+ * over the CURRENT live @p ranges: a per-runner permutation (seeded
+ * from @p runnerId and the study id) biased toward big ranges first
+ * — weight is a range's unit count, and jobs are ranked by the
+ * weighted-shuffle key u^(1/w). N racing runners therefore start at
+ * N different jobs instead of all colliding on the first, and the
+ * expensive jobs are claimed early instead of serializing the
+ * study's critical path.
  */
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-claimOrder(const JobManifest &manifest, const std::string &runnerId);
-
-/** Unit-range counterpart: order (config × range) jobs over the
- *  CURRENT live ranges, weight = range unit count. */
 std::vector<std::pair<std::uint32_t, UnitRange>>
 claimOrder(const JobManifest &manifest,
            const std::vector<UnitRange> &ranges,
            const std::string &runnerId);
 
-/** Publish @p result into @p dir (atomic temp+rename); the file name
- *  follows result.mode. */
+/** Publish @p result into @p dir (atomic temp+rename). */
 bool publishResult(const std::string &dir, const ShardResult &result,
                    std::string *error = nullptr);
 

@@ -3,17 +3,18 @@
  * The runner side of the distributed protocol: a Runner process (or
  * thread) points at a queue directory and a local copy of the
  * shipped CheckpointStore, waits for the leader's manifest, then
- * claims and executes shard jobs until none remain. Execution goes
- * through the exact slice machinery the in-process sharded paths
- * use — restore the shard's checkpoint from the store, run
- * SystematicSampler::runSlice — so a result produced on another
- * host folds into an estimate bit-identical to serial run().
+ * claims and executes unit-range jobs until none remain. Execution
+ * goes through the exact machinery the in-process live-point paths
+ * use — load the config's `.smlp` library from the store, run
+ * SystematicSampler::measureUnits over the range — so a result
+ * produced on another host folds into an estimate bit-identical to
+ * serial run().
  *
- * A runner that finds no usable library in its store (missing file,
- * or a stored plan that disagrees with the manifest's) falls back
- * to capturing one itself with the manifest's plan: slower, never
- * wrong. A leader that ships the store (Leader::ensureStudyStore)
- * makes this fallback cold-path only.
+ * A runner that finds no usable library in its store (missing,
+ * refused, or one whose unit count disagrees with the manifest's)
+ * falls back to capturing one itself: slower, never wrong. A leader
+ * that ships the store (ensureStudyLivePoints) makes this fallback
+ * cold-path only.
  */
 
 #ifndef SMARTS_DISTRIB_RUNNER_HH
@@ -62,8 +63,8 @@ struct RunnerOptions
     std::function<bool()> cancelled;
 
     /**
-     * Observation hook: called with a job's name ("c0_s3",
-     * "c1_u40_n20") as its execution starts. Tests and the scaling
+     * Observation hook: called with a job's name ("c1_u40_n20") as
+     * its execution starts. Tests and the scaling
      * bench tally duplicate executions with it.
      */
     std::function<void(const std::string &)> onExecute;
@@ -90,31 +91,23 @@ class Runner
 
     /**
      * Drain the study's jobs: probe them in this runner's
-     * claimOrder() permutation (expensive jobs first, decorrelated
-     * across runners), claim, execute, publish atomically. In
-     * unit-range mode the live ranges are re-scanned between sweeps
-     * so ranges split mid-drain are picked up. Returns the number
-     * of jobs this call executed (0 = everything was done or
-     * claimed elsewhere).
+     * claimOrder() permutation (big ranges first, decorrelated
+     * across runners), claim, execute, publish atomically. The live
+     * ranges are re-scanned between sweeps so ranges split
+     * mid-drain are picked up. Returns the number of jobs this call
+     * executed (0 = everything was done or claimed elsewhere).
      */
     std::size_t drain(const JobManifest &manifest);
 
     /**
-     * Execute job (@p config, @p shard) regardless of claims —
-     * drain() calls this after winning a claim; tests call it
-     * directly to provoke duplicate execution (the result bytes
-     * are identical either way, which is what makes duplicated
-     * claims benign).
-     */
-    ShardResult execute(const JobManifest &manifest,
-                        std::uint32_t config, std::uint32_t shard);
-
-    /**
-     * Unit-range counterpart of execute(): measure live-point slots
-     * [range.firstUnit, +range.unitCount) of @p config's `.smlp`
-     * library (store-cached; captured on a miss). Nullopt when the
-     * cancelled hook fired mid-job — the partial result must not be
-     * published.
+     * Execute job (@p config, @p range) regardless of claims:
+     * measure live-point slots [range.firstUnit, +range.unitCount)
+     * of @p config's `.smlp` library (store-cached; captured on a
+     * miss). drain() calls this after winning a claim; tests call it
+     * directly to provoke duplicate execution (the result bytes are
+     * identical either way, which is what makes duplicated claims
+     * benign). Nullopt when the cancelled hook fired mid-job — the
+     * partial result must not be published.
      */
     std::optional<ShardResult>
     executeRange(const JobManifest &manifest, std::uint32_t config,
@@ -127,16 +120,10 @@ class Runner
     }
 
   private:
-    /** Load (or capture, on a store miss) config @p c's library. */
-    const core::CheckpointLibrary &
-    libraryFor(const JobManifest &manifest, std::uint32_t c);
-
-    /** Same, for the live-point library of a unit-range study. */
+    /** Load (or capture, on a store miss) config @p c's live-point
+     *  library. */
     const core::LivePointLibrary &
     livePointsFor(const JobManifest &manifest, std::uint32_t c);
-
-    std::size_t drainShards(const JobManifest &manifest);
-    std::size_t drainRanges(const JobManifest &manifest);
 
     bool
     cancelledNow() const
@@ -162,14 +149,12 @@ class Runner
     /**
      * Per-config libraries of the study last executed, invalidated
      * by study id: a long-lived runner serving successive manifests
-     * must never resume study B's shards from study A's warm state
+     * must never measure study B's units from study A's warm state
      * (the published key would still echo B's, so the leader could
      * not catch it — the cache has to be correct by construction).
      */
     std::uint64_t cachedStudyId_ = 0;
-    std::map<std::uint32_t, core::CheckpointLibrary> libraries_;
-    std::map<std::uint32_t, core::LivePointLibrary>
-        livePointLibraries_;
+    std::map<std::uint32_t, core::LivePointLibrary> livePointLibraries_;
 };
 
 } // namespace smarts::distrib

@@ -368,7 +368,8 @@ struct SharedHierarchyState
     void
     read(util::BinaryReader &in)
     {
-        lanes.resize(in.u64());
+        lanes.resize(
+            in.count(util::minEncodedBytes<SharedLaneMemState>()));
         for (SharedLaneMemState &lane : lanes)
             lane.read(in);
         l2.read(in);

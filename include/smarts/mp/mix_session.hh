@@ -111,11 +111,12 @@ struct MixState
     void
     read(util::BinaryReader &in)
     {
-        archs.resize(in.u64());
+        archs.resize(
+            in.count(util::minEncodedBytes<core::ArchState>()));
         for (core::ArchState &arch : archs)
             arch.read(in);
         sharedMem.read(in);
-        lanes.resize(in.u64());
+        lanes.resize(in.count(util::minEncodedBytes<MixLaneState>()));
         for (MixLaneState &lane : lanes)
             lane.read(in);
         rounds = in.u64();

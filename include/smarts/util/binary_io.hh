@@ -322,6 +322,17 @@ class BinaryReader
         return data_[pos_++];
     }
 
+    /** A bool byte: 0 or 1. Any other value latches fail(), so a
+     *  flag has exactly one encoding. */
+    bool
+    flag()
+    {
+        const std::uint8_t b = u8();
+        if (b > 1)
+            failed_ = true;
+        return b == 1;
+    }
+
     std::uint32_t
     u32()
     {
@@ -397,15 +408,31 @@ class BinaryReader
     ByteView
     wordsView()
     {
-        // Divide, don't multiply: sizeof(Word) * n wraps for a
+        const std::uint64_t n = count(sizeof(Word));
+        return failed_ ? ByteView{} : view(n * sizeof(Word));
+    }
+
+    /**
+     * A u64 element count, bounded by the bytes left: when
+     * @p minElementBytes-byte elements that many could not all be
+     * there, it latches fail() and returns 0. Size a container from
+     * this, never from a raw u64(), so a hostile count fails before
+     * it drives an allocation.
+     */
+    std::uint64_t
+    count(std::size_t minElementBytes)
+    {
+        // Divide, don't multiply: minElementBytes * n wraps for a
         // hostile length field, and the whole point is refusing
         // such files.
         const std::uint64_t n = u64();
-        if (failed_ || n > remaining() / sizeof(Word)) {
+        const std::size_t width =
+            std::max<std::size_t>(minElementBytes, 1);
+        if (failed_ || n > remaining() / width) {
             failed_ = true;
-            return {};
+            return 0;
         }
-        return view(n * sizeof(Word));
+        return n;
     }
 
     /** False once any read overran the buffer (truncated payload). */
@@ -471,6 +498,24 @@ class BinaryReader
     std::size_t pos_ = 0;
     bool failed_ = false;
 };
+
+/**
+ * Bytes a default-constructed T writes: for a state whose
+ * variable-length fields all start empty, the fewest bytes one T can
+ * occupy — the element bound BinaryReader::count wants. Computed
+ * once per type.
+ */
+template <typename T>
+std::size_t
+minEncodedBytes()
+{
+    static const std::size_t bytes = [] {
+        BinaryWriter out;
+        T{}.write(out);
+        return out.size();
+    }();
+    return bytes;
+}
 
 } // namespace smarts::util
 

@@ -537,54 +537,22 @@ CheckpointStore::ensure(
     const SamplingConfig &sampling, std::uint64_t streamLength,
     std::size_t shards) const
 {
-    return ensureImpl(spec, configs, sampling,
-                      CheckpointLibrary::planShards(
-                          sampling, streamLength, shards),
-                      /*requirePlanMatch=*/false);
-}
-
-std::size_t
-CheckpointStore::ensure(
-    const workloads::BenchmarkSpec &spec,
-    const std::vector<uarch::MachineConfig> &configs,
-    const SamplingConfig &sampling,
-    const std::vector<ShardSpec> &plan) const
-{
-    return ensureImpl(spec, configs, sampling, plan,
-                      /*requirePlanMatch=*/true);
-}
-
-std::size_t
-CheckpointStore::ensureImpl(
-    const workloads::BenchmarkSpec &spec,
-    const std::vector<uarch::MachineConfig> &configs,
-    const SamplingConfig &sampling,
-    const std::vector<ShardSpec> &plan, bool requirePlanMatch) const
-{
     // Collect the configs whose key is missing, deduplicating
     // geometry-equal configs (their warm state is identical, so one
     // captured library serves them all). "Present" means a library
     // that actually LOADS — a file that exists but refuses (stale
     // version, corruption) is a miss to recapture, or ensure()
-    // would report configs as stored that nothing can resume — and,
-    // when the caller pinned a plan, one captured under that exact
-    // shard split.
+    // would report configs as stored that nothing can resume.
     std::vector<const uarch::MachineConfig *> missing;
     std::vector<LibraryKey> missingKeys;
     for (const uarch::MachineConfig &config : configs) {
         const LibraryKey key = LibraryKey::of(spec, config, sampling);
         std::string error;
-        if (std::optional<CheckpointLibrary> library =
-                tryLoad(key, &error)) {
-            if (!requirePlanMatch || library->plan() == plan)
-                continue;
-            SMARTS_WARN("checkpoint store: ", pathFor(key),
-                        " holds a different shard plan; recapturing "
-                        "with the required one");
-        } else if (!error.empty()) {
+        if (tryLoad(key, &error))
+            continue;
+        if (!error.empty())
             SMARTS_WARN("checkpoint store: recapturing (", error,
                         ")");
-        }
         bool duplicate = false;
         for (const LibraryKey &seen : missingKeys)
             duplicate |= seen.geometryHash == key.geometryHash;
@@ -603,7 +571,10 @@ CheckpointStore::ensureImpl(
 
     MultiSession session(spec, captureConfigs);
     const std::vector<CheckpointLibrary> libraries =
-        CheckpointLibrary::buildMulti(session, sampling, plan);
+        CheckpointLibrary::buildMulti(
+            session, sampling,
+            CheckpointLibrary::planShards(sampling, streamLength,
+                                          shards));
 
     for (std::size_t i = 0; i < libraries.size(); ++i) {
         std::string error;
@@ -620,7 +591,7 @@ CheckpointStore::ensureLivePoints(
     const std::vector<uarch::MachineConfig> &configs,
     const SamplingConfig &sampling) const
 {
-    // Same miss/dedup policy as ensureImpl: "present" means a
+    // Same miss/dedup policy as ensure(): "present" means a
     // library that actually LOADS, and geometry-equal configs share
     // one capture.
     std::vector<const uarch::MachineConfig *> missing;

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/livepoint.hh"
-#include "core/multi_session.hh"
 #include "util/logging.hh"
 
 namespace smarts::distrib {
@@ -74,39 +73,6 @@ claimantIds(const std::string &dir)
 
 } // namespace
 
-JobManifest
-planStudy(const workloads::BenchmarkSpec &spec,
-          const std::vector<uarch::MachineConfig> &configs,
-          const core::SamplingConfig &sampling,
-          std::uint64_t streamLength, std::size_t shards)
-{
-    if (configs.empty())
-        SMARTS_FATAL("a study needs at least one machine config");
-    JobManifest m;
-    m.benchmark = spec;
-    m.sampling = sampling;
-    m.streamLength = streamLength;
-    m.configs = configs;
-    for (const uarch::MachineConfig &config : configs)
-        m.geometryHashes.push_back(uarch::warmGeometryHash(config));
-    m.plan = core::CheckpointLibrary::planShards(sampling,
-                                                 streamLength, shards);
-    // The build-fingerprint handshake: serialize() covers this
-    // field, so the study id below inherits it — a diverged build's
-    // results refuse at merge even if its manifest load were somehow
-    // bypassed.
-    m.fingerprint = buildFingerprint();
-
-    // Deterministic study id: digest the manifest with the id slot
-    // zeroed. Same study -> same id (prior results stay valid);
-    // any field change -> new id (old results refuse at merge).
-    util::BinaryWriter digest;
-    m.serialize(digest);
-    m.studyId =
-        util::fnv1a(digest.buffer().data(), digest.buffer().size());
-    return m;
-}
-
 LivePointPlan
 ensureStudyLivePoints(const core::CheckpointStore &store,
                       const workloads::BenchmarkSpec &spec,
@@ -115,7 +81,8 @@ ensureStudyLivePoints(const core::CheckpointStore &store,
 {
     if (configs.empty())
         SMARTS_FATAL("a study needs at least one machine config");
-    store.ensureLivePoints(spec, configs, sampling);
+    const std::size_t captured =
+        store.ensureLivePoints(spec, configs, sampling);
     std::string why;
     const std::optional<core::LivePointLibrary> library =
         store.tryLoadLivePoints(
@@ -123,22 +90,21 @@ ensureStudyLivePoints(const core::CheckpointStore &store,
     if (!library)
         SMARTS_FATAL("live-point capture failed for ", spec.name,
                      ": ", why);
-    return {library->unitCount(), library->streamLength()};
+    return {library->unitCount(), library->streamLength(), captured};
 }
 
 JobManifest
-planUnitStudy(const workloads::BenchmarkSpec &spec,
-              const std::vector<uarch::MachineConfig> &configs,
-              const core::SamplingConfig &sampling,
-              std::uint64_t streamLength, std::uint64_t totalUnits,
-              std::size_t jobs)
+planStudy(const workloads::BenchmarkSpec &spec,
+          const std::vector<uarch::MachineConfig> &configs,
+          const core::SamplingConfig &sampling,
+          std::uint64_t streamLength, std::uint64_t totalUnits,
+          std::size_t jobs)
 {
     if (configs.empty())
         SMARTS_FATAL("a study needs at least one machine config");
     if (totalUnits == 0)
-        SMARTS_FATAL("a unit-range study needs at least one "
-                     "live-point (is the stream shorter than one "
-                     "sampling unit?)");
+        SMARTS_FATAL("a study needs at least one live-point (is the "
+                     "stream shorter than one sampling unit?)");
     JobManifest m;
     m.benchmark = spec;
     m.sampling = sampling;
@@ -146,7 +112,6 @@ planUnitStudy(const workloads::BenchmarkSpec &spec,
     m.configs = configs;
     for (const uarch::MachineConfig &config : configs)
         m.geometryHashes.push_back(uarch::warmGeometryHash(config));
-    m.mode = JobMode::UnitRange;
     m.totalUnits = totalUnits;
 
     // Even initial partition; remainder spread over the first
@@ -161,46 +126,20 @@ planUnitStudy(const workloads::BenchmarkSpec &spec,
         m.ranges.push_back(UnitRange{cursor, size});
         cursor += size;
     }
+    // The build-fingerprint handshake: serialize() covers this
+    // field, so the study id below inherits it — a diverged build's
+    // results refuse at merge even if its manifest load were somehow
+    // bypassed.
     m.fingerprint = buildFingerprint();
 
+    // Deterministic study id: digest the manifest with the id slot
+    // zeroed. Same study -> same id (prior results stay valid);
+    // any field change -> new id (old results refuse at merge).
     util::BinaryWriter digest;
     m.serialize(digest);
     m.studyId =
         util::fnv1a(digest.buffer().data(), digest.buffer().size());
     return m;
-}
-
-std::size_t
-ensureStudyStore(const core::CheckpointStore &store,
-                 const JobManifest &manifest)
-{
-    if (manifest.mode == JobMode::UnitRange) {
-        const std::size_t captured = store.ensureLivePoints(
-            manifest.benchmark, manifest.configs,
-            manifest.sampling);
-        std::string why;
-        const std::optional<core::LivePointLibrary> library =
-            store.tryLoadLivePoints(manifest.keyFor(0), &why);
-        if (!library)
-            SMARTS_FATAL("live-point capture failed for ",
-                         manifest.benchmark.name, ": ", why);
-        if (library->unitCount() != manifest.totalUnits ||
-            library->streamLength() != manifest.streamLength)
-            SMARTS_FATAL(
-                "store's live-point library has ",
-                library->unitCount(), " units over a stream of ",
-                library->streamLength(), ", but the manifest says ",
-                manifest.totalUnits, " over ",
-                manifest.streamLength,
-                " — was it planned against a different store?");
-        return captured;
-    }
-    // Plan-exact on purpose: every runner of this study resumes
-    // from the manifest's own shard boundaries, so a library
-    // captured under any other split is a miss here even though
-    // the in-process store-backed paths could use it.
-    return store.ensure(manifest.benchmark, manifest.configs,
-                        manifest.sampling, manifest.plan);
 }
 
 bool
@@ -244,8 +183,7 @@ publishStudy(const std::string &dir, const JobManifest &manifest,
     // Seed the live range partition (fresh queue), or repair a
     // republished queue whose ranges/ vanished (without markers no
     // remaining job is claimable).
-    if (manifest.mode == JobMode::UnitRange &&
-        (fresh || !fs::exists(fs::path(dir) / "ranges", ec)))
+    if (fresh || !fs::exists(fs::path(dir) / "ranges", ec))
         for (const UnitRange &r : manifest.ranges)
             if (!writeMarker(rangeMarkerPath(dir, r))) {
                 if (error)
@@ -260,21 +198,9 @@ publishStudy(const std::string &dir, const JobManifest &manifest,
 bool
 studyComplete(const std::string &dir, const JobManifest &manifest)
 {
-    if (manifest.mode == JobMode::UnitRange) {
-        // Complete = for every config, SOME set of published ranges
-        // tiles [0, totalUnits) — any granularity the split history
-        // produced.
-        for (std::uint32_t c = 0; c < manifest.configs.size(); ++c)
-            if (!tileResults(listResultRanges(dir, c),
-                             manifest.totalUnits))
-                return false;
-        return true;
-    }
-    std::error_code ec;
     for (std::uint32_t c = 0; c < manifest.configs.size(); ++c)
-        for (std::uint32_t s = 0; s < manifest.plan.size(); ++s)
-            if (!fs::exists(resultPath(dir, c, s), ec))
-                return false;
+        if (!tileResults(listResultRanges(dir, c), manifest.totalUnits))
+            return false;
     return true;
 }
 
@@ -283,8 +209,6 @@ splitRemainingRanges(const std::string &dir,
                      const JobManifest &manifest,
                      std::uint64_t minUnits)
 {
-    if (manifest.mode != JobMode::UnitRange)
-        return 0;
     if (minUnits == 0)
         minUnits = 1;
     std::size_t splits = 0;
@@ -297,8 +221,8 @@ splitRemainingRanges(const std::string &dir,
         bool busy = false;
         for (std::uint32_t c = 0;
              c < manifest.configs.size() && !busy; ++c)
-            busy = fs::exists(claimPathRange(dir, c, r), ec) ||
-                   fs::exists(resultPathRange(dir, c, r), ec);
+            busy = fs::exists(claimPath(dir, c, r), ec) ||
+                   fs::exists(resultPath(dir, c, r), ec);
         if (busy)
             continue;
         const UnitRange a{r.firstUnit, r.unitCount / 2};
@@ -320,73 +244,45 @@ std::optional<std::vector<core::SmartsEstimate>>
 mergeStudy(const std::string &dir, const JobManifest &manifest,
            std::string *error)
 {
+    auto refuse = [error](std::string why) {
+        if (error)
+            *error = std::move(why);
+        return std::nullopt;
+    };
     std::vector<core::SmartsEstimate> estimates(
         manifest.configs.size());
-    if (manifest.mode == JobMode::UnitRange) {
-        for (std::uint32_t c = 0; c < manifest.configs.size();
-             ++c) {
-            const std::vector<UnitRange> avail =
-                listResultRanges(dir, c);
-            // EVERY published file must validate — a poisoned file
-            // never rides along silently just because a healthy
-            // overlap could cover its units.
-            std::vector<ShardResult> loaded;
-            loaded.reserve(avail.size());
-            for (const UnitRange &r : avail) {
-                std::string why;
-                std::optional<ShardResult> result =
-                    ShardResult::loadRange(
-                        resultPathRange(dir, c, r), manifest, c, r,
-                        &why);
-                if (!result) {
-                    if (error)
-                        *error = std::move(why);
-                    return std::nullopt;
-                }
-                loaded.push_back(std::move(*result));
-            }
-            const std::optional<std::vector<UnitRange>> tiling =
-                tileResults(avail, manifest.totalUnits);
-            if (!tiling) {
-                if (error)
-                    *error = log::format(
-                        "study incomplete: config ", c,
-                        "'s results do not cover all ",
-                        manifest.totalUnits, " units");
-                return std::nullopt;
-            }
-            // Fold the chosen tiles in slot (= stream) order: the
-            // same replay discipline as shard merge, bit-identical
-            // to serial run().
-            core::SmartsEstimate est;
-            for (const UnitRange &tile : *tiling)
-                for (std::size_t i = 0; i < avail.size(); ++i)
-                    if (avail[i] == tile) {
-                        core::SystematicSampler::foldSlice(
-                            est, loaded[i].slice);
-                        break;
-                    }
-            estimates[c] = est;
-        }
-        return estimates;
-    }
     for (std::uint32_t c = 0; c < manifest.configs.size(); ++c) {
-        core::SmartsEstimate est;
-        for (std::uint32_t s = 0; s < manifest.plan.size(); ++s) {
+        const std::vector<UnitRange> avail = listResultRanges(dir, c);
+        // EVERY published file must validate — a poisoned file never
+        // rides along silently just because a healthy overlap could
+        // cover its units.
+        std::vector<ShardResult> loaded;
+        loaded.reserve(avail.size());
+        for (const UnitRange &r : avail) {
             std::string why;
-            const std::optional<ShardResult> result =
-                ShardResult::load(resultPath(dir, c, s), manifest,
-                                  c, s, &why);
-            if (!result) {
-                // Refusal, not tolerance: a study with a missing or
-                // suspect shard yields NO estimate.
-                if (error)
-                    *error = std::move(why);
-                return std::nullopt;
-            }
-            core::SystematicSampler::foldSlice(est, result->slice);
+            std::optional<ShardResult> result = ShardResult::load(
+                resultPath(dir, c, r), manifest, c, r, &why);
+            if (!result)
+                return refuse(std::move(why));
+            loaded.push_back(std::move(*result));
         }
-        estimates[c] = est;
+        const std::optional<std::vector<UnitRange>> tiling =
+            tileResults(avail, manifest.totalUnits);
+        if (!tiling)
+            return refuse(log::format(
+                "study incomplete: config ", c,
+                "'s results do not cover all ", manifest.totalUnits,
+                " units"));
+        // Fold the chosen tiles in slot (= stream) order: the same
+        // replay discipline as serial run(), so the estimate is
+        // bit-identical to it.
+        for (const UnitRange &tile : *tiling)
+            for (std::size_t i = 0; i < avail.size(); ++i)
+                if (avail[i] == tile) {
+                    core::SystematicSampler::foldSlice(
+                        estimates[c], loaded[i].slice);
+                    break;
+                }
     }
     return estimates;
 }
@@ -404,16 +300,13 @@ collectStudy(const std::string &dir, const JobManifest &manifest,
         std::chrono::duration<double>(timeoutSeconds);
     PollBackoff backoff(pollMillis);
 
-    // Elasticity: in unit-range mode, watch the claims/ directory
-    // for runner ids never seen before — a NEW runner joined
-    // mid-study — and split the still-unclaimed ranges so the
-    // newcomer gets fair-grained work instead of idling behind big
-    // claims.
+    // Elasticity: watch the claims/ directory for runner ids never
+    // seen before — a NEW runner joined mid-study — and split the
+    // still-unclaimed ranges so the newcomer gets fair-grained work
+    // instead of idling behind big claims.
     std::set<std::string> knownRunners;
     bool baselined = false;
     auto watchRunners = [&] {
-        if (manifest.mode != JobMode::UnitRange)
-            return;
         const std::set<std::string> ids = claimantIds(dir);
         if (!baselined) {
             knownRunners = ids;
@@ -482,49 +375,21 @@ collectStudy(const std::string &dir, const JobManifest &manifest,
         // systematic refusal (e.g. incompatible builds) cannot
         // loop unbounded — the deadline above still applies.
         std::size_t quarantined = 0;
-        if (manifest.mode == JobMode::UnitRange) {
-            for (std::uint32_t c = 0; c < manifest.configs.size();
-                 ++c)
-                for (const UnitRange &r :
-                     listResultRanges(dir, c)) {
-                    const std::string path =
-                        resultPathRange(dir, c, r);
-                    std::string jobWhy;
-                    if (ShardResult::loadRange(path, manifest, c, r,
-                                               &jobWhy)
-                            .has_value())
-                        continue;
-                    SMARTS_WARN(
-                        "collect: quarantining refused result for "
-                        "job (config ", c, ", units [", r.firstUnit,
-                        ", +", r.unitCount, ")): ", jobWhy);
-                    std::error_code ec;
-                    fs::remove(path, ec);
-                    fs::remove(claimPathRange(dir, c, r), ec);
-                    ++quarantined;
-                }
-        } else {
-            for (std::uint32_t c = 0; c < manifest.configs.size();
-                 ++c)
-                for (std::uint32_t s = 0; s < manifest.plan.size();
-                     ++s) {
-                    const std::string path = resultPath(dir, c, s);
-                    std::error_code ec;
-                    if (!fs::exists(path, ec))
-                        continue;
-                    std::string jobWhy;
-                    if (ShardResult::load(path, manifest, c, s,
-                                          &jobWhy)
-                            .has_value())
-                        continue;
-                    SMARTS_WARN(
-                        "collect: quarantining refused result "
-                        "for job (", c, ", ", s, "): ", jobWhy);
-                    fs::remove(path, ec);
-                    fs::remove(claimPath(dir, c, s), ec);
-                    ++quarantined;
-                }
-        }
+        for (std::uint32_t c = 0; c < manifest.configs.size(); ++c)
+            for (const UnitRange &r : listResultRanges(dir, c)) {
+                const std::string path = resultPath(dir, c, r);
+                std::string jobWhy;
+                if (ShardResult::load(path, manifest, c, r, &jobWhy))
+                    continue;
+                SMARTS_WARN("collect: quarantining refused result for "
+                            "job (config ", c, ", units [",
+                            r.firstUnit, ", +", r.unitCount,
+                            ")): ", jobWhy);
+                std::error_code ec;
+                fs::remove(path, ec);
+                fs::remove(claimPath(dir, c, r), ec);
+                ++quarantined;
+            }
         if (quarantined)
             backoff.reset();
         if (!quarantined ||

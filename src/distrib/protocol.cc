@@ -29,12 +29,6 @@ constexpr char kResultMagic[8] = {'S', 'M', 'R', 'T',
 constexpr std::uint32_t kEndianMark = 0x01020304u;
 
 std::string
-jobName(std::uint32_t config, std::uint32_t shard)
-{
-    return log::format("c", config, "_s", shard);
-}
-
-std::string
 hex64(std::uint64_t v)
 {
     char buf[32];
@@ -110,7 +104,7 @@ readMachine(util::BinaryReader &in)
     c.width = in.u32();
     c.robSize = in.u32();
     c.pipelineDepth = in.u32();
-    c.modelWrongPath = in.u8() != 0;
+    c.modelWrongPath = in.flag();
     c.wrongPathFetches = in.u32();
     c.loadStallFactor = in.f64();
     c.storeStallFactor = in.f64();
@@ -138,26 +132,6 @@ readMachine(util::BinaryReader &in)
     return c;
 }
 
-void
-writeShard(util::BinaryWriter &out, const core::ShardSpec &shard)
-{
-    out.u64(shard.firstUnitIndex);
-    out.u64(shard.unitCount);
-    out.u64(shard.resumePos);
-    out.u8(shard.runsTail ? 1 : 0);
-}
-
-core::ShardSpec
-readShard(util::BinaryReader &in)
-{
-    core::ShardSpec shard;
-    shard.firstUnitIndex = in.u64();
-    shard.unitCount = in.u64();
-    shard.resumePos = in.u64();
-    shard.runsTail = in.u8() != 0;
-    return shard;
-}
-
 /**
  * Smallest encoded manifest config: a machine config with an empty
  * name, plus its u64 geometry hash.
@@ -173,8 +147,7 @@ minConfigBytes()
     return bytes;
 }
 
-/** Fixed encoded widths of a shard spec and a unit range. */
-constexpr std::uint64_t kShardBytes = 3 * sizeof(std::uint64_t) + 1;
+/** Fixed encoded width of a unit range. */
 constexpr std::uint64_t kRangeBytes = 2 * sizeof(std::uint64_t);
 
 /** A process-unique temp name next to @p path (atomic-publish
@@ -188,10 +161,9 @@ tempName(const std::string &path, const std::string &tag)
 }
 
 /**
- * The shared claim core: result-exists short-circuit, exclusive
+ * The claim core: result-exists short-circuit, exclusive
  * hard-link creation for a fresh claim, atomic rename-steal of a
- * stale one. Both job flavors (shard and unit-range) differ only in
- * the two paths.
+ * stale one.
  */
 bool
 claimAt(const std::string &claim, const std::string &result,
@@ -254,40 +226,6 @@ claimAt(const std::string &claim, const std::string &result,
     std::error_code ignore;
     fs::remove(tmp, ignore);
     return false;
-}
-
-/**
- * Rank jobs by the weighted-shuffle key u^(1/w) (Efraimidis-
- * Spirakis), descending: every runner gets a different permutation
- * (per-runner RNG seed) whose EXPECTED order is weight-biased, so
- * heavy jobs surface early without all runners probing the same job
- * first.
- */
-template <typename Job>
-std::vector<Job>
-weightedOrder(const std::vector<std::pair<Job, double>> &jobs,
-              std::uint64_t studyId, const std::string &runnerId)
-{
-    Xoshiro256StarStar rng(mix64(
-        util::fnv1a(
-            reinterpret_cast<const std::uint8_t *>(runnerId.data()),
-            runnerId.size()) ^
-        studyId));
-    std::vector<std::pair<double, std::size_t>> keyed;
-    keyed.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const double w = std::max(jobs[i].second, 1.0);
-        keyed.emplace_back(std::pow(rng.uniform(), 1.0 / w), i);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first > b.first;
-                     });
-    std::vector<Job> order;
-    order.reserve(jobs.size());
-    for (const auto &[key, i] : keyed)
-        order.push_back(jobs[i].first);
-    return order;
 }
 
 void
@@ -363,24 +301,6 @@ manifestPath(const std::string &dir)
 }
 
 std::string
-claimPath(const std::string &dir, std::uint32_t config,
-          std::uint32_t shard)
-{
-    return (fs::path(dir) / "claims" /
-            (jobName(config, shard) + ".claim"))
-        .string();
-}
-
-std::string
-resultPath(const std::string &dir, std::uint32_t config,
-           std::uint32_t shard)
-{
-    return (fs::path(dir) / "results" /
-            (jobName(config, shard) + ".smrr"))
-        .string();
-}
-
-std::string
 rangeName(const UnitRange &range)
 {
     return log::format("u", range.firstUnit, "_n", range.unitCount);
@@ -394,8 +314,8 @@ rangeMarkerPath(const std::string &dir, const UnitRange &range)
 }
 
 std::string
-claimPathRange(const std::string &dir, std::uint32_t config,
-               const UnitRange &range)
+claimPath(const std::string &dir, std::uint32_t config,
+          const UnitRange &range)
 {
     return (fs::path(dir) / "claims" /
             (log::format("c", config, "_") + rangeName(range) +
@@ -404,8 +324,8 @@ claimPathRange(const std::string &dir, std::uint32_t config,
 }
 
 std::string
-resultPathRange(const std::string &dir, std::uint32_t config,
-                const UnitRange &range)
+resultPath(const std::string &dir, std::uint32_t config,
+           const UnitRange &range)
 {
     return (fs::path(dir) / "results" /
             (log::format("c", config, "_") + rangeName(range) +
@@ -413,21 +333,29 @@ resultPathRange(const std::string &dir, std::uint32_t config,
         .string();
 }
 
+namespace {
+
+/**
+ * The ranges named by the files `<prefix>u<F>_n<N><ext>` under
+ * @p sub, sorted by (firstUnit, unitCount desc).
+ */
 std::vector<UnitRange>
-listRanges(const std::string &dir)
+scanRanges(const fs::path &sub, const std::string &prefix,
+           const char *ext)
 {
     std::vector<UnitRange> ranges;
     std::error_code ec;
-    fs::directory_iterator it(fs::path(dir) / "ranges", ec);
+    fs::directory_iterator it(sub, ec);
     if (ec)
         return ranges;
-    for (const fs::directory_entry &entry :
-         it) {
-        if (entry.path().extension() != ".range")
+    for (const fs::directory_entry &entry : it) {
+        const std::string stem = entry.path().stem().string();
+        if (entry.path().extension() != ext ||
+            stem.compare(0, prefix.size(), prefix) != 0)
             continue;
         unsigned long long first = 0, count = 0;
-        if (std::sscanf(entry.path().stem().string().c_str(),
-                        "u%llu_n%llu", &first, &count) == 2 &&
+        if (std::sscanf(stem.c_str() + prefix.size(), "u%llu_n%llu",
+                        &first, &count) == 2 &&
             count > 0)
             ranges.push_back(UnitRange{first, count});
     }
@@ -440,32 +368,19 @@ listRanges(const std::string &dir)
     return ranges;
 }
 
+} // namespace
+
+std::vector<UnitRange>
+listRanges(const std::string &dir)
+{
+    return scanRanges(fs::path(dir) / "ranges", "", ".range");
+}
+
 std::vector<UnitRange>
 listResultRanges(const std::string &dir, std::uint32_t config)
 {
-    std::vector<UnitRange> ranges;
-    std::error_code ec;
-    fs::directory_iterator it(fs::path(dir) / "results", ec);
-    if (ec)
-        return ranges;
-    for (const fs::directory_entry &entry : it) {
-        if (entry.path().extension() != ".smrr")
-            continue;
-        unsigned c = 0;
-        unsigned long long first = 0, count = 0;
-        if (std::sscanf(entry.path().stem().string().c_str(),
-                        "c%u_u%llu_n%llu", &c, &first,
-                        &count) == 3 &&
-            c == config && count > 0)
-            ranges.push_back(UnitRange{first, count});
-    }
-    std::sort(ranges.begin(), ranges.end(),
-              [](const UnitRange &a, const UnitRange &b) {
-                  return a.firstUnit != b.firstUnit
-                             ? a.firstUnit < b.firstUnit
-                             : a.unitCount > b.unitCount;
-              });
-    return ranges;
+    return scanRanges(fs::path(dir) / "results",
+                      log::format("c", config, "_"), ".smrr");
 }
 
 void
@@ -477,8 +392,8 @@ JobManifest::serialize(util::BinaryWriter &out) const
     out.u64(studyId);
     out.u64(fingerprint);
     out.u64(streamLength);
-    // Benchmark + sampling via the LibraryKey encoding the .smck
-    // format already fixed; the hash slot is zero here because
+    // Benchmark + sampling via the LibraryKey encoding the store
+    // formats already fixed; the hash slot is zero here because
     // geometry is per config (the list below).
     core::LibraryKey base;
     base.benchmark = benchmark;
@@ -490,10 +405,6 @@ JobManifest::serialize(util::BinaryWriter &out) const
         writeMachine(out, configs[c]);
         out.u64(geometryHashes[c]);
     }
-    out.u8(static_cast<std::uint8_t>(mode));
-    out.u64(plan.size());
-    for (const core::ShardSpec &shard : plan)
-        writeShard(out, shard);
     out.u64(totalUnits);
     out.u64(ranges.size());
     for (const UnitRange &r : ranges)
@@ -508,32 +419,49 @@ JobManifest::save(const std::string &path, std::string *error) const
     return out.writeFile(path, error);
 }
 
+namespace {
+
+/**
+ * Check the header of a protocol file @p in was opened from: magic,
+ * version and endianness marker. False with the diagnostic in
+ * @p why (already set by fromFile when @p in failed to open).
+ */
+bool
+readHeader(util::BinaryReader &in, const std::string &path,
+           const char (&magic)[8], const char *what, std::string &why)
+{
+    if (in.failed())
+        return false;
+    if (!readMagic(in, magic)) {
+        why = log::format(path, " is not a smarts ", what);
+    } else if (const std::uint32_t version = in.u32();
+               version != kDistribFormatVersion) {
+        why = log::format(path, " is protocol version ", version,
+                          "; this build speaks version ",
+                          kDistribFormatVersion);
+    } else if (in.u32() != kEndianMark) {
+        why = log::format(path, " has a bad endianness marker");
+    } else {
+        return true;
+    }
+    return false;
+}
+
+} // namespace
+
 std::optional<JobManifest>
 JobManifest::load(const std::string &path, std::string *error)
 {
-    auto refuse = [error](std::string why) {
+    std::string why;
+    auto refuse = [&](std::string reason) {
         if (error)
-            *error = std::move(why);
+            *error = std::move(reason);
         return std::nullopt;
     };
 
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-
-    if (!readMagic(in, kManifestMagic))
-        return refuse(
-            log::format(path, " is not a smarts job manifest"));
-    const std::uint32_t version = in.u32();
-    if (version != kDistribFormatVersion)
-        return refuse(log::format(
-            path, " is protocol version ", version,
-            "; this build speaks version ", kDistribFormatVersion));
-    if (in.u32() != kEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
+    util::BinaryReader in = util::BinaryReader::fromFile(path, &why);
+    if (!readHeader(in, path, kManifestMagic, "job manifest", why))
+        return refuse(std::move(why));
 
     JobManifest m;
     m.studyId = in.u64();
@@ -542,6 +470,12 @@ JobManifest::load(const std::string &path, std::string *error)
     const core::LibraryKey base = core::LibraryKey::read(in);
     m.benchmark = base.benchmark;
     m.sampling = base.sampling;
+    // Geometry is per config; the study key's hash slot is always
+    // zero, so a manifest has one encoding.
+    if (base.geometryHash != 0)
+        return refuse(log::format(
+            path, " is corrupt (study key carries geometry hash ",
+            hex64(base.geometryHash), ")"));
 
     // Every count is bounded by the elements the remaining payload
     // could hold, and the vectors grow only as elements parse — a
@@ -560,19 +494,6 @@ JobManifest::load(const std::string &path, std::string *error)
             return refuse(log::format(path, " is corrupt (config ", c,
                                       ": ", configError, ")"));
     }
-
-    const std::uint8_t modeByte = in.u8();
-    if (modeByte > static_cast<std::uint8_t>(JobMode::UnitRange))
-        return refuse(log::format(path, " names unknown job mode ",
-                                  static_cast<unsigned>(modeByte)));
-    m.mode = static_cast<JobMode>(modeByte);
-
-    const std::uint64_t shardCount = in.u64();
-    if (shardCount > in.remaining() / kShardBytes)
-        return refuse(log::format(path, " is corrupt (shard count ",
-                                  shardCount, ")"));
-    for (std::uint64_t s = 0; s < shardCount; ++s)
-        m.plan.push_back(readShard(in));
 
     m.totalUnits = in.u64();
     const std::uint64_t rangeCount = in.u64();
@@ -598,45 +519,27 @@ JobManifest::load(const std::string &path, std::string *error)
             " — leader/runner timing models or protocol versions "
             "diverged"));
 
-    if (m.mode == JobMode::Shard) {
-        if (m.totalUnits != 0 || !m.ranges.empty())
+    if (m.totalUnits == 0)
+        return refuse(
+            log::format(path, " is corrupt (a study of 0 units)"));
+    // The initial ranges must tile [0, totalUnits) exactly: a gap
+    // loses units silently, an overlap double-counts them.
+    std::uint64_t cursor = 0;
+    for (const UnitRange &r : m.ranges) {
+        if (r.firstUnit != cursor || r.unitCount == 0 ||
+            r.unitCount > m.totalUnits - cursor)
             return refuse(log::format(
                 path,
-                " is corrupt (shard-mode manifest carries unit "
-                "ranges)"));
-        const std::string planError =
-            core::CheckpointLibrary::validatePlan(m.sampling,
-                                                  m.plan);
-        if (!planError.empty())
-            return refuse(
-                log::format(path, " is corrupt (", planError, ")"));
-    } else {
-        if (!m.plan.empty())
-            return refuse(log::format(
-                path,
-                " is corrupt (unit-range manifest carries a shard "
-                "plan)"));
-        if (m.totalUnits == 0)
-            return refuse(log::format(
-                path, " is corrupt (unit-range study of 0 units)"));
-        // The initial ranges must tile [0, totalUnits) exactly: a
-        // gap loses units silently, an overlap double-counts them.
-        std::uint64_t cursor = 0;
-        for (const UnitRange &r : m.ranges) {
-            if (r.firstUnit != cursor || r.unitCount == 0)
-                return refuse(log::format(
-                    path,
-                    " is corrupt (ranges do not tile the study: "
-                    "expected a range at unit ",
-                    cursor, ", found [", r.firstUnit, ", +",
-                    r.unitCount, "))"));
-            cursor += r.unitCount;
-        }
-        if (cursor != m.totalUnits)
-            return refuse(log::format(
-                path, " is corrupt (ranges cover ", cursor, " of ",
-                m.totalUnits, " units)"));
+                " is corrupt (ranges do not tile the study: expected "
+                "a range at unit ",
+                cursor, " within ", m.totalUnits, " units, found [",
+                r.firstUnit, ", +", r.unitCount, "))"));
+        cursor += r.unitCount;
     }
+    if (cursor != m.totalUnits)
+        return refuse(log::format(path, " is corrupt (ranges cover ",
+                                  cursor, " of ", m.totalUnits,
+                                  " units)"));
 
     // The stated geometry hashes must be reproducible by THIS
     // build: a disagreement means the leader hashes warm state
@@ -660,12 +563,9 @@ ShardResult::serialize(util::BinaryWriter &out) const
     out.u32(kDistribFormatVersion);
     out.u32(kEndianMark);
     out.u64(studyId);
-    out.u8(static_cast<std::uint8_t>(mode));
     out.u32(configIndex);
-    out.u32(shardIndex);
     writeRange(out, range);
     key.write(out);
-    writeShard(out, shard);
     out.u64(slice.measured);
     out.u64(slice.warmed);
     out.u64(slice.dropped);
@@ -685,49 +585,27 @@ ShardResult::save(const std::string &path, std::string *error) const
     return out.writeFile(path, error);
 }
 
-namespace {
-
-/** Parse a result file's bytes into @p r: structural refusals only
- *  (semantic checks are the callers'). */
-bool
-parseResult(const std::string &path, ShardResult &r,
-            std::string *error)
+std::optional<ShardResult>
+ShardResult::load(const std::string &path,
+                  const JobManifest &manifest, std::uint32_t config,
+                  const UnitRange &range, std::string *error)
 {
-    auto refuse = [error](std::string why) {
+    std::string why;
+    auto refuse = [&](std::string reason) {
         if (error)
-            *error = std::move(why);
-        return false;
+            *error = std::move(reason);
+        return std::nullopt;
     };
 
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
+    util::BinaryReader in = util::BinaryReader::fromFile(path, &why);
+    if (!readHeader(in, path, kResultMagic, "job result", why))
+        return refuse(std::move(why));
 
-    if (!readMagic(in, kResultMagic))
-        return refuse(
-            log::format(path, " is not a smarts shard result"));
-    const std::uint32_t version = in.u32();
-    if (version != kDistribFormatVersion)
-        return refuse(log::format(
-            path, " is protocol version ", version,
-            "; this build speaks version ", kDistribFormatVersion));
-    if (in.u32() != kEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
-
+    ShardResult r;
     r.studyId = in.u64();
-    const std::uint8_t modeByte = in.u8();
-    if (modeByte > static_cast<std::uint8_t>(JobMode::UnitRange))
-        return refuse(log::format(path, " names unknown job mode ",
-                                  static_cast<unsigned>(modeByte)));
-    r.mode = static_cast<JobMode>(modeByte);
     r.configIndex = in.u32();
-    r.shardIndex = in.u32();
     r.range = readRange(in);
     r.key = core::LibraryKey::read(in);
-    r.shard = readShard(in);
     r.slice.measured = in.u64();
     r.slice.warmed = in.u64();
     r.slice.dropped = in.u64();
@@ -744,92 +622,23 @@ parseResult(const std::string &path, ShardResult &r,
     if (in.failed() || in.remaining() != 0)
         return refuse(log::format(
             path, " is truncated or has trailing garbage"));
-    return true;
-}
-
-} // namespace
-
-std::optional<ShardResult>
-ShardResult::load(const std::string &path,
-                  const JobManifest &manifest, std::uint32_t config,
-                  std::uint32_t shard, std::string *error)
-{
-    auto refuse = [error](std::string why) {
-        if (error)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-
-    ShardResult r;
-    if (!parseResult(path, r, error))
-        return std::nullopt;
 
     // Semantic refusals: everything must match the manifest's view
-    // of job (config, shard). Merging a result from another study,
+    // of job (config, range). Merging a result from another study,
     // another job, or another key would corrupt the estimate
     // silently — exactly what this protocol exists to prevent.
     if (r.studyId != manifest.studyId)
         return refuse(log::format(
             path, " belongs to study ", r.studyId,
             ", not this manifest's study ", manifest.studyId));
-    if (r.mode != JobMode::Shard)
-        return refuse(log::format(
-            path, " is a unit-range result, not a shard result"));
-    if (r.configIndex != config || r.shardIndex != shard)
-        return refuse(log::format(
-            path, " is the result of job (config ", r.configIndex,
-            ", shard ", r.shardIndex, "), not (config ", config,
-            ", shard ", shard, ")"));
-    const std::string keyMismatch =
-        manifest.keyFor(config).mismatchAgainst(r.key);
-    if (!keyMismatch.empty())
-        return refuse(log::format(path, ": ", keyMismatch));
-    if (r.shard != manifest.plan[shard])
-        return refuse(log::format(
-            path, ": shard-spec echo disagrees with the manifest "
-                  "plan for shard ",
-            shard));
-    if (r.slice.measured !=
-        r.slice.obs.size() * manifest.sampling.unitSize)
-        return refuse(log::format(
-            path, " is inconsistent (", r.slice.obs.size(),
-            " observations for ", r.slice.measured,
-            " measured instructions at U=",
-            manifest.sampling.unitSize, ")"));
-    return r;
-}
-
-std::optional<ShardResult>
-ShardResult::loadRange(const std::string &path,
-                       const JobManifest &manifest,
-                       std::uint32_t config, const UnitRange &range,
-                       std::string *error)
-{
-    auto refuse = [error](std::string why) {
-        if (error)
-            *error = std::move(why);
-        return std::nullopt;
-    };
-
-    ShardResult r;
-    if (!parseResult(path, r, error))
-        return std::nullopt;
-
-    if (r.studyId != manifest.studyId)
-        return refuse(log::format(
-            path, " belongs to study ", r.studyId,
-            ", not this manifest's study ", manifest.studyId));
-    if (r.mode != JobMode::UnitRange)
-        return refuse(log::format(
-            path, " is a shard result, not a unit-range result"));
     if (r.configIndex != config || r.range != range)
         return refuse(log::format(
             path, " is the result of job (config ", r.configIndex,
             ", units [", r.range.firstUnit, ", +", r.range.unitCount,
             ")), not (config ", config, ", units [", range.firstUnit,
             ", +", range.unitCount, "))"));
-    if (range.unitCount == 0 ||
-        range.firstUnit + range.unitCount > manifest.totalUnits)
+    if (range.unitCount == 0 || range.firstUnit > manifest.totalUnits ||
+        range.unitCount > manifest.totalUnits - range.firstUnit)
         return refuse(log::format(
             path, " covers units [", range.firstUnit, ", +",
             range.unitCount, ") outside this study's ",
@@ -859,21 +668,11 @@ ShardResult::loadRange(const std::string &path,
 
 bool
 claimJob(const std::string &dir, std::uint32_t config,
-         std::uint32_t shard, const std::string &runnerId,
+         const UnitRange &range, const std::string &runnerId,
          double staleSeconds)
 {
-    return claimAt(claimPath(dir, config, shard),
-                   resultPath(dir, config, shard), runnerId,
-                   staleSeconds);
-}
-
-bool
-claimRange(const std::string &dir, std::uint32_t config,
-           const UnitRange &range, const std::string &runnerId,
-           double staleSeconds)
-{
-    return claimAt(claimPathRange(dir, config, range),
-                   resultPathRange(dir, config, range), runnerId,
+    return claimAt(claimPath(dir, config, range),
+                   resultPath(dir, config, range), runnerId,
                    staleSeconds);
 }
 
@@ -889,53 +688,49 @@ touchClaim(const std::string &claimFile)
     return !ec;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-claimOrder(const JobManifest &manifest, const std::string &runnerId)
-{
-    using Job = std::pair<std::uint32_t, std::uint32_t>;
-    std::vector<std::pair<Job, double>> jobs;
-    jobs.reserve(manifest.jobCount());
-    // Weight = a shard's measured-unit count, plus a run-out bonus
-    // for the tail shard: its fast-forward to end of stream spans up
-    // to one inter-unit gap (interval × U instructions) and would
-    // otherwise serialize the study's finish when claimed last.
-    const double tailBonus = manifest.sampling.interval / 10.0;
-    for (std::uint32_t c = 0; c < manifest.configs.size(); ++c)
-        for (std::uint32_t s = 0; s < manifest.plan.size(); ++s) {
-            const core::ShardSpec &shard = manifest.plan[s];
-            jobs.emplace_back(
-                Job{c, s},
-                static_cast<double>(shard.unitCount) +
-                    (shard.runsTail ? tailBonus : 0.0));
-        }
-    return weightedOrder(jobs, manifest.studyId, runnerId);
-}
-
 std::vector<std::pair<std::uint32_t, UnitRange>>
 claimOrder(const JobManifest &manifest,
            const std::vector<UnitRange> &ranges,
            const std::string &runnerId)
 {
+    // Rank jobs by the weighted-shuffle key u^(1/w) (Efraimidis-
+    // Spirakis), descending: every runner gets a different
+    // permutation (per-runner RNG seed) whose EXPECTED order is
+    // weight-biased, so heavy jobs surface early without all runners
+    // probing the same job first.
     using Job = std::pair<std::uint32_t, UnitRange>;
-    std::vector<std::pair<Job, double>> jobs;
-    jobs.reserve(manifest.configs.size() * ranges.size());
+    Xoshiro256StarStar rng(mix64(
+        util::fnv1a(
+            reinterpret_cast<const std::uint8_t *>(runnerId.data()),
+            runnerId.size()) ^
+        manifest.studyId));
+    std::vector<std::pair<double, Job>> keyed;
+    keyed.reserve(manifest.configs.size() * ranges.size());
     for (std::uint32_t c = 0; c < manifest.configs.size(); ++c)
         for (const UnitRange &r : ranges)
-            jobs.emplace_back(Job{c, r},
-                              static_cast<double>(r.unitCount));
-    return weightedOrder(jobs, manifest.studyId, runnerId);
+            keyed.emplace_back(
+                std::pow(rng.uniform(),
+                         1.0 / std::max(
+                                   static_cast<double>(r.unitCount),
+                                   1.0)),
+                Job{c, r});
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
+    std::vector<Job> order;
+    order.reserve(keyed.size());
+    for (const auto &[key, job] : keyed)
+        order.push_back(job);
+    return order;
 }
 
 bool
 publishResult(const std::string &dir, const ShardResult &result,
               std::string *error)
 {
-    const std::string path =
-        result.mode == JobMode::UnitRange
-            ? resultPathRange(dir, result.configIndex, result.range)
-            : resultPath(dir, result.configIndex,
-                         result.shardIndex);
-    return result.save(path, error);
+    return result.save(
+        resultPath(dir, result.configIndex, result.range), error);
 }
 
 } // namespace smarts::distrib

@@ -93,45 +93,6 @@ Runner::tick()
 std::size_t
 Runner::drain(const JobManifest &manifest)
 {
-    return manifest.mode == JobMode::UnitRange
-               ? drainRanges(manifest)
-               : drainShards(manifest);
-}
-
-std::size_t
-Runner::drainShards(const JobManifest &manifest)
-{
-    std::size_t executed = 0;
-    for (const auto &[c, s] : claimOrder(manifest, options_.id)) {
-        if (cancelledNow())
-            break;
-        if (!claimJob(dir_, c, s, options_.id,
-                      options_.staleClaimSeconds))
-            continue;
-        heartbeatPath_ = claimPath(dir_, c, s);
-        // smarts-lint: allow(no-ambient-nondeterminism) heartbeat
-        // epoch for claim-liveness only; duplicated or stolen jobs
-        // re-execute deterministically to identical bytes.
-        lastBeat_ = std::chrono::steady_clock::now();
-        if (options_.onExecute)
-            options_.onExecute(log::format("c", c, "_s", s));
-        const ShardResult result = execute(manifest, c, s);
-        heartbeatPath_.clear();
-        if (cancelledNow())
-            break; // partial slice: abandon, claim left to age.
-        std::string error;
-        if (!publishResult(dir_, result, &error))
-            SMARTS_FATAL("runner ", options_.id,
-                         ": cannot publish result for job (", c,
-                         ", ", s, "): ", error);
-        ++executed;
-    }
-    return executed;
-}
-
-std::size_t
-Runner::drainRanges(const JobManifest &manifest)
-{
     std::size_t executed = 0;
     // Sweep until a full pass claims nothing: the leader may SPLIT
     // ranges mid-drain (a runner joined), so the live partition is
@@ -147,11 +108,11 @@ Runner::drainRanges(const JobManifest &manifest)
              claimOrder(manifest, ranges, options_.id)) {
             if (cancelledNow())
                 return executed;
-            if (!claimRange(dir_, c, r, options_.id,
-                            options_.staleClaimSeconds))
+            if (!claimJob(dir_, c, r, options_.id,
+                          options_.staleClaimSeconds))
                 continue;
             ++claimed;
-            heartbeatPath_ = claimPathRange(dir_, c, r);
+            heartbeatPath_ = claimPath(dir_, c, r);
             // smarts-lint: allow(no-ambient-nondeterminism) the
             // heartbeat epoch is claim-liveness only; which units
             // run where never changes their byte-exact results.
@@ -179,35 +140,6 @@ Runner::drainRanges(const JobManifest &manifest)
     return executed;
 }
 
-ShardResult
-Runner::execute(const JobManifest &manifest, std::uint32_t config,
-                std::uint32_t shard)
-{
-    const uarch::MachineConfig &machine = manifest.configs[config];
-    core::SimSession session(manifest.benchmark, machine);
-    if (shard > 0) {
-        // Interior shards resume from the store's warm state;
-        // shard 0 starts at stream start and needs no library at
-        // all (a store-less runner can still contribute it).
-        const core::CheckpointLibrary &library =
-            libraryFor(manifest, config);
-        session.restoreState(library.at(shard).arch,
-                             library.at(shard).timing);
-    }
-
-    ShardResult result;
-    result.studyId = manifest.studyId;
-    result.configIndex = config;
-    result.shardIndex = shard;
-    result.key = manifest.keyFor(config);
-    result.shard = manifest.plan[shard];
-    result.slice =
-        core::SystematicSampler(manifest.sampling)
-            .runSlice(session, manifest.plan[shard],
-                      [this] { return tick(); });
-    return result;
-}
-
 std::optional<ShardResult>
 Runner::executeRange(const JobManifest &manifest,
                      std::uint32_t config, const UnitRange &range)
@@ -219,7 +151,6 @@ Runner::executeRange(const JobManifest &manifest,
 
     ShardResult result;
     result.studyId = manifest.studyId;
-    result.mode = JobMode::UnitRange;
     result.configIndex = config;
     result.range = range;
     result.key = manifest.keyFor(config);
@@ -233,57 +164,10 @@ Runner::executeRange(const JobManifest &manifest,
     return result;
 }
 
-const core::CheckpointLibrary &
-Runner::libraryFor(const JobManifest &manifest, std::uint32_t c)
-{
-    if (cachedStudyId_ != manifest.studyId) {
-        libraries_.clear();
-        livePointLibraries_.clear();
-        cachedStudyId_ = manifest.studyId;
-    }
-    const auto cached = libraries_.find(c);
-    if (cached != libraries_.end())
-        return cached->second;
-
-    const core::LibraryKey key = manifest.keyFor(c);
-    std::string error;
-    bool planMismatch = false;
-    if (std::optional<core::CheckpointLibrary> loaded =
-            store_.tryLoad(key, &error)) {
-        if (loaded->plan() == manifest.plan)
-            return libraries_
-                .emplace(c, std::move(*loaded))
-                .first->second;
-        planMismatch = true;
-        SMARTS_WARN("runner ", options_.id, ": stored library ",
-                    store_.pathFor(key),
-                    " was captured under a different shard plan; "
-                    "recapturing with the manifest's");
-    } else if (!error.empty()) {
-        SMARTS_WARN("runner ", options_.id, ": recapturing (", error,
-                    ")");
-    }
-
-    // Fallback: capture with the manifest's plan, and persist the
-    // repair — a missing or REFUSED (corrupt, stale-version) file
-    // would otherwise force this recapture on every later study.
-    // The one file left alone is a healthy plan-mismatched library:
-    // it may be exactly what another study wants.
-    core::SimSession session(manifest.benchmark,
-                             manifest.configs[c]);
-    core::CheckpointLibrary built = core::CheckpointLibrary::build(
-        session, manifest.sampling, manifest.plan);
-    if (!planMismatch && !store_.save(key, built, &error))
-        SMARTS_WARN("runner ", options_.id, ": could not persist ",
-                    store_.pathFor(key), " (", error, ")");
-    return libraries_.emplace(c, std::move(built)).first->second;
-}
-
 const core::LivePointLibrary &
 Runner::livePointsFor(const JobManifest &manifest, std::uint32_t c)
 {
     if (cachedStudyId_ != manifest.studyId) {
-        libraries_.clear();
         livePointLibraries_.clear();
         cachedStudyId_ = manifest.studyId;
     }

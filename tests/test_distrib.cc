@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the distributed shard runner (smarts::distrib,
+ * Tests for the distributed runners (smarts::distrib,
  * docs/distributed-runners.md): manifest and result-file
  * roundtrips; the refusal matrix (truncated, corrupt,
  * version-bumped, mis-keyed, wrong-study, wrong-job,
@@ -8,27 +8,28 @@
  * merged); leader-merge bit-identity against serial run() at 1, 2
  * and 5 concurrent runners; duplicate-claim benignity (identical
  * bytes either way); abandoned-claim recovery via the stale-claim
- * window; the runner's capture fallback when the store's library
- * was built under a different shard plan; the exponential
- * idle-poll backoff (PollBackoff) of the wait loops; the elastic
- * layer — weighted per-runner claim order, claim heartbeats vs
- * stealing, the build-fingerprint handshake, unit-range studies
- * (seeding, splitting, overlapping-result tiling) — and a chaos
- * drill (runner dies mid-drain, late joiner steals and finishes,
- * merge stays bit-identical with bounded duplication).
+ * window; the runner's capture fallback when the store's live-point
+ * library is corrupt or missing; the exponential idle-poll backoff
+ * (PollBackoff) of the wait loops; the elastic layer — weighted
+ * per-runner claim order, claim heartbeats vs stealing, the
+ * build-fingerprint handshake, range seeding, splitting and
+ * overlapping-result tiling — and a chaos drill (runner dies
+ * mid-drain, late joiner steals and finishes, merge stays
+ * bit-identical with bounded duplication).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/checkpoint_store.hh"
@@ -38,7 +39,6 @@
 #include "distrib/protocol.hh"
 #include "distrib/runner.hh"
 #include "distrib/store_service.hh"
-#include "exec/thread_pool.hh"
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
 #include "workloads/benchmark.hh"
@@ -144,6 +144,45 @@ resetQueue(const distrib::JobManifest &manifest)
     CHECK_EQ(error, std::string());
 }
 
+/**
+ * Ship @p configs' live-points for @p spec into the test store and
+ * plan a study of at most @p jobs unit ranges over them.
+ */
+distrib::JobManifest
+shipStudy(const workloads::BenchmarkSpec &spec,
+          const std::vector<uarch::MachineConfig> &configs,
+          const core::SamplingConfig &sc, std::size_t jobs)
+{
+    core::CheckpointStore store(kStore);
+    const distrib::LivePointPlan plan =
+        distrib::ensureStudyLivePoints(store, spec, configs, sc);
+    return distrib::planStudy(spec, configs, sc, plan.streamLength,
+                              plan.totalUnits, jobs);
+}
+
+/** Drain @p manifest's queue with @p runners concurrent Runner
+ *  threads; returns the jobs they executed in total. */
+std::size_t
+drainConcurrently(const distrib::JobManifest &manifest,
+                  std::size_t runners, const std::string &prefix)
+{
+    std::vector<std::thread> crew;
+    std::vector<std::size_t> executed(runners, 0);
+    for (std::size_t r = 0; r < runners; ++r)
+        crew.emplace_back([&, r] {
+            distrib::Runner runner(
+                kQueue, kStore,
+                runnerOpts(prefix + std::to_string(r), -1.0));
+            executed[r] = runner.drain(manifest);
+        });
+    for (std::thread &t : crew)
+        t.join();
+    std::size_t total = 0;
+    for (const std::size_t n : executed)
+        total += n;
+    return total;
+}
+
 void
 testManifestRoundtripAndRefusals()
 {
@@ -155,21 +194,25 @@ testManifestRoundtripAndRefusals()
 
     const distrib::JobManifest manifest = distrib::planStudy(
         spec, {config, uarch::MachineConfig::sixteenWay()}, sc,
-        length, 4);
+        length, 60, 4);
     CHECK_EQ(manifest.configs.size(), std::size_t(2));
-    CHECK_EQ(manifest.plan.size(), std::size_t(4));
+    CHECK_EQ(manifest.ranges.size(), std::size_t(4));
     CHECK_EQ(manifest.jobCount(), std::size_t(8));
     CHECK(manifest.studyId != 0);
 
     // The study id is a deterministic digest: same study, same id;
     // any parameter change, a different id.
-    CHECK_EQ(distrib::planStudy(spec, manifest.configs, sc, length, 4)
+    CHECK_EQ(distrib::planStudy(spec, manifest.configs, sc, length,
+                                60, 4)
                  .studyId,
              manifest.studyId);
     core::SamplingConfig scOther = sc;
     scOther.offset = 1;
     CHECK(distrib::planStudy(spec, manifest.configs, scOther, length,
-                             4)
+                             60, 4)
+              .studyId != manifest.studyId);
+    CHECK(distrib::planStudy(spec, manifest.configs, sc, length, 60,
+                             5)
               .studyId != manifest.studyId);
 
     const std::string path =
@@ -213,13 +256,17 @@ testManifestRoundtripAndRefusals()
         expectRefusal("corruption", "checksum");
     }
 
-    // Version bump, resealed: refused by number.
-    {
+    // A version bump or a v2 file, resealed: refused by number,
+    // naming both versions. There is no migration.
+    for (const std::uint8_t version : {4, 2}) {
         std::vector<std::uint8_t> bad = good;
-        bad[8] = 3; // version u32 sits right after the 8-byte magic.
+        bad[8] = version; // version u32 sits right after the magic.
         writeFileBytes(path, bad);
         resealChecksum(path);
-        expectRefusal("version bump", "protocol version 3");
+        const std::string needle =
+            "protocol version " + std::to_string(version) +
+            "; this build speaks version 3";
+        expectRefusal("version", needle.c_str());
     }
 
     // Bad magic.
@@ -231,12 +278,26 @@ testManifestRoundtripAndRefusals()
         expectRefusal("magic", "not a smarts job manifest");
     }
 
-    // A malformed plan no planShards() could produce.
+    // A range partition that does not tile the study: an overlap,
+    // a gap at the end, an empty study.
     {
         distrib::JobManifest bad = manifest;
-        bad.plan[0].runsTail = true;
+        bad.ranges[0].unitCount += 1;
         CHECK(bad.save(path, &error));
-        expectRefusal("malformed plan", "plan geometry");
+        expectRefusal("overlapping ranges", "ranges do not tile");
+    }
+    {
+        distrib::JobManifest bad = manifest;
+        bad.ranges.pop_back();
+        CHECK(bad.save(path, &error));
+        expectRefusal("uncovered units", "ranges cover 45 of 60");
+    }
+    {
+        distrib::JobManifest bad = manifest;
+        bad.totalUnits = 0;
+        bad.ranges.clear();
+        CHECK(bad.save(path, &error));
+        expectRefusal("empty study", "a study of 0 units");
     }
 
     // A geometry hash this build's warmGeometryHash cannot
@@ -269,12 +330,12 @@ testManifestRoundtripAndRefusals()
 }
 
 /**
- * Byte offsets of the manifest's three counts in @p manifest's
- * encoding: the config count, the shard count and the range count.
+ * Byte offsets of the manifest's two counts in @p manifest's
+ * encoding: the config count and the range count.
  */
 struct CountOffsets
 {
-    std::size_t configs, shards, ranges;
+    std::size_t configs, ranges;
 };
 
 CountOffsets
@@ -294,9 +355,8 @@ countOffsets(const distrib::JobManifest &manifest)
         distrib::writeMachineConfig(w, c);
         configBytes += w.size() + 8; // + geometry hash.
     }
-    at.shards = at.configs + 4 + configBytes + 1; // + mode byte.
-    // + totalUnits after the plan.
-    at.ranges = at.shards + 8 + 25 * manifest.plan.size() + 8;
+    // + totalUnits after the configs.
+    at.ranges = at.configs + 4 + configBytes + 8;
     return at;
 }
 
@@ -352,33 +412,22 @@ testManifestCountsBounded()
         }
     };
 
-    const distrib::JobManifest shards = distrib::planStudy(
+    const distrib::JobManifest manifest = distrib::planStudy(
         spec, {config, uarch::MachineConfig::sixteenWay()}, sc,
-        length, 4);
-    const CountOffsets s = countOffsets(shards);
+        length, 60, 6);
+    const CountOffsets at = countOffsets(manifest);
     {
         // The offsets are right: each names the encoded count.
-        CHECK(shards.save(path));
+        CHECK(manifest.save(path));
         const std::vector<std::uint8_t> good = readFileBytes(path);
-        CHECK_EQ(util::loadLE<std::uint32_t>(good.data() + s.configs),
+        CHECK_EQ(util::loadLE<std::uint32_t>(good.data() + at.configs),
                  std::uint32_t(2));
-        CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + s.shards),
-                 std::uint64_t(4));
-        CHECK_EQ(s.ranges + 8, good.size() - 8);
-    }
-    craft(shards, s.configs, 4, minConfig, "config");
-    craft(shards, s.shards, 8, 25, "shard");
-
-    const distrib::JobManifest ranges =
-        distrib::planUnitStudy(spec, {config}, sc, length, 60, 6);
-    const CountOffsets r = countOffsets(ranges);
-    {
-        CHECK(ranges.save(path));
-        const std::vector<std::uint8_t> good = readFileBytes(path);
-        CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + r.ranges),
+        CHECK_EQ(util::loadLE<std::uint64_t>(good.data() + at.ranges),
                  std::uint64_t(6));
+        CHECK_EQ(at.ranges + 8 + 16 * 6, good.size() - 8);
     }
-    craft(ranges, r.ranges, 8, 16, "range");
+    craft(manifest, at.configs, 4, minConfig, "config");
+    craft(manifest, at.ranges, 8, 16, "range");
 }
 
 /**
@@ -405,7 +454,7 @@ testConfigGeometryRefused()
     odd.bpred.btbEntries = 384;
     odd.bpred.rasEntries = 12;
     const distrib::JobManifest good =
-        distrib::planStudy(spec, {odd}, sc, 1000000, 2);
+        distrib::planStudy(spec, {odd}, sc, 1000000, 60, 2);
     CHECK(good.save(path));
     CHECK(distrib::JobManifest::load(path).has_value());
 
@@ -437,7 +486,8 @@ testConfigGeometryRefused()
     };
     for (const Case &k : cases) {
         distrib::JobManifest bad = distrib::planStudy(
-            spec, {uarch::MachineConfig::eightWay()}, sc, 1000000, 2);
+            spec, {uarch::MachineConfig::eightWay()}, sc, 1000000, 60,
+            2);
         k.corrupt(bad.configs[0]);
         CHECK(bad.save(path));
         std::string why;
@@ -472,17 +522,18 @@ testResultRoundtripAndRefusals()
     const auto spec =
         workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
     const core::SamplingConfig sc = defaultSampling();
-    const std::uint64_t length = streamLengthOf(spec, config);
 
     const distrib::JobManifest manifest =
-        distrib::planStudy(spec, {config}, sc, length, 3);
-    core::CheckpointStore store(kStore);
-    distrib::ensureStudyStore(store, manifest);
+        shipStudy(spec, {config}, sc, 3);
+    const distrib::UnitRange job = manifest.ranges[1];
 
     distrib::Runner runner(kQueue, kStore, runnerOpts("roundtrip", -1.0));
-    const distrib::ShardResult produced =
-        runner.execute(manifest, 0, 1);
+    const std::optional<distrib::ShardResult> executed =
+        runner.executeRange(manifest, 0, job);
+    CHECK(executed.has_value());
+    const distrib::ShardResult produced = *executed;
     CHECK_EQ(produced.studyId, manifest.studyId);
+    CHECK(produced.range == job);
     CHECK(!produced.slice.obs.empty());
 
     const std::string path =
@@ -490,7 +541,7 @@ testResultRoundtripAndRefusals()
     std::string error;
     CHECK(produced.save(path, &error));
     const auto loaded =
-        distrib::ShardResult::load(path, manifest, 0, 1, &error);
+        distrib::ShardResult::load(path, manifest, 0, job, &error);
     CHECK(loaded.has_value());
     CHECK_EQ(error, std::string());
     {
@@ -504,10 +555,11 @@ testResultRoundtripAndRefusals()
     const std::vector<std::uint8_t> good = readFileBytes(path);
     CHECK(good.size() > 64);
 
-    auto expectRefusal = [&](const char *what, const char *needle) {
+    auto expectRefusal = [&](const char *what, const char *needle,
+                             const distrib::UnitRange &range) {
         std::string why;
         const auto result =
-            distrib::ShardResult::load(path, manifest, 0, 1, &why);
+            distrib::ShardResult::load(path, manifest, 0, range, &why);
         CHECK(!result.has_value());
         const bool mentions = why.find(needle) != std::string::npos;
         CHECK(mentions);
@@ -521,23 +573,26 @@ testResultRoundtripAndRefusals()
     writeFileBytes(path, std::vector<std::uint8_t>(
                              good.begin(),
                              good.begin() + good.size() / 2));
-    expectRefusal("truncation", "checksum");
+    expectRefusal("truncation", "checksum", job);
 
     // Single flipped payload byte.
     {
         std::vector<std::uint8_t> bad = good;
         bad[bad.size() / 2] ^= 0x40;
         writeFileBytes(path, bad);
-        expectRefusal("corruption", "checksum");
+        expectRefusal("corruption", "checksum", job);
     }
 
-    // Version bump, resealed.
-    {
+    // A version bump or a v2 file, resealed.
+    for (const std::uint8_t version : {4, 2}) {
         std::vector<std::uint8_t> bad = good;
-        bad[8] = 3;
+        bad[8] = version;
         writeFileBytes(path, bad);
         resealChecksum(path);
-        expectRefusal("version bump", "protocol version 3");
+        const std::string needle =
+            "protocol version " + std::to_string(version) +
+            "; this build speaks version 3";
+        expectRefusal("version", needle.c_str(), job);
     }
 
     // Bad magic.
@@ -546,7 +601,7 @@ testResultRoundtripAndRefusals()
         bad[0] = 'X';
         writeFileBytes(path, bad);
         resealChecksum(path);
-        expectRefusal("magic", "not a smarts shard result");
+        expectRefusal("magic", "not a smarts job result", job);
     }
 
     // Trailing garbage behind a valid checksum.
@@ -555,34 +610,39 @@ testResultRoundtripAndRefusals()
         bad.insert(bad.end() - 8, {0xde, 0xad, 0xbe, 0xef});
         writeFileBytes(path, bad);
         resealChecksum(path);
-        expectRefusal("trailing garbage", "trailing garbage");
+        expectRefusal("trailing garbage", "trailing garbage", job);
     }
 
     // Restore the pristine bytes; the semantic refusals below are
     // about the expectation, not the file.
     writeFileBytes(path, good);
-    CHECK(distrib::ShardResult::load(path, manifest, 0, 1, &error)
+    CHECK(distrib::ShardResult::load(path, manifest, 0, job, &error)
               .has_value());
 
-    // Wrong job: the file is (0, 1), the leader asked for (0, 2).
-    {
-        std::string why;
-        CHECK(!distrib::ShardResult::load(path, manifest, 0, 2, &why)
-                   .has_value());
-        CHECK(why.find("shard 1") != std::string::npos);
-    }
+    // Wrong job: the file is range 1, the leader asked for range 2.
+    expectRefusal("wrong range", "is the result of job",
+                  manifest.ranges[2]);
 
     // Wrong study: a manifest differing in any field refuses the
     // result outright (study ids are digests of every field).
     {
         core::SamplingConfig scOther = sc;
         scOther.interval = 17;
-        const distrib::JobManifest other =
-            distrib::planStudy(spec, {config}, scOther, length, 3);
+        const distrib::JobManifest other = distrib::planStudy(
+            spec, {config}, scOther, manifest.streamLength,
+            manifest.totalUnits, 3);
         std::string why;
-        CHECK(!distrib::ShardResult::load(path, other, 0, 1, &why)
+        CHECK(!distrib::ShardResult::load(path, other, 0, job, &why)
                    .has_value());
         CHECK(why.find("study") != std::string::npos);
+    }
+
+    // Wrong config: the right range under another config index.
+    {
+        distrib::ShardResult bad = produced;
+        bad.configIndex = 1;
+        CHECK(bad.save(path, &error));
+        expectRefusal("wrong config", "is the result of job", job);
     }
 
     // Mis-keyed: right study id, wrong library key (geometry).
@@ -590,15 +650,16 @@ testResultRoundtripAndRefusals()
         distrib::ShardResult bad = produced;
         bad.key.geometryHash ^= 1;
         CHECK(bad.save(path, &error));
-        expectRefusal("key mismatch", "geometry");
+        expectRefusal("key mismatch", "geometry", job);
     }
 
-    // Shard-spec echo disagrees with the manifest plan.
+    // A range outside the study's units.
     {
         distrib::ShardResult bad = produced;
-        bad.shard.unitCount += 1;
+        bad.range = {manifest.totalUnits, 1};
         CHECK(bad.save(path, &error));
-        expectRefusal("shard echo", "shard-spec echo");
+        expectRefusal("range outside", "outside this study",
+                      bad.range);
     }
 
     // Internally inconsistent observation accounting.
@@ -606,7 +667,21 @@ testResultRoundtripAndRefusals()
         distrib::ShardResult bad = produced;
         bad.slice.measured += 1;
         CHECK(bad.save(path, &error));
-        expectRefusal("inconsistent payload", "inconsistent");
+        expectRefusal("inconsistent payload", "inconsistent", job);
+    }
+    {
+        distrib::ShardResult bad = produced;
+        bad.slice.obs.resize(job.unitCount + 1);
+        bad.slice.measured = bad.slice.obs.size() * sc.unitSize;
+        CHECK(bad.save(path, &error));
+        expectRefusal("observations past the range",
+                      "observations for a", job);
+    }
+    {
+        distrib::ShardResult bad = produced;
+        bad.slice.endPos += 1;
+        CHECK(bad.save(path, &error));
+        expectRefusal("foreign stream", "covers a stream", job);
     }
 }
 
@@ -621,15 +696,18 @@ testMergeBitIdentityAtRunnerCounts()
     const auto spec =
         workloads::findBenchmark("sort-1", workloads::Scale::Mini);
     const core::SamplingConfig sc = defaultSampling();
-    const std::uint64_t length = streamLengthOf(spec, cfg8);
 
     const distrib::JobManifest manifest =
-        distrib::planStudy(spec, {cfg8, cfg16}, sc, length, 5);
-    core::CheckpointStore store(kStore);
-    distrib::ensureStudyStore(store, manifest);
+        shipStudy(spec, {cfg8, cfg16}, sc, 5);
+    CHECK_EQ(manifest.jobCount(), std::size_t(10));
     // Re-ensuring an up-to-date store captures nothing.
-    CHECK_EQ(distrib::ensureStudyStore(store, manifest),
-             std::size_t(0));
+    {
+        core::CheckpointStore store(kStore);
+        CHECK_EQ(distrib::ensureStudyLivePoints(store, spec,
+                                                {cfg8, cfg16}, sc)
+                     .captured,
+                 std::size_t(0));
+    }
 
     const core::SmartsEstimate serial8 = serialRun(spec, cfg8, sc);
     const core::SmartsEstimate serial16 = serialRun(spec, cfg16, sc);
@@ -638,22 +716,8 @@ testMergeBitIdentityAtRunnerCounts()
     for (const std::size_t runners :
          {std::size_t(1), std::size_t(2), std::size_t(5)}) {
         resetQueue(manifest);
-        std::vector<std::thread> crew;
-        std::vector<std::size_t> executed(runners, 0);
-        for (std::size_t r = 0; r < runners; ++r)
-            crew.emplace_back([&, r] {
-                distrib::Runner runner(
-                    kQueue, kStore,
-                    runnerOpts("crew-" + std::to_string(r), -1.0));
-                executed[r] = runner.drain(manifest);
-            });
-        for (std::thread &t : crew)
-            t.join();
-
-        std::size_t total = 0;
-        for (const std::size_t n : executed)
-            total += n;
-        CHECK_EQ(total, manifest.jobCount());
+        CHECK_EQ(drainConcurrently(manifest, runners, "crew-"),
+                 manifest.jobCount());
         CHECK(distrib::studyComplete(kQueue, manifest));
 
         std::string error;
@@ -673,6 +737,7 @@ testMergeBitIdentityAtRunnerCounts()
         kQueue, manifest, /*timeoutSeconds=*/300.0, &helper, &error);
     CHECK(collected.has_value());
     CHECK(fingerprint((*collected)[0]) == fingerprint(serial8));
+    CHECK(fingerprint((*collected)[1]) == fingerprint(serial16));
 
     // Republishing the IDENTICAL study preserves the completed
     // results (the deterministic study id is designed for restarted
@@ -689,19 +754,22 @@ testMergeBitIdentityAtRunnerCounts()
         core::SamplingConfig scOther = sc;
         scOther.offset = 3;
         const distrib::JobManifest other = distrib::planStudy(
-            spec, {cfg8, cfg16}, scOther, length, 5);
+            spec, {cfg8, cfg16}, scOther, manifest.streamLength,
+            manifest.totalUnits, 5);
         CHECK(distrib::publishStudy(kQueue, other, &error));
         CHECK(!distrib::studyComplete(kQueue, other));
-        CHECK(!fs::exists(distrib::resultPath(kQueue, 0, 0)));
+        CHECK(!fs::exists(
+            distrib::resultPath(kQueue, 0, manifest.ranges[0])));
+        CHECK(distrib::listResultRanges(kQueue, 0).empty());
     }
     resetQueue(manifest);
     CHECK(distrib::collectStudy(kQueue, manifest, 300.0, &helper,
                                 &error)
               .has_value());
 
-    // A missing shard result refuses the whole merge.
+    // A missing range result refuses the whole merge.
     std::error_code ec;
-    fs::remove(distrib::resultPath(kQueue, 1, 2), ec);
+    fs::remove(distrib::resultPath(kQueue, 1, manifest.ranges[2]), ec);
     CHECK(!distrib::studyComplete(kQueue, manifest));
     CHECK(!distrib::mergeStudy(kQueue, manifest, &error).has_value());
     CHECK(!error.empty());
@@ -714,38 +782,37 @@ testClaimsDuplicatesAndRecovery()
     const auto spec =
         workloads::findBenchmark("chase-1", workloads::Scale::Mini);
     const core::SamplingConfig sc = defaultSampling();
-    const std::uint64_t length = streamLengthOf(spec, config);
 
     const distrib::JobManifest manifest =
-        distrib::planStudy(spec, {config}, sc, length, 4);
-    core::CheckpointStore store(kStore);
-    distrib::ensureStudyStore(store, manifest);
+        shipStudy(spec, {config}, sc, 4);
     const core::SmartsEstimate serial = serialRun(spec, config, sc);
 
     // Claim exclusivity: of two claimants exactly one wins.
     resetQueue(manifest);
-    CHECK(distrib::claimJob(kQueue, 0, 0, "first"));
-    CHECK(!distrib::claimJob(kQueue, 0, 0, "second"));
+    CHECK(distrib::claimJob(kQueue, 0, manifest.ranges[0], "first"));
+    CHECK(!distrib::claimJob(kQueue, 0, manifest.ranges[0], "second"));
 
     // Duplicate execution is benign: two runners that both execute
     // the same job publish BYTE-IDENTICAL result files (that is
     // what makes lost claim races and stale-claim stealing safe).
     {
+        const distrib::UnitRange job = manifest.ranges[1];
         distrib::Runner a(kQueue, kStore, runnerOpts("dup-a", -1.0));
         distrib::Runner b(kQueue, kStore, runnerOpts("dup-b", -1.0));
-        const distrib::ShardResult ra = a.execute(manifest, 0, 1);
-        const distrib::ShardResult rb = b.execute(manifest, 0, 1);
+        const auto ra = a.executeRange(manifest, 0, job);
+        const auto rb = b.executeRange(manifest, 0, job);
+        CHECK(ra.has_value() && rb.has_value());
         util::BinaryWriter wa, wb;
-        ra.serialize(wa);
-        rb.serialize(wb);
+        ra->serialize(wa);
+        rb->serialize(wb);
         CHECK(wa.buffer() == wb.buffer());
 
         std::string error;
-        CHECK(distrib::publishResult(kQueue, ra, &error));
+        CHECK(distrib::publishResult(kQueue, *ra, &error));
         const std::vector<std::uint8_t> first =
-            readFileBytes(distrib::resultPath(kQueue, 0, 1));
-        CHECK(distrib::publishResult(kQueue, rb, &error));
-        CHECK(readFileBytes(distrib::resultPath(kQueue, 0, 1)) ==
+            readFileBytes(distrib::resultPath(kQueue, 0, job));
+        CHECK(distrib::publishResult(kQueue, *rb, &error));
+        CHECK(readFileBytes(distrib::resultPath(kQueue, 0, job)) ==
               first);
     }
 
@@ -753,7 +820,8 @@ testClaimsDuplicatesAndRecovery()
     // result behind it) blocks nothing once the stale window
     // passes.
     resetQueue(manifest);
-    CHECK(distrib::claimJob(kQueue, 0, 2, "crashed-runner"));
+    CHECK(distrib::claimJob(kQueue, 0, manifest.ranges[2],
+                            "crashed-runner"));
 
     // A polite runner (no stealing) completes everything EXCEPT the
     // abandoned job, and the merge refuses the incomplete study.
@@ -777,7 +845,8 @@ testClaimsDuplicatesAndRecovery()
     // collect loop must quarantine the file and get the job
     // re-executed rather than wedge.
     {
-        const std::string victim = distrib::resultPath(kQueue, 0, 1);
+        const std::string victim =
+            distrib::resultPath(kQueue, 0, manifest.ranges[1]);
         std::vector<std::uint8_t> bytes = readFileBytes(victim);
         bytes[bytes.size() / 2] ^= 0x08;
         writeFileBytes(victim, bytes);
@@ -795,75 +864,54 @@ testClaimsDuplicatesAndRecovery()
 }
 
 void
-testStorePlanMismatchFallback()
+testRunnerRepairsLivePoints()
 {
-    // A store whose library was captured under a DIFFERENT shard
-    // plan (e.g. an earlier in-process run with another shard
-    // count) must not derail a runner: it recaptures with the
-    // manifest's plan in memory and still produces bit-identical
-    // results.
+    // A runner whose store copy lacks the study's live-points, or
+    // holds a REFUSED (corrupt in transit) library, captures them
+    // itself and persists the repair — without it every later study
+    // for the key would pay the recapture again — and the study
+    // still merges bit-identically to serial.
     const auto config = uarch::MachineConfig::eightWay();
     const auto spec =
         workloads::findBenchmark("stream-1", workloads::Scale::Mini);
     const core::SamplingConfig sc = defaultSampling();
-    const std::uint64_t length = streamLengthOf(spec, config);
+    const core::SmartsEstimate serial = serialRun(spec, config, sc);
 
-    // Populate the store with a 7-shard plan...
-    {
-        exec::ThreadPool pool(2);
-        core::CheckpointStore store(kStore);
-        auto factory = [&spec, &config] {
-            return std::make_unique<core::SimSession>(spec, config);
-        };
-        core::SystematicSampler(sc).runSharded(factory, spec, config,
-                                               length, 7, pool,
-                                               store);
-    }
-
-    // ...and run a 3-shard study against it WITHOUT the leader
-    // re-shipping the store.
     const distrib::JobManifest manifest =
-        distrib::planStudy(spec, {config}, sc, length, 3);
-    resetQueue(manifest);
-    distrib::Runner runner(kQueue, kStore, runnerOpts("fallback", -1.0));
-    CHECK_EQ(runner.drain(manifest), manifest.jobCount());
-
-    std::string error;
-    const auto merged = distrib::mergeStudy(kQueue, manifest, &error);
-    CHECK(merged.has_value());
-    CHECK(fingerprint(merged->front()) ==
-          fingerprint(serialRun(spec, config, sc)));
-
-    // ensureStudyStore, by contrast, RE-captures the key so shipped
-    // stores always match the manifest plan.
+        shipStudy(spec, {config}, sc, 3);
     core::CheckpointStore store(kStore);
-    CHECK_EQ(distrib::ensureStudyStore(store, manifest),
-             std::size_t(1));
-    CHECK_EQ(distrib::ensureStudyStore(store, manifest),
-             std::size_t(0));
+    const core::LibraryKey key = manifest.keyFor(0);
+    const std::string libPath = store.livePointPathFor(key);
+    std::vector<std::uint8_t> bytes = readFileBytes(libPath);
+    bytes[bytes.size() / 2] ^= 0x04;
+    writeFileBytes(libPath, bytes);
+    CHECK(!store.tryLoadLivePoints(key).has_value());
 
-    // A REFUSED store file (corrupt in transit) is repaired by the
-    // runner's fallback capture — without the repair every later
-    // study for the key would pay the recapture again.
+    resetQueue(manifest);
+    distrib::Runner repairer(kQueue, kStore, runnerOpts("repairer", -1.0));
+    CHECK_EQ(repairer.drain(manifest), manifest.jobCount());
+    CHECK(store.tryLoadLivePoints(key).has_value());
+    std::string error;
+    const auto healed = distrib::mergeStudy(kQueue, manifest, &error);
+    CHECK(healed.has_value());
+    CHECK(fingerprint(healed->front()) == fingerprint(serial));
+
+    // A runner pointed at an EMPTY store captures and persists too.
+    const std::string emptyStore = std::string(kStore) + "_empty";
+    fs::remove_all(emptyStore);
+    resetQueue(manifest);
     {
-        const std::string libPath =
-            store.pathFor(manifest.keyFor(0));
-        std::vector<std::uint8_t> bytes = readFileBytes(libPath);
-        bytes[bytes.size() / 2] ^= 0x04;
-        writeFileBytes(libPath, bytes);
-        CHECK(!store.tryLoad(manifest.keyFor(0)).has_value());
-
-        resetQueue(manifest);
-        distrib::Runner repairer(kQueue, kStore, runnerOpts("repairer", -1.0));
-        CHECK_EQ(repairer.drain(manifest), manifest.jobCount());
-        CHECK(store.tryLoad(manifest.keyFor(0)).has_value());
-        std::string error;
-        const auto healed =
-            distrib::mergeStudy(kQueue, manifest, &error);
-        CHECK(healed.has_value());
-        CHECK(fingerprint(healed->front()) ==
-              fingerprint(serialRun(spec, config, sc)));
+        distrib::Runner storeless(kQueue, emptyStore,
+                                  runnerOpts("storeless", -1.0));
+        CHECK_EQ(storeless.drain(manifest), manifest.jobCount());
     }
+    CHECK(core::CheckpointStore(emptyStore)
+              .tryLoadLivePoints(key)
+              .has_value());
+    const auto captured = distrib::mergeStudy(kQueue, manifest, &error);
+    CHECK(captured.has_value());
+    CHECK(fingerprint(captured->front()) == fingerprint(serial));
+    fs::remove_all(emptyStore);
 }
 
 void
@@ -903,7 +951,7 @@ testPollBackoff()
         workloads::findBenchmark("sort-1", workloads::Scale::Mini);
     const distrib::JobManifest manifest =
         distrib::planStudy(spec, {config}, defaultSampling(),
-                           streamLengthOf(spec, config), 2);
+                           streamLengthOf(spec, config), 60, 2);
     resetQueue(manifest);
     distrib::Runner runner(kQueue, kStore, runnerOpts("poller", -1.0));
     std::string error;
@@ -923,22 +971,26 @@ testClaimOrderPermutations()
     const std::uint64_t length = streamLengthOf(spec, cfg8);
     const distrib::JobManifest manifest = distrib::planStudy(
         spec, {cfg8, uarch::MachineConfig::sixteenWay()}, sc, length,
-        4);
+        60, 4);
 
-    // A claim order is a PERMUTATION of the (config × shard) grid:
+    // A claim order is a PERMUTATION of the (config × range) grid:
     // every job exactly once, nothing invented.
-    const auto order = distrib::claimOrder(manifest, "runner-a");
+    const auto order =
+        distrib::claimOrder(manifest, manifest.ranges, "runner-a");
     CHECK_EQ(order.size(), manifest.jobCount());
-    std::set<std::pair<std::uint32_t, std::uint32_t>> seen(
-        order.begin(), order.end());
-    CHECK_EQ(seen.size(), order.size());
-    for (const auto &[c, s] : order) {
+    std::set<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>>
+        seen;
+    for (const auto &[c, r] : order) {
+        seen.emplace(c, r.firstUnit, r.unitCount);
         CHECK(c < manifest.configs.size());
-        CHECK(s < manifest.plan.size());
+        CHECK(std::find(manifest.ranges.begin(), manifest.ranges.end(),
+                        r) != manifest.ranges.end());
     }
+    CHECK_EQ(seen.size(), order.size());
 
     // Deterministic per (study, runner id)...
-    CHECK(distrib::claimOrder(manifest, "runner-a") == order);
+    CHECK(distrib::claimOrder(manifest, manifest.ranges, "runner-a") ==
+          order);
 
     // ...and decorrelated across runner ids: with 8 jobs, at least
     // one of a handful of other ids must probe in a different order
@@ -946,8 +998,8 @@ testClaimOrderPermutations()
     bool differs = false;
     for (int i = 0; i < 8 && !differs; ++i)
         differs = distrib::claimOrder(
-                      manifest, "runner-b" + std::to_string(i)) !=
-                  order;
+                      manifest, manifest.ranges,
+                      "runner-b" + std::to_string(i)) != order;
     CHECK(differs);
 
     // Weight bias: a range 100× heavier than its peers should be
@@ -957,7 +1009,7 @@ testClaimOrderPermutations()
     const std::vector<distrib::UnitRange> ranges = {
         {0, 1}, {1, 1}, {2, 1}, {3, 100}};
     const distrib::JobManifest narrow =
-        distrib::planStudy(spec, {cfg8}, sc, length, 4);
+        distrib::planStudy(spec, {cfg8}, sc, length, 103, 4);
     int bigFirst = 0;
     for (int i = 0; i < 20; ++i) {
         const auto ro = distrib::claimOrder(
@@ -977,10 +1029,11 @@ testHeartbeatAndStealing()
         workloads::findBenchmark("sort-1", workloads::Scale::Mini);
     const core::SamplingConfig sc = defaultSampling();
     const distrib::JobManifest manifest = distrib::planStudy(
-        spec, {config}, sc, streamLengthOf(spec, config), 4);
+        spec, {config}, sc, streamLengthOf(spec, config), 60, 4);
     resetQueue(manifest);
 
-    const std::string claim = distrib::claimPath(kQueue, 0, 0);
+    const distrib::UnitRange job = manifest.ranges[0];
+    const std::string claim = distrib::claimPath(kQueue, 0, job);
     auto ageClaim = [&] {
         fs::last_write_time(claim,
                             fs::file_time_type::clock::now() -
@@ -988,25 +1041,25 @@ testHeartbeatAndStealing()
     };
 
     // A FRESH claim is never stolen, however aggressive the window.
-    CHECK(distrib::claimJob(kQueue, 0, 0, "a"));
-    CHECK(!distrib::claimJob(kQueue, 0, 0, "b", 3600.0));
+    CHECK(distrib::claimJob(kQueue, 0, job, "a"));
+    CHECK(!distrib::claimJob(kQueue, 0, job, "b", 3600.0));
 
     // Once the claim ages past the window unrefreshed, it steals.
     ageClaim();
-    CHECK(distrib::claimJob(kQueue, 0, 0, "b", 3600.0));
+    CHECK(distrib::claimJob(kQueue, 0, job, "b", 3600.0));
     // The thief's claim is fresh again.
-    CHECK(!distrib::claimJob(kQueue, 0, 0, "c", 3600.0));
+    CHECK(!distrib::claimJob(kQueue, 0, job, "c", 3600.0));
 
     // The heartbeat is what separates LIVE long jobs from dead
     // ones: an aged claim its holder touchClaim()ed is fresh and
     // must NOT steal...
     ageClaim();
     CHECK(distrib::touchClaim(claim));
-    CHECK(!distrib::claimJob(kQueue, 0, 0, "c", 3600.0));
+    CHECK(!distrib::claimJob(kQueue, 0, job, "c", 3600.0));
 
     // ...while one never refreshed again does.
     ageClaim();
-    CHECK(distrib::claimJob(kQueue, 0, 0, "c", 3600.0));
+    CHECK(distrib::claimJob(kQueue, 0, job, "c", 3600.0));
 }
 
 void
@@ -1017,7 +1070,7 @@ testAwaitManifestPollsThroughRefusals()
         workloads::findBenchmark("sort-1", workloads::Scale::Mini);
     const distrib::JobManifest manifest =
         distrib::planStudy(spec, {config}, defaultSampling(),
-                           streamLengthOf(spec, config), 2);
+                           streamLengthOf(spec, config), 60, 2);
 
     // Plant an UNLOADABLE manifest: a leftover from an incompatible
     // build that the leader is about to replace.
@@ -1065,12 +1118,10 @@ testUnitRangeStudy()
     CHECK(plan.totalUnits > 12);
     CHECK(plan.streamLength > 0);
 
-    const distrib::JobManifest manifest = distrib::planUnitStudy(
+    const distrib::JobManifest manifest = distrib::planStudy(
         spec, {config}, sc, plan.streamLength, plan.totalUnits, 6);
-    CHECK(manifest.mode == distrib::JobMode::UnitRange);
     CHECK_EQ(manifest.ranges.size(), std::size_t(6));
     CHECK_EQ(manifest.jobCount(), std::size_t(6));
-    CHECK(manifest.plan.empty());
     {
         // The seed partition tiles [0, totalUnits) exactly.
         std::uint64_t cursor = 0;
@@ -1083,14 +1134,13 @@ testUnitRangeStudy()
 
     const core::SmartsEstimate serial = serialRun(spec, config, sc);
 
-    // The manifest roundtrips (mode, totalUnits and ranges intact).
+    // The manifest roundtrips (totalUnits and ranges intact).
     resetQueue(manifest);
     {
         std::string error;
         const auto loaded = distrib::JobManifest::load(
             distrib::manifestPath(kQueue), &error);
         CHECK(loaded.has_value());
-        CHECK(loaded->mode == distrib::JobMode::UnitRange);
         CHECK_EQ(loaded->totalUnits, plan.totalUnits);
         CHECK(loaded->ranges == manifest.ranges);
     }
@@ -1098,26 +1148,13 @@ testUnitRangeStudy()
     CHECK_EQ(distrib::listRanges(kQueue).size(),
              manifest.ranges.size());
 
-    // One runner drains the whole study; the tiled merge is
+    // One or two runners drain the whole study; the tiled merge is
     // bit-identical to serial run().
     for (const std::size_t runners :
          {std::size_t(1), std::size_t(2)}) {
         resetQueue(manifest);
-        std::vector<std::thread> crew;
-        std::vector<std::size_t> executed(runners, 0);
-        for (std::size_t r = 0; r < runners; ++r)
-            crew.emplace_back([&, r] {
-                distrib::Runner runner(
-                    kQueue, kStore,
-                    runnerOpts("unit-crew-" + std::to_string(r), -1.0));
-                executed[r] = runner.drain(manifest);
-            });
-        for (std::thread &t : crew)
-            t.join();
-        std::size_t total = 0;
-        for (const std::size_t n : executed)
-            total += n;
-        CHECK_EQ(total, manifest.jobCount());
+        CHECK_EQ(drainConcurrently(manifest, runners, "unit-crew-"),
+                 manifest.jobCount());
         CHECK(distrib::studyComplete(kQueue, manifest));
         std::string error;
         const auto merged =
@@ -1146,8 +1183,7 @@ testUnitRangeStudy()
 
     // A claimed or completed range never splits.
     resetQueue(manifest);
-    CHECK(distrib::claimRange(kQueue, 0, manifest.ranges[0],
-                              "holder"));
+    CHECK(distrib::claimJob(kQueue, 0, manifest.ranges[0], "holder"));
     const std::size_t splits =
         distrib::splitRemainingRanges(kQueue, manifest, 1);
     CHECK(splits > 0);
@@ -1205,7 +1241,7 @@ testChaosElasticity()
     core::CheckpointStore store(kStore);
     const distrib::LivePointPlan plan =
         distrib::ensureStudyLivePoints(store, spec, {config}, sc);
-    const distrib::JobManifest manifest = distrib::planUnitStudy(
+    const distrib::JobManifest manifest = distrib::planStudy(
         spec, {config}, sc, plan.streamLength, plan.totalUnits, 5);
     resetQueue(manifest);
     const core::SmartsEstimate serial = serialRun(spec, config, sc);
@@ -1289,7 +1325,7 @@ main()
     testResultRoundtripAndRefusals();
     testMergeBitIdentityAtRunnerCounts();
     testClaimsDuplicatesAndRecovery();
-    testStorePlanMismatchFallback();
+    testRunnerRepairsLivePoints();
     testPollBackoff();
     testClaimOrderPermutations();
     testHeartbeatAndStealing();

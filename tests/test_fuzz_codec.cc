@@ -20,7 +20,12 @@
  * core::PagedImage::read (ArchState's data image) decodes mutated
  * word vectors exactly as BinaryReader::vecU32 does, and refuses a
  * hostile word count before any allocation (the test counts calls
- * to the global operator new).
+ * to the global operator new); mp::MixState and
+ * mem::SharedHierarchyState refuse hostile element counts the same
+ * way. The distributed protocol's v3 job manifest and result file
+ * are fuzzed with resealed checksums: every mutant loads and
+ * re-serializes to its own bytes, or refuses with a diagnostic,
+ * with every allocation bounded by the file's size.
  */
 
 #include <algorithm>
@@ -37,19 +42,29 @@
 #include "check.hh"
 #include "core/paged_image.hh"
 #include "core/store_index.hh"
+#include "distrib/leader.hh"
+#include "distrib/protocol.hh"
+#include "mem/shared_hierarchy.hh"
+#include "mp/mix_session.hh"
+#include "uarch/config.hh"
 #include "util/binary_io.hh"
 #include "util/delta_codec.hh"
 #include "util/rng.hh"
+#include "workloads/benchmark.hh"
 
 namespace fs = std::filesystem;
 
 /** Calls to the global operator new (array new included). */
 static std::uint64_t gAllocations = 0;
 
+/** The largest single operator new request since the last reset. */
+static std::size_t gLargestAllocation = 0;
+
 void *
 operator new(std::size_t size)
 {
     ++gAllocations;
+    gLargestAllocation = std::max(gLargestAllocation, size);
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -734,6 +749,197 @@ testPagedImageReadFuzz()
     CHECK(std::equal(got, got + 4, four));
 }
 
+/**
+ * mp::MixState and mem::SharedHierarchyState size their per-program
+ * vectors from u64 counts in the payload. A hostile count on an
+ * 8-byte payload — more elements than the bytes left could encode —
+ * fails the reader before anything is allocated.
+ */
+void
+testMixStateHostileCounts()
+{
+    // A valid roundtrip first: it also settles each element type's
+    // minimum encoded size, which is computed once per process.
+    {
+        mp::MixState state;
+        state.archs.resize(2);
+        state.lanes.resize(2);
+        state.sharedMem.lanes.resize(2);
+        state.rounds = 7;
+        util::BinaryWriter out;
+        state.write(out);
+        util::BinaryReader in(out.buffer().data(), out.size());
+        mp::MixState back;
+        back.read(in);
+        CHECK(in.ok());
+        CHECK_EQ(in.remaining(), std::size_t(0));
+        CHECK_EQ(back.archs.size(), std::size_t(2));
+        CHECK_EQ(back.lanes.size(), std::size_t(2));
+        CHECK_EQ(back.sharedMem.lanes.size(), std::size_t(2));
+        CHECK_EQ(back.rounds, std::uint64_t(7));
+    }
+
+    for (const std::uint64_t count :
+         {std::uint64_t(1) << 40, std::uint64_t(100000),
+          ~std::uint64_t(0)}) {
+        util::BinaryWriter out;
+        out.u64(count);
+        CHECK_EQ(out.size(), std::size_t(8));
+
+        mp::MixState mix;
+        util::BinaryReader mixIn(out.buffer().data(), out.size());
+        std::uint64_t before = gAllocations;
+        mix.read(mixIn);
+        CHECK_EQ(gAllocations, before);
+        CHECK(mixIn.failed());
+        CHECK(mix.archs.empty());
+        CHECK(mix.lanes.empty());
+
+        mem::SharedHierarchyState shared;
+        util::BinaryReader sharedIn(out.buffer().data(), out.size());
+        before = gAllocations;
+        shared.read(sharedIn);
+        CHECK_EQ(gAllocations, before);
+        CHECK(sharedIn.failed());
+        CHECK(shared.lanes.empty());
+    }
+}
+
+/** @p payload with its FNV-1a trailer appended (a resealed file). */
+std::vector<std::uint8_t>
+sealed(std::vector<std::uint8_t> payload)
+{
+    const std::uint64_t sum =
+        util::fnv1a(payload.data(), payload.size());
+    for (int i = 0; i < 8; ++i)
+        payload.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+    return payload;
+}
+
+/**
+ * The distributed protocol's v3 parsers against resealed mutants of
+ * a saved manifest.smjm and .smrr: each mutant either loads and
+ * re-serializes to exactly its own payload, or refuses with a
+ * diagnostic. No load may request an allocation beyond a small
+ * multiple of the file (a count must never size memory the file
+ * cannot back). A v2 header refuses, naming both versions.
+ */
+void
+testDistribFilesFuzz()
+{
+    Xoshiro256StarStar rng(0xd157f11e5ull);
+    const auto spec =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    core::SamplingConfig sc;
+    sc.unitSize = 1000;
+    sc.detailedWarming = 2000;
+    sc.interval = 10;
+    sc.warming = core::WarmingMode::Functional;
+    const distrib::JobManifest manifest = distrib::planStudy(
+        spec,
+        {uarch::MachineConfig::eightWay(),
+         uarch::MachineConfig::sixteenWay()},
+        sc, 2'000'000, 60, 4);
+
+    distrib::ShardResult result;
+    result.studyId = manifest.studyId;
+    result.configIndex = 1;
+    result.range = manifest.ranges[2];
+    result.key = manifest.keyFor(1);
+    for (int u = 0; u < 5; ++u)
+        result.slice.obs.push_back(
+            {1.0 + 0.125 * u, 2.0 + 0.0625 * u});
+    result.slice.measured = result.slice.obs.size() * sc.unitSize;
+    result.slice.warmed = 10 * sc.detailedWarming;
+    result.slice.endPos = manifest.streamLength;
+
+    const std::string manifestPath =
+        std::string(kRoot) + "/manifest.smjm";
+    const std::string resultPath =
+        std::string(kRoot) + "/c1_u30_n15.smrr";
+    const std::string target = std::string(kRoot) + "/mutant";
+
+    // Each file loads (this also settles the build fingerprint, a
+    // once-per-process micro-run that is not part of any parse).
+    CHECK(manifest.save(manifestPath));
+    CHECK(result.save(resultPath));
+    CHECK(distrib::JobManifest::load(manifestPath).has_value());
+    CHECK(distrib::ShardResult::load(resultPath, manifest, 1,
+                                     result.range)
+              .has_value());
+
+    using Load = bool (*)(const std::string &, const distrib::JobManifest &,
+                          const distrib::ShardResult &,
+                          util::BinaryWriter &, std::string &);
+    const Load loadManifest =
+        [](const std::string &path, const distrib::JobManifest &,
+           const distrib::ShardResult &, util::BinaryWriter &out,
+           std::string &why) {
+            const auto m = distrib::JobManifest::load(path, &why);
+            if (m)
+                m->serialize(out);
+            return m.has_value();
+        };
+    const Load loadResult =
+        [](const std::string &path, const distrib::JobManifest &m,
+           const distrib::ShardResult &expect, util::BinaryWriter &out,
+           std::string &why) {
+            const auto r = distrib::ShardResult::load(
+                path, m, expect.configIndex, expect.range, &why);
+            if (r)
+                r->serialize(out);
+            return r.has_value();
+        };
+
+    struct File
+    {
+        const std::string &path;
+        Load load;
+    };
+    for (const File &file :
+         {File{manifestPath, loadManifest},
+          File{resultPath, loadResult}}) {
+        const std::vector<std::uint8_t> good = readBytes(file.path);
+        const std::vector<std::uint8_t> payload(good.begin(),
+                                                good.end() - 8);
+
+        // A v2 header: refused by number, naming both versions.
+        {
+            std::vector<std::uint8_t> v2 = payload;
+            util::storeLE<std::uint32_t>(v2.data() + 8, 2);
+            writeBytes(target, sealed(v2));
+            util::BinaryWriter out;
+            std::string why;
+            CHECK(!file.load(target, manifest, result, out, why));
+            CHECK(why.find("protocol version 2; this build speaks "
+                           "version 3") != std::string::npos);
+        }
+
+        std::uint64_t loaded = 0, refused = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const std::vector<std::uint8_t> mutant =
+                mutate(payload, rng);
+            writeBytes(target, sealed(mutant));
+            util::BinaryWriter out;
+            std::string why;
+            gLargestAllocation = 0;
+            const bool ok = file.load(target, manifest, result, out, why);
+            // The file stream's 8 KiB buffer, plus what the file's
+            // own bytes can back.
+            CHECK(gLargestAllocation <= 16384 + 16 * mutant.size());
+            if (ok) {
+                ++loaded;
+                CHECK(out.buffer() == mutant);
+            } else {
+                ++refused;
+                CHECK(!why.empty());
+            }
+        }
+        CHECK(loaded > 0);
+        CHECK(refused > 0);
+    }
+}
+
 } // namespace
 
 int
@@ -747,5 +953,7 @@ main()
     testXxh64();
     testStoreIndexJournalFuzz();
     testPagedImageReadFuzz();
+    testMixStateHostileCounts();
+    testDistribFilesFuzz();
     TEST_MAIN_SUMMARY();
 }

@@ -1,34 +1,32 @@
 /**
  * @file
- * smarts_runner: the distributed shard runner CLI
+ * smarts_runner: the distributed runner CLI
  * (docs/distributed-runners.md). One binary, two roles:
  *
  * RUNNER (default): point it at a queue directory and a checkpoint
  * store, it waits for the leader's manifest, claims every available
- * (config × shard) job, executes each through the shared slice
- * machinery, publishes checksummed result files, and exits.
+ * (config × unit-range) job, measures each range's units from the
+ * store's live-points, publishes checksummed result files, and
+ * exits.
  *
  *   smarts_runner --dir=queue --store=store [--id=host-3]
  *                 [--wait=30] [--stale=600]
  *
- * LEADER (--leader): plan a study, capture/ship the checkpoint
+ * LEADER (--leader): ship the study's live-point libraries into the
  * store, publish the manifest, work alongside the runners (unless
- * --no-work), and fold the completed shards into per-config
- * estimates — bit-identical to the serial SystematicSampler::run()
- * at any runner count, which --serial-check verifies on the spot.
+ * --no-work), split the remaining ranges when a runner joins, and
+ * fold the completed ranges into per-config estimates —
+ * bit-identical to the serial SystematicSampler::run() at any runner
+ * count and through any split history, which --serial-check
+ * verifies on the spot.
  *
  *   smarts_runner --leader --dir=queue --store=store \
- *       --benchmark=sort-1 --scale=mini --machine=8 [--shards=8] \
+ *       --benchmark=sort-1 --scale=mini --machine=8 [--jobs=16] \
  *       [--unit=1000] [--warm=2000] [--interval=0 (auto)] \
- *       [--offset=0] [--timeout=600] [--no-work] [--serial-check] \
- *       [--mode=shard|units] [--jobs=N]
+ *       [--offset=0] [--timeout=600] [--no-work] [--serial-check]
  *
- * --mode=units publishes unit-range jobs over the store's live-point
- * libraries instead of checkpoint shards: the live partition under
- * <queue>/ranges/ re-grains as runners join (collectStudy splits
- * remaining ranges), and the tiling merge stays bit-identical to
- * serial run() through any split history. --jobs seeds the initial
- * range count (default 2 x --shards).
+ * --jobs seeds the initial range count; the live partition under
+ * <queue>/ranges/ re-grains from there as runners join.
  *
  * The queue directory is plain files — share it over NFS, rsync, or
  * any mounted filesystem; runners on other hosts only need the same
@@ -76,12 +74,10 @@ struct Options
     std::uint64_t warm = 2000;
     std::uint64_t interval = 0; ///< 0 = auto (chooseInterval).
     std::uint64_t offset = 0;
-    std::size_t shards = 8;
+    std::size_t jobs = 16; ///< initial unit-range count.
     double timeout = 600.0;
     bool work = true;
     bool serialCheck = false;
-    distrib::JobMode mode = distrib::JobMode::Shard;
-    std::size_t jobs = 0; ///< 0 = auto (2 x shards).
 };
 
 [[noreturn]] void
@@ -96,9 +92,8 @@ usage(const char *argv0)
         "--benchmark=<name> [--scale=mini|small|large]\n"
         "      [--machine=8|16|both] [--unit=<U>] [--warm=<W>] "
         "[--interval=<k>|0=auto] [--offset=<j>]\n"
-        "      [--shards=<S>] [--timeout=<s>] [--poll-ms=<ms>] "
+        "      [--jobs=<N>] [--timeout=<s>] [--poll-ms=<ms>] "
         "[--no-work] [--serial-check]\n"
-        "      [--mode=shard|units] [--jobs=<N>]\n"
         "see docs/distributed-runners.md\n",
         argv0, argv0);
     std::exit(2);
@@ -155,24 +150,14 @@ parse(int argc, char **argv)
             opt.interval = std::strtoull(v11, nullptr, 10);
         } else if (const char *v12 = value("--offset=")) {
             opt.offset = std::strtoull(v12, nullptr, 10);
-        } else if (const char *v13 = value("--shards=")) {
-            opt.shards = std::strtoull(v13, nullptr, 10);
+        } else if (const char *v13 = value("--jobs=")) {
+            opt.jobs = std::strtoull(v13, nullptr, 10);
         } else if (const char *v14 = value("--timeout=")) {
             opt.timeout = std::atof(v14);
         } else if (const char *v15 = value("--poll-ms=")) {
             opt.pollMs = std::atof(v15);
             if (opt.pollMs <= 0.0)
                 SMARTS_FATAL("--poll-ms must be positive");
-        } else if (const char *v16 = value("--mode=")) {
-            if (!std::strcmp(v16, "shard"))
-                opt.mode = distrib::JobMode::Shard;
-            else if (!std::strcmp(v16, "units"))
-                opt.mode = distrib::JobMode::UnitRange;
-            else
-                SMARTS_FATAL("unknown mode '", v16,
-                             "' (expected shard|units)");
-        } else if (const char *v17 = value("--jobs=")) {
-            opt.jobs = std::strtoull(v17, nullptr, 10);
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n",
                          arg.c_str());
@@ -206,7 +191,8 @@ runnerMain(const Options &opt)
         return 1;
     }
     std::printf("smarts_runner %s: study %016llx — %s at U=%llu "
-                "W=%llu k=%llu j=%llu, %zu config(s) x %zu %s\n",
+                "W=%llu k=%llu j=%llu, %zu config(s) x %zu "
+                "unit-range(s)\n",
                 opt.id.c_str(),
                 static_cast<unsigned long long>(manifest->studyId),
                 manifest->benchmark.name.c_str(),
@@ -218,17 +204,11 @@ runnerMain(const Options &opt)
                     manifest->sampling.interval),
                 static_cast<unsigned long long>(
                     manifest->sampling.offset),
-                manifest->configs.size(),
-                manifest->mode == distrib::JobMode::UnitRange
-                    ? manifest->ranges.size()
-                    : manifest->plan.size(),
-                manifest->mode == distrib::JobMode::UnitRange
-                    ? "unit-range(s)"
-                    : "shard(s)");
+                manifest->configs.size(), manifest->ranges.size());
 
     const std::size_t executed = runner.drain(*manifest);
-    std::printf("smarts_runner %s: executed %zu of %zu job(s)\n",
-                opt.id.c_str(), executed, manifest->jobCount());
+    std::printf("smarts_runner %s: executed %zu job(s)\n",
+                opt.id.c_str(), executed);
     return 0;
 }
 
@@ -245,8 +225,8 @@ leaderMain(const Options &opt)
     if (configs.empty())
         SMARTS_FATAL("--machine selected no configs");
 
-    // The true stream length anchors the shard plan (one functional
-    // pass — the same contract every sharded path imposes).
+    // The true stream length picks the sampling interval (one
+    // functional pass).
     std::uint64_t length;
     {
         core::SimSession probe(spec, configs.front());
@@ -265,24 +245,18 @@ leaderMain(const Options &opt)
             : core::SamplingConfig::chooseInterval(
                   length, sc.unitSize, length / sc.unitSize / 4);
 
+    // Ship the store BEFORE publishing the manifest: runners that
+    // pounce on the manifest find every live-point library in place.
     core::CheckpointStore store(opt.store);
-    distrib::JobManifest manifest;
-    if (opt.mode == distrib::JobMode::UnitRange) {
-        const distrib::LivePointPlan plan =
-            distrib::ensureStudyLivePoints(store, spec, configs, sc);
-        const std::size_t jobs =
-            opt.jobs ? opt.jobs : 2 * opt.shards;
-        manifest = distrib::planUnitStudy(spec, configs, sc,
-                                          plan.streamLength,
-                                          plan.totalUnits, jobs);
-    } else {
-        manifest =
-            distrib::planStudy(spec, configs, sc, length, opt.shards);
-    }
+    const distrib::LivePointPlan plan =
+        distrib::ensureStudyLivePoints(store, spec, configs, sc);
+    const distrib::JobManifest manifest = distrib::planStudy(
+        spec, configs, sc, plan.streamLength, plan.totalUnits,
+        opt.jobs);
 
     std::printf("leader: study %016llx — %s (%.1f M insts) at "
                 "U=%llu W=%llu k=%llu j=%llu; %zu config(s) x %zu "
-                "%s = %zu jobs\n",
+                "unit-range(s) = %zu jobs over %llu units\n",
                 static_cast<unsigned long long>(manifest.studyId),
                 spec.name.c_str(),
                 static_cast<double>(length) / 1e6,
@@ -290,22 +264,12 @@ leaderMain(const Options &opt)
                 static_cast<unsigned long long>(sc.detailedWarming),
                 static_cast<unsigned long long>(sc.interval),
                 static_cast<unsigned long long>(sc.offset),
-                manifest.configs.size(),
-                manifest.mode == distrib::JobMode::UnitRange
-                    ? manifest.ranges.size()
-                    : manifest.plan.size(),
-                manifest.mode == distrib::JobMode::UnitRange
-                    ? "unit-range(s)"
-                    : "shard(s)",
-                manifest.jobCount());
-
-    // Ship the store BEFORE publishing the manifest: runners that
-    // pounce on the manifest find every resume library in place.
-    const std::size_t captured =
-        distrib::ensureStudyStore(store, manifest);
+                manifest.configs.size(), manifest.ranges.size(),
+                manifest.jobCount(),
+                static_cast<unsigned long long>(plan.totalUnits));
     std::printf("leader: store %s ready (%zu librar%s captured)\n",
-                store.root().c_str(), captured,
-                captured == 1 ? "y" : "ies");
+                store.root().c_str(), plan.captured,
+                plan.captured == 1 ? "y" : "ies");
 
     std::string error;
     if (!distrib::publishStudy(opt.dir, manifest, &error))
