@@ -1347,7 +1347,7 @@ storeSection(const BenchOptions &opt)
             // units overlaps capture of the rest, then the library
             // is published for every later run (and leader).
             core::SimSession capture(spec, cfg);
-            core::LivePointLibrary collected;
+            core::EncodedLivePoints collected;
             {
                 const Stopwatch t;
                 result =

@@ -71,10 +71,10 @@ struct BranchUnitState
     void
     read(util::BinaryReader &in)
     {
-        counters = in.vecU8();
-        btbTags = in.vecU32();
-        btbTargets = in.vecU32();
-        ras = in.vecU32();
+        in.vecU8(counters);
+        in.vecU32(btbTags);
+        in.vecU32(btbTargets);
+        in.vecU32(ras);
         history = in.u32();
         rasTop = in.u32();
         lookups = in.u64();

@@ -187,6 +187,16 @@ struct LibraryKey
 
     /** Empty when equal; else which component diverges (for logs). */
     std::string mismatchAgainst(const LibraryKey &other) const;
+
+    /**
+     * Empty when the key names something that can be captured: a
+     * known benchmark kernel, scale and warming mode, and a nonzero
+     * unit size and interval (the capture walk divides by both).
+     * Else which component is out of range, for a loader that
+     * refuses keys it did not expect (a store-service request, a
+     * job manifest).
+     */
+    std::string defect() const;
 };
 
 /** One contiguous slice of a sampling run's measured-unit grid. */

@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -197,7 +198,9 @@ class CheckpointStore
      * same miss semantics as tryLoad: a missing file is a silent
      * miss, an existing file that refuses is a miss with the
      * diagnostic — naming the failing record or mismatched key
-     * component — in @p error.
+     * component — in @p error. Loads through one store share a
+     * LivePointRecycler: each parses into the memory of the library
+     * released before it.
      */
     std::optional<LivePointLibrary>
     tryLoadLivePoints(const LibraryKey &key,
@@ -205,6 +208,12 @@ class CheckpointStore
 
     /** Persist @p library under @p key (atomic publish + GC). */
     bool saveLivePoints(const LivePointLibrary &library,
+                        const LibraryKey &key,
+                        std::string *error = nullptr) const;
+
+    /** Persist the leapfrog cold path's encoded records the same
+     *  way (runAnytimeLeapfrog's persist sink). */
+    bool saveLivePoints(const EncodedLivePoints &records,
                         const LibraryKey &key,
                         std::string *error = nullptr) const;
 
@@ -342,6 +351,10 @@ class CheckpointStore
     mutable std::mutex mu_;
     mutable std::optional<StoreIndex> index_;
     mutable std::set<std::string> ensuredDirs_;
+
+    /** The live-point loads' decode memory, reused hit to hit. */
+    std::shared_ptr<LivePointRecycler> recycler_ =
+        std::make_shared<LivePointRecycler>();
 
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};

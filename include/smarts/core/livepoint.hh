@@ -35,6 +35,12 @@
  * libraries next to shard libraries under the same LibraryKey
  * geometry-hash scheme.
  *
+ * The cold anytime path that only persists what it captures
+ * (SystematicSampler::runAnytimeLeapfrog) never holds a library: it
+ * keeps the encoded records (EncodedLivePoints), written chunk by
+ * chunk by the pool jobs that measure each chunk, and publishes
+ * them as the same bytes build() + save() would write.
+ *
  * In memory the points share their data images page by page
  * (core/paged_image.hh): each new point, captured or loaded, is
  * seeded with the previous point's image and replaces only the
@@ -47,6 +53,9 @@
 #define SMARTS_CORE_LIVEPOINT_HH
 
 #include <cstdint>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,6 +88,30 @@ constexpr std::uint32_t kLivePointFormatVersion = 4;
  */
 using LivePoint = ArchCheckpoint;
 
+/**
+ * Keeps the points of the last live-point library released, for the
+ * next LivePointLibrary::load() given the same recycler to parse
+ * into: the load reuses their state buffers instead of allocating.
+ * A CheckpointStore owns one, so a run of warm hits through a store
+ * reuses one library's memory rather than faulting in every unit's
+ * state afresh once the allocator has returned the last library to
+ * the system. The kept points go when the store and the libraries
+ * it loaded do.
+ */
+class LivePointRecycler
+{
+  public:
+    /** Keep @p points, dropping any kept before. */
+    void keep(std::vector<LivePoint> &&points);
+
+    /** Take the kept points, leaving none. */
+    std::vector<LivePoint> take();
+
+  private:
+    std::mutex mutex_;
+    std::vector<LivePoint> points_;
+};
+
 class LivePointLibrary
 {
   public:
@@ -92,28 +125,6 @@ class LivePointLibrary
      */
     static LivePointLibrary build(SimSession &session,
                                   const SamplingConfig &config);
-
-    /**
-     * Per-point capture hook: called with the library slot index and
-     * the freshly captured point, immediately after it is appended.
-     * The reference is valid ONLY for the duration of the call (the
-     * library's storage may move as later points are appended) — a
-     * sink that hands the point to concurrent measurement work (the
-     * leapfrog overlap) must copy it.
-     */
-    using PointSink =
-        std::function<void(std::size_t, const LivePoint &)>;
-
-    /**
-     * build() with a capture hook: @p sink fires once per captured
-     * live-point, in stream order, on the calling thread. This is
-     * the primitive under SystematicSampler::runAnytimeLeapfrog —
-     * overlap measurement of already-captured units with capture of
-     * the rest.
-     */
-    static LivePointLibrary build(SimSession &session,
-                                  const SamplingConfig &config,
-                                  const PointSink &sink);
 
     /**
      * Multi-config capture: ONE streaming pass over @p session (N
@@ -144,16 +155,26 @@ class LivePointLibrary
      * sampling design or config geometry differs from @p expect, or
      * records off the sampling grid. Refusal is the contract: a
      * mis-keyed live-point must never silently mis-warm a unit.
+     * With @p recycler the load parses into the points it keeps, and
+     * the library hands its own points to it when released.
      */
     static std::optional<LivePointLibrary>
     load(const std::string &path, const LibraryKey &expect,
-         std::string *error = nullptr);
+         std::string *error = nullptr,
+         std::shared_ptr<LivePointRecycler> recycler = nullptr);
 
     /** Serialize to @p out (save() = serialize + checksummed file). */
     void serialize(const LibraryKey &key,
                    util::BinaryWriter &out) const;
 
     LivePointLibrary() = default;
+    LivePointLibrary(const LivePointLibrary &) = default;
+    LivePointLibrary(LivePointLibrary &&) = default;
+    LivePointLibrary &operator=(const LivePointLibrary &) = default;
+    LivePointLibrary &operator=(LivePointLibrary &&) = default;
+
+    /** Hands the points to the recycler load() was given, if any. */
+    ~LivePointLibrary();
 
     const SamplingConfig &
     samplingConfig() const
@@ -192,6 +213,54 @@ class LivePointLibrary
     SamplingConfig config_;
     std::uint64_t streamLength_ = 0;
     std::vector<LivePoint> points_;
+    std::shared_ptr<LivePointRecycler> recycler_;
+};
+
+/**
+ * A live-point library held only as its encoded `.smlp` records,
+ * which is what the leapfrog cold path
+ * (SystematicSampler::runAnytimeLeapfrog) hands back when its caller
+ * only persists: each chunk's records are encoded inside the pool
+ * job that measures that chunk, delta-encoded against the previous
+ * chunk's last point, so nothing is left to encode after capture
+ * and save() is one write. Its file is byte-identical to
+ * LivePointLibrary::build() + save() over the same session.
+ */
+class EncodedLivePoints
+{
+  public:
+    /**
+     * Publish the records under @p key at @p path as a `.smlp` file
+     * (header, then every chunk's records in stream order, then the
+     * checksum), atomically. False with @p error set on filesystem
+     * failure.
+     */
+    bool save(const LibraryKey &key, const std::string &path,
+              std::string *error = nullptr,
+              bool createDirs = true) const;
+
+    /** Live-points encoded (one record each). */
+    std::size_t
+    unitCount() const
+    {
+        return unitCount_;
+    }
+
+    /** True dynamic stream length (the capture pass runs the tail). */
+    std::uint64_t
+    streamLength() const
+    {
+        return streamLength_;
+    }
+
+  private:
+    friend class SystematicSampler; // runAnytimeLeapfrog fills it.
+
+    std::uint64_t streamLength_ = 0;
+    std::size_t unitCount_ = 0;
+    /** One segment per capture chunk, in stream order. A deque, so
+     *  the capture thread appends while pool jobs fill earlier ones. */
+    std::deque<std::vector<std::uint8_t>> segments_;
 };
 
 } // namespace smarts::core

@@ -33,6 +33,7 @@ namespace smarts::core {
 
 class CheckpointLibrary;
 class CheckpointStore;
+class EncodedLivePoints;
 class LivePointLibrary;
 struct ShardSpec;
 
@@ -447,15 +448,20 @@ class SystematicSampler
      * path, every unit is measured (the stop rule cannot fire
      * mid-capture without biasing the shuffle) — the overlap, not
      * early exit, is where the cold-path wall clock goes down.
-     * @p collect (optional) receives the captured library for
-     * persistence.
+     * No library is kept: only the previous chunk's last point
+     * outlives the job that measures a chunk. @p persist (optional)
+     * is the sink for a caller that stores what was captured: each
+     * chunk job then also encodes its chunk's `.smlp` records, and
+     * @p persist receives them, ready for one write
+     * (EncodedLivePoints::save, CheckpointStore::saveLivePoints)
+     * of the bytes LivePointLibrary::build + save would publish.
      */
     AnytimeResult
     runAnytimeLeapfrog(SimSession &captureSession,
                        const SessionFactory &factory,
                        exec::ThreadPool &pool,
                        const AnytimeOptions &options = {},
-                       LivePointLibrary *collect = nullptr) const;
+                       EncodedLivePoints *persist = nullptr) const;
 
   private:
     SamplingConfig config_;

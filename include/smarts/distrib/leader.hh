@@ -118,7 +118,9 @@ mergeStudy(const std::string &dir, const JobManifest &manifest,
  * it waits — a leader with a helper makes progress even with zero
  * external runners. A runner id never seen among the claims before
  * (a runner JOINED mid-study) splits the remaining ranges
- * (splitRemainingRanges) so the newcomer gets a fair share. A
+ * (splitRemainingRanges) so the newcomer gets a fair share; the
+ * claimants of the first poll that finds any are the baseline, so
+ * the study's first runners never count as joins. A
  * result file that refuses validation is QUARANTINED (result +
  * claim deleted, with a logged diagnostic) and its job
  * re-executed, so one poisoned file cannot wedge a live study; the

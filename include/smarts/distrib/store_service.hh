@@ -48,6 +48,7 @@
 #include "core/checkpoint_store.hh"
 #include "core/livepoint.hh"
 #include "uarch/config.hh"
+#include "util/binary_io.hh"
 #include "workloads/benchmark.hh"
 
 namespace smarts::distrib {
@@ -95,6 +96,9 @@ struct StoreRequest
     /** The store key this request resolves to. */
     core::LibraryKey key() const;
 
+    /** The file's payload (save() = serialize + checksummed file). */
+    void serialize(util::BinaryWriter &out) const;
+
     /** Serialize + checksum + atomic publish at @p path. */
     bool save(const std::string &path,
               std::string *error = nullptr) const;
@@ -131,6 +135,9 @@ struct StoreReply
     std::uint64_t misses = 0;    ///< daemon-lifetime request misses.
     std::uint64_t captures = 0;  ///< libraries actually captured.
     std::uint64_t evictions = 0; ///< store GC evictions so far.
+
+    /** The file's payload (save() = serialize + checksummed file). */
+    void serialize(util::BinaryWriter &out) const;
 
     /** Serialize + checksum + atomic publish at @p path. */
     bool save(const std::string &path,

@@ -76,10 +76,10 @@ struct CacheState
     void
     read(util::BinaryReader &in)
     {
-        tags = in.vecU32();
-        valid = in.vecU8();
-        lastUse = in.vecU64();
-        mruWay = in.vecU32();
+        in.vecU32(tags);
+        in.vecU8(valid);
+        in.vecU64(lastUse);
+        in.vecU32(mruWay);
         tick = in.u64();
         loads = in.u64();
         stores = in.u64();

@@ -96,14 +96,14 @@ struct TlbState
     void
     read(util::BinaryReader &in)
     {
-        pages = in.vecU32();
-        valid = in.vecU8();
-        next = in.vecU32();
-        prev = in.vecU32();
+        in.vecU32(pages);
+        in.vecU8(valid);
+        in.vecU32(next);
+        in.vecU32(prev);
         head = in.u32();
         tail = in.u32();
-        keys = in.vecU32();
-        vals = in.vecU32();
+        in.vecU32(keys);
+        in.vecU32(vals);
         misses = in.u64();
     }
 };

@@ -18,7 +18,9 @@
  * FNV-1a checksum of everything before it and publishes the file
  * atomically (write to a temp name, then rename), so a crashed or
  * concurrent writer can never leave a half-written library behind a
- * valid path.
+ * valid path. The free writeFile() is that one publish path over a
+ * sequence of byte segments, for files assembled from pieces
+ * encoded apart (a live-point library's per-chunk records).
  */
 
 #ifndef SMARTS_UTIL_BINARY_IO_HH
@@ -29,6 +31,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace smarts::util {
@@ -154,6 +157,19 @@ xxh64(const std::uint8_t *data, std::size_t size)
     h *= kP3;
     return h ^ (h >> 32);
 }
+
+/**
+ * Publish @p segments, in order, as one file at @p path followed by
+ * the FNV-1a checksum of all their bytes, atomically (temp file +
+ * rename): the one publish path, BinaryWriter::writeFile being its
+ * one-segment case. The checksum is folded across the segments and
+ * each is written where it lies, so the file's bytes are never
+ * gathered into one buffer. Returns false with @p error set on any
+ * filesystem failure; @p createDirs as for BinaryWriter::writeFile.
+ */
+bool writeFile(const std::string &path,
+               const std::vector<ByteView> &segments,
+               std::string *error, bool createDirs = true);
 
 /** Accumulates little-endian encoded values into a byte buffer. */
 class BinaryWriter
@@ -310,6 +326,11 @@ class BinaryReader
      * a reader over the payload (checksum stripped). Nullptr-style
      * failure: ok() is false and @p error says why (missing file,
      * short file, checksum mismatch = truncation or corruption).
+     * The bytes are read into pages of their own, mapped for this
+     * reader and unmapped with it, so a library file of many MiB
+     * never passes through the heap: it leaves no free block behind
+     * and does not raise the allocator's thresholds for returning
+     * freed memory to the system.
      */
     static BinaryReader fromFile(const std::string &path,
                                  std::string *error);
@@ -365,21 +386,49 @@ class BinaryReader
     std::vector<std::uint8_t>
     vecU8()
     {
-        const ByteView bytes = view(u64());
-        return std::vector<std::uint8_t>(bytes.data,
-                                         bytes.data + bytes.size);
+        std::vector<std::uint8_t> v;
+        vecU8(v);
+        return v;
     }
 
     std::vector<std::uint32_t>
     vecU32()
     {
-        return words<std::uint32_t>();
+        std::vector<std::uint32_t> v;
+        words(v);
+        return v;
     }
 
     std::vector<std::uint64_t>
     vecU64()
     {
-        return words<std::uint64_t>();
+        std::vector<std::uint64_t> v;
+        words(v);
+        return v;
+    }
+
+    /**
+     * The same vectors read into @p out, reusing its storage: a state
+     * read over one of the same shape (a recycled live-point)
+     * allocates nothing.
+     */
+    void
+    vecU8(std::vector<std::uint8_t> &out)
+    {
+        const ByteView bytes = view(u64());
+        out.assign(bytes.data, bytes.data + bytes.size);
+    }
+
+    void
+    vecU32(std::vector<std::uint32_t> &out)
+    {
+        words(out);
+    }
+
+    void
+    vecU64(std::vector<std::uint64_t> &out)
+    {
+        words(out);
     }
 
     /**
@@ -477,22 +526,56 @@ class BinaryReader
         return v;
     }
 
-    /** A u64-counted vector of words, copied in bulk. */
+    /** A u64-counted vector of words into @p v, copied in bulk. */
     template <typename Word>
-    std::vector<Word>
-    words()
+    void
+    words(std::vector<Word> &v)
     {
         const ByteView bytes = wordsView<Word>();
-        std::vector<Word> v(bytes.size / sizeof(Word));
+        v.resize(bytes.size / sizeof(Word));
         if (!v.empty()) {
             auto *out = reinterpret_cast<std::uint8_t *>(v.data());
             std::memcpy(out, bytes.data, bytes.size);
             swapLittleEndian<Word>(out, v.size());
         }
-        return v;
     }
 
+    /** Anonymous pages a file was read into; unmapped on destruction. */
+    class Pages
+    {
+      public:
+        Pages() = default;
+        explicit Pages(std::size_t size);
+        Pages(Pages &&other) noexcept
+            : data_(std::exchange(other.data_, nullptr)),
+              size_(std::exchange(other.size_, 0))
+        {
+        }
+        Pages &
+        operator=(Pages &&other) noexcept
+        {
+            std::swap(data_, other.data_);
+            std::swap(size_, other.size_);
+            return *this;
+        }
+        Pages(const Pages &) = delete;
+        Pages &operator=(const Pages &) = delete;
+        ~Pages();
+
+        /** Null when the mapping failed. */
+        std::uint8_t *
+        data() const
+        {
+            return data_;
+        }
+
+      private:
+        std::uint8_t *data_ = nullptr;
+        std::size_t size_ = 0;
+    };
+
     std::vector<std::uint8_t> owned_;
+    Pages pages_;
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
     std::size_t pos_ = 0;

@@ -121,25 +121,44 @@ LibraryKey::livePointFileName() const
 std::string
 LibraryKey::mismatchAgainst(const LibraryKey &other) const
 {
-    if (benchmark.name != other.benchmark.name ||
-        benchmark.kernel != other.benchmark.kernel ||
-        benchmark.variant != other.benchmark.variant ||
-        benchmark.seed != other.benchmark.seed ||
-        benchmark.scale != other.benchmark.scale)
-        return log::format("benchmark mismatch (file: ",
-                           other.benchmark.name, "-",
-                           scaleName(other.benchmark.scale),
-                           ", expected: ", benchmark.name, "-",
-                           scaleName(benchmark.scale), ")");
-    if (sampling != other.sampling)
-        return log::format(
-            "sampling-design mismatch (file: U",
-            other.sampling.unitSize, "/W",
-            other.sampling.detailedWarming, "/k",
-            other.sampling.interval, "/j", other.sampling.offset,
-            ", expected: U", sampling.unitSize, "/W",
-            sampling.detailedWarming, "/k", sampling.interval, "/j",
-            sampling.offset, ")");
+    // Each refusal names the component that differs and prints it
+    // from both keys, so the two printed values always differ.
+    auto mismatch = [](const std::string &what, const auto &file,
+                       const auto &expected) {
+        return log::format(what, " mismatch (file: ", file,
+                           ", expected: ", expected, ")");
+    };
+    auto label = [](const workloads::BenchmarkSpec &b) {
+        return log::format(b.name, "-", scaleName(b.scale));
+    };
+    const workloads::BenchmarkSpec &fileBench = other.benchmark;
+    if (benchmark.name != fileBench.name ||
+        benchmark.scale != fileBench.scale)
+        return mismatch("benchmark", label(fileBench),
+                        label(benchmark));
+    const std::string bench = "benchmark " + label(benchmark);
+    if (benchmark.kernel != fileBench.kernel)
+        return mismatch(bench + " kernel",
+                        static_cast<std::uint32_t>(fileBench.kernel),
+                        static_cast<std::uint32_t>(benchmark.kernel));
+    if (benchmark.variant != fileBench.variant)
+        return mismatch(bench + " variant", fileBench.variant,
+                        benchmark.variant);
+    if (benchmark.seed != fileBench.seed)
+        return mismatch(bench + " seed", fileBench.seed,
+                        benchmark.seed);
+
+    auto design = [](const SamplingConfig &sc) {
+        return log::format("U", sc.unitSize, "/W", sc.detailedWarming,
+                           "/k", sc.interval, "/j", sc.offset);
+    };
+    if (design(sampling) != design(other.sampling))
+        return mismatch("sampling-design", design(other.sampling),
+                        design(sampling));
+    if (sampling.warming != other.sampling.warming)
+        return mismatch("warming-mode",
+                        warmingName(other.sampling.warming),
+                        warmingName(sampling.warming));
     if (geometryHash != other.geometryHash) {
         char fileHash[17], wantHash[17];
         std::snprintf(fileHash, sizeof fileHash, "%016llx",
@@ -153,6 +172,25 @@ LibraryKey::mismatchAgainst(const LibraryKey &other) const
             " — the machine's caches/TLBs/predictor differ from "
             "the capture machine's)");
     }
+    return {};
+}
+
+std::string
+LibraryKey::defect() const
+{
+    if (benchmark.kernel > workloads::Kernel::Mix)
+        return log::format("unknown benchmark kernel ",
+                           static_cast<std::uint32_t>(benchmark.kernel));
+    if (benchmark.scale > workloads::Scale::Large)
+        return log::format("unknown benchmark scale ",
+                           static_cast<std::uint32_t>(benchmark.scale));
+    if (sampling.warming > WarmingMode::Functional)
+        return log::format("unknown warming mode ",
+                           static_cast<std::uint32_t>(sampling.warming));
+    if (!sampling.unitSize || !sampling.interval)
+        return log::format("zero unit size or interval (U",
+                           sampling.unitSize, ", k", sampling.interval,
+                           ")");
     return {};
 }
 

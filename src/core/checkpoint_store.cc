@@ -509,7 +509,8 @@ CheckpointStore::tryLoadLivePoints(const LibraryKey &key,
     loadAt(
         key, /*livePoints=*/true,
         [&](const std::string &path, std::string *loadError) {
-            library = LivePointLibrary::load(path, key, loadError);
+            library =
+                LivePointLibrary::load(path, key, loadError, recycler_);
             return library.has_value();
         },
         error);
@@ -525,6 +526,20 @@ CheckpointStore::saveLivePoints(const LivePointLibrary &library,
         key, /*livePoints=*/true,
         [&](const std::string &path, std::string *saveError) {
             return library.save(key, path, saveError,
+                                /*createDirs=*/false);
+        },
+        error);
+}
+
+bool
+CheckpointStore::saveLivePoints(const EncodedLivePoints &records,
+                                const LibraryKey &key,
+                                std::string *error) const
+{
+    return publishAt(
+        key, /*livePoints=*/true,
+        [&](const std::string &path, std::string *saveError) {
+            return records.save(key, path, saveError,
                                 /*createDirs=*/false);
         },
         error);

@@ -39,6 +39,23 @@ captureLivePoints(Session &session, const SamplingConfig &config,
 }
 
 /**
+ * Snapshot @p session as unit @p unitIdx's live-point, seeded with
+ * @p seed's data image (the point before it, or null for the first)
+ * so it shares every page the unit's gap left unwritten.
+ */
+LivePoint
+snapLivePoint(const SimSession &session, std::uint64_t unitIdx,
+              const LivePoint *seed)
+{
+    LivePoint point;
+    if (seed)
+        point.arch.data = seed->arch.data;
+    point.saveFrom(session);
+    point.unitIndex = unitIdx;
+    return point;
+}
+
+/**
  * Replay one live-point into @p out: restore, then the measuring
  * walk's per-unit body (core/schedule.hh) from the snapshot — the
  * identical accounting, truncation cases included.
@@ -57,6 +74,67 @@ std::uint64_t
 stateFnv1a(const std::uint8_t *data, std::size_t size)
 {
     return util::fnv1a(data, size);
+}
+
+/** Append @p point's raw state, the bytes a record hashes. */
+void
+writeState(const LivePoint &point, util::BinaryWriter &raw)
+{
+    point.arch.write(raw);
+    point.timing.write(raw);
+}
+
+/**
+ * The `.smlp` header (docs/checkpoint-format.md § Live-point
+ * libraries): magic, version, endianness marker, flavor, @p key,
+ * stream length and record count.
+ */
+void
+writeHeader(const LibraryKey &key, std::uint64_t streamLength,
+            std::uint64_t count, util::BinaryWriter &out)
+{
+    for (const char c : kMagic)
+        out.u8(static_cast<std::uint8_t>(c));
+    out.u32(kLivePointFormatVersion);
+    out.u32(kCheckpointEndianMark);
+    out.u8(kCheckpointFlavorSolo);
+    key.write(out);
+    out.u64(streamLength);
+    out.u64(count);
+}
+
+/**
+ * The one `.smlp` record encoder: append the records of the points
+ * [@p first, @p last) to @p out, the first one delta-encoded against
+ * @p base — the point before @p first in the chain — or against an
+ * empty state when @p base is null, at the start of a chain. A
+ * record is unitIndex, position, the XXH64 of the DECODED state
+ * (corruption anywhere in the chain is pinned to the record where
+ * it breaks) and the delta against the previous point's state.
+ * LivePointLibrary::serialize encodes a whole library in one call;
+ * the leapfrog cold path encodes each chunk in the pool job that
+ * measures it. The bytes are the same either way.
+ */
+void
+encodeRecords(const LivePoint *base, const LivePoint *first,
+              const LivePoint *last, util::BinaryWriter &out)
+{
+    // One raw buffer is reused per record and swapped into prev, so
+    // the chain allocates its state storage twice, not per record.
+    std::vector<std::uint8_t> prev;
+    util::BinaryWriter raw;
+    if (base) {
+        writeState(*base, raw);
+        raw.swapOut(prev);
+    }
+    for (const LivePoint *point = first; point != last; ++point) {
+        writeState(*point, raw);
+        out.u64(point->unitIndex);
+        out.u64(point->position);
+        out.u64(util::xxh64(raw.buffer().data(), raw.size()));
+        out.vecU8(util::deltaEncode(prev, raw.buffer()));
+        raw.swapOut(prev);
+    }
 }
 
 /**
@@ -137,33 +215,42 @@ anytimeEstimate(const Samples &samples, const AnytimeOptions &options,
 
 } // namespace
 
-LivePointLibrary
-LivePointLibrary::build(SimSession &session,
-                        const SamplingConfig &config)
+void
+LivePointRecycler::keep(std::vector<LivePoint> &&points)
 {
-    return build(session, config, PointSink{});
+    std::vector<LivePoint> dropped;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        dropped.swap(points_);
+        points_.swap(points);
+    }
+    // The points kept before are freed here, outside the lock.
+}
+
+std::vector<LivePoint>
+LivePointRecycler::take()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(points_, {});
+}
+
+LivePointLibrary::~LivePointLibrary()
+{
+    if (recycler_ && !points_.empty())
+        recycler_->keep(std::move(points_));
 }
 
 LivePointLibrary
 LivePointLibrary::build(SimSession &session,
-                        const SamplingConfig &config,
-                        const PointSink &sink)
+                        const SamplingConfig &config)
 {
     LivePointLibrary library;
     library.config_ = config;
+    std::vector<LivePoint> &points = library.points_;
     library.streamLength_ = captureLivePoints(
         session, config, [&](std::uint64_t unitIdx) {
-            // Seeded with the previous point's image, the snapshot
-            // shares every page the unit's gap left unwritten.
-            LivePoint point;
-            if (!library.points_.empty())
-                point.arch.data = library.points_.back().arch.data;
-            point.saveFrom(session);
-            point.unitIndex = unitIdx;
-            library.points_.push_back(std::move(point));
-            if (sink)
-                sink(library.points_.size() - 1,
-                     library.points_.back());
+            points.push_back(snapLivePoint(
+                session, unitIdx, points.empty() ? nullptr : &points.back()));
         });
     return library;
 }
@@ -202,30 +289,9 @@ void
 LivePointLibrary::serialize(const LibraryKey &key,
                             util::BinaryWriter &out) const
 {
-    for (const char c : kMagic)
-        out.u8(static_cast<std::uint8_t>(c));
-    out.u32(kLivePointFormatVersion);
-    out.u32(kCheckpointEndianMark);
-    out.u8(kCheckpointFlavorSolo);
-    key.write(out);
-
-    out.u64(streamLength_);
-    out.u64(points_.size());
-    // One raw buffer is reused per record and swapped into prev, so
-    // the chain allocates its state storage twice, not per record.
-    std::vector<std::uint8_t> prev;
-    util::BinaryWriter raw;
-    for (const LivePoint &point : points_) {
-        point.arch.write(raw);
-        point.timing.write(raw);
-        out.u64(point.unitIndex);
-        out.u64(point.position);
-        // Hash of the DECODED state: corruption anywhere in the
-        // delta chain is pinned to the record where it breaks.
-        out.u64(util::xxh64(raw.buffer().data(), raw.size()));
-        out.vecU8(util::deltaEncode(prev, raw.buffer()));
-        raw.swapOut(prev);
-    }
+    writeHeader(key, streamLength_, points_.size(), out);
+    encodeRecords(nullptr, points_.data(),
+                  points_.data() + points_.size(), out);
 }
 
 bool
@@ -237,9 +303,23 @@ LivePointLibrary::save(const LibraryKey &key, const std::string &path,
     return out.writeFile(path, error, createDirs);
 }
 
+bool
+EncodedLivePoints::save(const LibraryKey &key, const std::string &path,
+                        std::string *error, bool createDirs) const
+{
+    util::BinaryWriter header;
+    writeHeader(key, streamLength_, unitCount_, header);
+    std::vector<util::ByteView> file{
+        {header.buffer().data(), header.size()}};
+    for (const std::vector<std::uint8_t> &segment : segments_)
+        file.push_back({segment.data(), segment.size()});
+    return util::writeFile(path, file, error, createDirs);
+}
+
 std::optional<LivePointLibrary>
 LivePointLibrary::load(const std::string &path,
-                       const LibraryKey &expect, std::string *error)
+                       const LibraryKey &expect, std::string *error,
+                       std::shared_ptr<LivePointRecycler> recycler)
 {
     auto refuse = [error](std::string why) {
         if (error)
@@ -301,10 +381,18 @@ LivePointLibrary::load(const std::string &path,
             path, " is corrupt (live-point count ", count, ")"));
 
     // The running chain state: each record's delta is applied to it
-    // in place, and the point is parsed from it without a copy.
+    // in place, and the point is parsed from it without a copy, into
+    // a recycled point while there are any.
+    std::vector<LivePoint> spare;
+    if (recycler)
+        spare = recycler->take();
+    library.recycler_ = std::move(recycler);
     std::vector<std::uint8_t> state;
     for (std::uint64_t i = 0; i < count; ++i) {
-        LivePoint &point = library.points_.emplace_back();
+        LivePoint &point =
+            i < spare.size() ? library.points_.emplace_back(
+                                   std::move(spare[i]))
+                             : library.points_.emplace_back();
         point.unitIndex = in.u64();
         point.position = in.u64();
         const std::uint64_t hash = in.u64();
@@ -416,67 +504,84 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
                                       const SessionFactory &factory,
                                       exec::ThreadPool &pool,
                                       const AnytimeOptions &options,
-                                      LivePointLibrary *collect) const
+                                      EncodedLivePoints *persist) const
 {
     if (!factory)
         SMARTS_FATAL("runAnytimeLeapfrog needs a session factory");
 
     const SamplingConfig config = config_;
     const std::uint64_t chunk = options.chunk ? options.chunk : 1;
+    if (persist)
+        *persist = EncodedLivePoints{};
 
-    // Sample slots live in a deque: push_back never moves existing
-    // elements, so the capture thread keeps appending while pool
-    // jobs write through the stable slot pointers they were handed.
-    // Jobs never touch the container itself.
+    // Sample slots (and record segments) live in deques: push_back
+    // never moves existing elements, so the capture thread keeps
+    // appending while pool jobs write through the stable pointers
+    // they were handed. Jobs never touch the containers themselves.
     std::deque<SliceResult> samples;
-    std::vector<LivePoint> pendingPoints;
+    std::vector<LivePoint> pending;
     std::vector<SliceResult *> pendingSlots;
+    // The previous chunk's last point: it seeds the next capture's
+    // pages and is the next chunk's delta base. No other point
+    // outlives the job that measures it.
+    std::shared_ptr<const LivePoint> previous;
 
     auto flush = [&] {
-        if (pendingPoints.empty())
+        if (pending.empty())
             return;
-        auto points = std::make_shared<std::vector<LivePoint>>(
-            std::move(pendingPoints));
+        auto points = std::make_shared<const std::vector<LivePoint>>(
+            std::move(pending));
         auto slots = std::make_shared<std::vector<SliceResult *>>(
             std::move(pendingSlots));
-        pendingPoints.clear();
+        pending.clear();
         pendingSlots.clear();
-        pool.submit([points, slots, &factory, config] {
+        std::vector<std::uint8_t> *segment =
+            persist ? &persist->segments_.emplace_back() : nullptr;
+        std::shared_ptr<const LivePoint> base = std::exchange(
+            previous, std::make_shared<const LivePoint>(points->back()));
+        pool.submit([points, slots, base, segment, &factory, config] {
             std::unique_ptr<SimSession> session = factory();
             for (std::size_t i = 0; i < points->size(); ++i)
                 measureLivePoint(*session, config, (*points)[i],
                                  *(*slots)[i]);
+            if (segment) {
+                util::BinaryWriter out;
+                encodeRecords(base.get(), points->data(),
+                              points->data() + points->size(), out);
+                out.swapOut(*segment);
+            }
         });
     };
 
     // Capture on this thread; every chunk of fresh live-points is
-    // handed to the pool the moment it exists, so measurement of
-    // unit m overlaps functional warming toward unit m+chunk — the
-    // leapfrog. The sink copies each point: capture moves on and
-    // the library's own storage may relocate under further appends.
-    LivePointLibrary library = LivePointLibrary::build(
-        captureSession, config_,
-        [&](std::size_t, const LivePoint &point) {
+    // handed to the pool the moment it exists, so measurement (and,
+    // when persisting, encoding) of unit m overlaps functional
+    // warming toward unit m+chunk — the leapfrog.
+    const std::uint64_t streamLength = captureLivePoints(
+        captureSession, config, [&](std::uint64_t unitIdx) {
+            pending.push_back(snapLivePoint(
+                captureSession, unitIdx,
+                pending.empty() ? previous.get() : &pending.back()));
             samples.emplace_back();
-            pendingPoints.push_back(point);
             pendingSlots.push_back(&samples.back());
-            if (pendingPoints.size() >= chunk)
+            if (pending.size() >= chunk)
                 flush();
         });
     flush();
     pool.wait();
+    if (persist) {
+        persist->streamLength_ = streamLength;
+        persist->unitCount_ = samples.size();
+    }
 
     // Stop-rule replay over the complete sample set: the per-unit
     // values are the warm path's, so every accept/stop decision
     // lands on the same batch and the reported AnytimeResult matches
     // a warm runAnytime bit for bit.
-    AnytimeResult result = anytimeEstimate(
-        samples, options, library.streamLength(),
+    return anytimeEstimate(
+        samples, options, streamLength,
         [](const std::vector<std::uint32_t> &, std::size_t,
            std::size_t) {});
-    if (collect)
-        *collect = std::move(library);
-    return result;
 }
 
 SliceResult

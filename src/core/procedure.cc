@@ -148,9 +148,10 @@ SmartsProcedure::estimateAnytime(const SessionFactory &factory,
     // One store lookup decides the path (the store's index makes it
     // a single stat at most — see StoreCounters::statCalls). Hit:
     // measure from the persisted live-points. Miss: the LEAPFROG
-    // cold path — capture and measurement overlap at per-unit grain
-    // — then persist what was captured so every later run hits.
-    // Both paths report the identical AnytimeResult.
+    // cold path — capture overlaps measurement, and the encoding of
+    // the records, at chunk grain — then publish those records in
+    // one write so every later run hits. Both paths report the
+    // identical AnytimeResult.
     std::string error;
     std::optional<LivePointLibrary> library =
         store.tryLoadLivePoints(key, &error);
@@ -162,7 +163,7 @@ SmartsProcedure::estimateAnytime(const SessionFactory &factory,
                     error, ")");
 
     auto session = factory();
-    LivePointLibrary captured;
+    EncodedLivePoints captured;
     const AnytimeResult result =
         SystematicSampler(sc).runAnytimeLeapfrog(
             *session, factory, pool, options, &captured);

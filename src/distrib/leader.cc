@@ -303,14 +303,14 @@ collectStudy(const std::string &dir, const JobManifest &manifest,
     // Elasticity: watch the claims/ directory for runner ids never
     // seen before — a NEW runner joined mid-study — and split the
     // still-unclaimed ranges so the newcomer gets fair-grained work
-    // instead of idling behind big claims.
+    // instead of idling behind big claims. The baseline is the first
+    // poll that finds any claimant: before that nobody has started,
+    // so the first runner to claim is the study's first, not a join.
     std::set<std::string> knownRunners;
-    bool baselined = false;
     auto watchRunners = [&] {
         const std::set<std::string> ids = claimantIds(dir);
-        if (!baselined) {
+        if (knownRunners.empty()) {
             knownRunners = ids;
-            baselined = true;
             return;
         }
         bool joined = false;

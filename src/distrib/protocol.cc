@@ -476,6 +476,9 @@ JobManifest::load(const std::string &path, std::string *error)
         return refuse(log::format(
             path, " is corrupt (study key carries geometry hash ",
             hex64(base.geometryHash), ")"));
+    const std::string keyDefect = in.ok() ? base.defect() : "";
+    if (!keyDefect.empty())
+        return refuse(log::format(path, " is corrupt (", keyDefect, ")"));
 
     // Every count is bounded by the elements the remaining payload
     // could hold, and the vectors grow only as elements parse — a

@@ -104,10 +104,9 @@ StoreRequest::key() const
     return core::LibraryKey::of(benchmark, machine, sampling);
 }
 
-bool
-StoreRequest::save(const std::string &path, std::string *error) const
+void
+StoreRequest::serialize(util::BinaryWriter &out) const
 {
-    util::BinaryWriter out;
     writeMagic(out, kRequestMagic);
     out.u32(kStoreServiceFormatVersion);
     out.u32(kEndianMark);
@@ -118,6 +117,13 @@ StoreRequest::save(const std::string &path, std::string *error) const
     // miss is capturable from this file alone.
     key().write(out);
     writeMachineConfig(out, machine);
+}
+
+bool
+StoreRequest::save(const std::string &path, std::string *error) const
+{
+    util::BinaryWriter out;
+    serialize(out);
     return out.writeFile(path, error);
 }
 
@@ -157,6 +163,9 @@ StoreRequest::load(const std::string &path, std::string *error)
                                         "trailing bytes"));
     if (r.reqId.empty())
         return refuse(log::format(path, " has an empty request id"));
+    const std::string keyDefect = claimed.defect();
+    if (!keyDefect.empty())
+        return refuse(log::format(path, " is corrupt (", keyDefect, ")"));
     const std::string configError = uarch::configError(r.machine);
     if (!configError.empty())
         return refuse(log::format(path, " is corrupt (machine config: ",
@@ -174,11 +183,9 @@ StoreRequest::load(const std::string &path, std::string *error)
     return r;
 }
 
-bool
-StoreReply::save(const std::string &file,
-                 std::string *error) const
+void
+StoreReply::serialize(util::BinaryWriter &out) const
 {
-    util::BinaryWriter out;
     writeMagic(out, kReplyMagic);
     out.u32(kStoreServiceFormatVersion);
     out.u32(kEndianMark);
@@ -190,6 +197,14 @@ StoreReply::save(const std::string &file,
     out.u64(misses);
     out.u64(captures);
     out.u64(evictions);
+}
+
+bool
+StoreReply::save(const std::string &file,
+                 std::string *error) const
+{
+    util::BinaryWriter out;
+    serialize(out);
     return out.writeFile(file, error);
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <system_error>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "util/logging.hh"
@@ -15,11 +16,12 @@ namespace smarts::util {
 namespace fs = std::filesystem;
 
 bool
-BinaryWriter::writeFile(const std::string &path, std::string *error,
-                        bool createDirs) const
+writeFile(const std::string &path, const std::vector<ByteView> &segments,
+          std::string *error, bool createDirs)
 {
-    const std::uint64_t checksum =
-        fnv1a(buffer_.data(), buffer_.size());
+    std::uint64_t checksum = fnv1a(nullptr, 0); // the offset basis.
+    for (const ByteView &segment : segments)
+        checksum = fnv1a(segment.data, segment.size, checksum);
 
     std::error_code ec;
     const fs::path target(path);
@@ -50,8 +52,9 @@ BinaryWriter::writeFile(const std::string &path, std::string *error,
                                      " for writing");
             return false;
         }
-        out.write(reinterpret_cast<const char *>(buffer_.data()),
-                  static_cast<std::streamsize>(buffer_.size()));
+        for (const ByteView &segment : segments)
+            out.write(reinterpret_cast<const char *>(segment.data),
+                      static_cast<std::streamsize>(segment.size));
         std::uint8_t trailer[8];
         storeLE(trailer, checksum);
         out.write(reinterpret_cast<const char *>(trailer),
@@ -75,6 +78,31 @@ BinaryWriter::writeFile(const std::string &path, std::string *error,
     return true;
 }
 
+bool
+BinaryWriter::writeFile(const std::string &path, std::string *error,
+                        bool createDirs) const
+{
+    return util::writeFile(path,
+                           {ByteView{buffer_.data(), buffer_.size()}},
+                           error, createDirs);
+}
+
+BinaryReader::Pages::Pages(std::size_t size)
+{
+    void *addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (addr != MAP_FAILED) {
+        data_ = static_cast<std::uint8_t *>(addr);
+        size_ = size;
+    }
+}
+
+BinaryReader::Pages::~Pages()
+{
+    if (data_)
+        ::munmap(data_, size_);
+}
+
 BinaryReader
 BinaryReader::fromFile(const std::string &path, std::string *error)
 {
@@ -94,20 +122,24 @@ BinaryReader::fromFile(const std::string &path, std::string *error)
         return failed(log::format(path, " is truncated (", size,
                                   " bytes, no room for a checksum)"));
     in.seekg(0);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    in.read(reinterpret_cast<char *>(bytes.data()), size);
+    Pages pages(static_cast<std::size_t>(size));
+    if (!pages.data())
+        return failed(log::format("cannot map ", size,
+                                  " bytes to read ", path));
+    in.read(reinterpret_cast<char *>(pages.data()), size);
     if (!in)
         return failed(log::format("short read from ", path));
 
-    const std::size_t payload = bytes.size() - 8;
+    const std::size_t payload = static_cast<std::size_t>(size) - 8;
     const std::uint64_t stored =
-        loadLE<std::uint64_t>(bytes.data() + payload);
-    if (fnv1a(bytes.data(), payload) != stored)
+        loadLE<std::uint64_t>(pages.data() + payload);
+    if (fnv1a(pages.data(), payload) != stored)
         return failed(log::format(
             path, " failed its checksum (truncated or corrupt)"));
 
-    bytes.resize(payload);
-    return BinaryReader(std::move(bytes));
+    BinaryReader reader(pages.data(), payload);
+    reader.pages_ = std::move(pages);
+    return reader;
 }
 
 } // namespace smarts::util

@@ -9,8 +9,10 @@
  * capture-thread/pool handoff.
  */
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.hh"
@@ -279,6 +281,84 @@ testCheckpointPositions()
     }
 }
 
+void
+testLibraryKeyMismatchNamesField()
+{
+    // A key that differs in any one component refuses, and the
+    // diagnostic prints that component from both keys: the two
+    // printed values must differ (never "sort-1-mini vs sort-1-mini").
+    core::SamplingConfig sc;
+    sc.unitSize = 1000;
+    sc.detailedWarming = 2000;
+    sc.interval = 10;
+    sc.warming = core::WarmingMode::Functional;
+    const core::LibraryKey expect = core::LibraryKey::of(
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini),
+        uarch::MachineConfig::eightWay(), sc);
+    CHECK_EQ(expect.mismatchAgainst(expect), std::string());
+
+    struct Case
+    {
+        const char *names; ///< what the diagnostic must mention.
+        void (*edit)(core::LibraryKey &);
+    };
+    const Case cases[] = {
+        {"benchmark",
+         [](core::LibraryKey &k) { k.benchmark.name = "sort-2"; }},
+        {"benchmark",
+         [](core::LibraryKey &k) {
+             k.benchmark.scale = workloads::Scale::Small;
+         }},
+        {"kernel",
+         [](core::LibraryKey &k) {
+             k.benchmark.kernel = workloads::Kernel::Chase;
+         }},
+        {"variant",
+         [](core::LibraryKey &k) { k.benchmark.variant = 2; }},
+        {"seed", [](core::LibraryKey &k) { k.benchmark.seed += 1; }},
+        {"sampling-design",
+         [](core::LibraryKey &k) { k.sampling.unitSize = 999; }},
+        {"sampling-design",
+         [](core::LibraryKey &k) { k.sampling.detailedWarming = 0; }},
+        {"sampling-design",
+         [](core::LibraryKey &k) { k.sampling.interval = 11; }},
+        {"sampling-design",
+         [](core::LibraryKey &k) { k.sampling.offset = 3; }},
+        {"warming-mode",
+         [](core::LibraryKey &k) {
+             k.sampling.warming = core::WarmingMode::CachesOnly;
+         }},
+        {"geometry", [](core::LibraryKey &k) { k.geometryHash ^= 1; }},
+    };
+    for (const Case &c : cases) {
+        core::LibraryKey file = expect;
+        c.edit(file);
+        const std::string why = expect.mismatchAgainst(file);
+        CHECK(why.find(c.names) != std::string::npos);
+        const std::size_t fileAt = why.find("(file: ");
+        const std::size_t expectAt = why.find(", expected: ");
+        CHECK(fileAt != std::string::npos);
+        CHECK(expectAt != std::string::npos && expectAt > fileAt);
+        if (fileAt == std::string::npos ||
+            expectAt == std::string::npos || expectAt < fileAt)
+            continue;
+        const std::string fileValue =
+            why.substr(fileAt + 7, expectAt - fileAt - 7);
+        const std::size_t valueAt = expectAt + 12;
+        const std::size_t dash = why.find(" —", valueAt);
+        const std::size_t end =
+            dash != std::string::npos ? dash : why.rfind(')');
+        const std::string expectValue =
+            why.substr(valueAt, end - valueAt);
+        CHECK(!fileValue.empty());
+        CHECK(fileValue != expectValue);
+        if (fileValue == expectValue)
+            std::fprintf(stderr, "  diagnostic \"%s\" prints equal "
+                                 "values\n",
+                         why.c_str());
+    }
+}
+
 } // namespace
 
 int
@@ -289,5 +369,6 @@ main()
     testWarmAsDetailedMatchesDetailedState();
     testShardedBitIdentical();
     testCheckpointPositions();
+    testLibraryKeyMismatchNamesField();
     TEST_MAIN_SUMMARY();
 }

@@ -26,10 +26,12 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint_store.hh"
@@ -1309,6 +1311,141 @@ testChaosElasticity()
     CHECK(fingerprint(merged->front()) == fingerprint(serial));
 }
 
+/**
+ * Wait up to @p seconds for @p ready, polling every few ms; true
+ * once it holds.
+ */
+template <typename Ready>
+bool
+waitFor(double seconds, Ready &&ready)
+{
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    while (!ready()) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+}
+
+void
+testCollectSplitsOnlyForLateRunners()
+{
+    // collectStudy splits the unclaimed ranges when a runner it has
+    // not seen claim before starts mid-study. A leader that helps
+    // nobody (smarts_runner --leader --no-work) usually polls before
+    // any runner has claimed: its first runner is the study's first,
+    // not a join, and must not split anything. A runner arriving
+    // after another has started is a join, and must.
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    const core::SamplingConfig sc = defaultSampling();
+    const distrib::JobManifest manifest =
+        shipStudy(spec, {config}, sc, 4);
+    CHECK_EQ(manifest.jobCount(), std::size_t(4));
+    // Every seed range is long enough to split (2 x the default 8).
+    for (const distrib::UnitRange &r : manifest.ranges)
+        CHECK(r.unitCount >= 16);
+    const core::SmartsEstimate serial = serialRun(spec, config, sc);
+
+    struct Collected
+    {
+        std::optional<std::vector<core::SmartsEstimate>> estimates;
+        std::string error;
+    };
+    auto collect = [&manifest](Collected &out) {
+        return std::thread([&manifest, &out] {
+            out.estimates = distrib::collectStudy(
+                kQueue, manifest, 120.0, nullptr, &out.error, 1.0);
+        });
+    };
+
+    // One runner, started after the leader's first polls. Its first
+    // job holds its claim past the leader's 1 s backoff cap, so the
+    // leader polls while that claim is the only one.
+    {
+        resetQueue(manifest);
+        Collected collected;
+        std::thread leader = collect(collected);
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        std::size_t executed = 0;
+        {
+            distrib::RunnerOptions options = runnerOpts("only", -1.0);
+            bool first = true;
+            options.onExecute = [&first](const std::string &) {
+                if (std::exchange(first, false))
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1500));
+            };
+            distrib::Runner runner(kQueue, kStore, options);
+            executed = runner.drain(manifest);
+        }
+        leader.join();
+        CHECK(collected.estimates.has_value());
+        CHECK_EQ(collected.error, std::string());
+        if (collected.estimates)
+            CHECK(fingerprint(collected.estimates->front()) ==
+                  fingerprint(serial));
+        CHECK_EQ(executed, manifest.jobCount());
+        CHECK_EQ(distrib::listRanges(kQueue).size(),
+                 manifest.ranges.size());
+    }
+
+    // A second runner joining while the first holds its first claim:
+    // the leader has seen the first, so the second is a newcomer and
+    // the two unclaimed ranges split. The second runner's first job
+    // waits for the split before either runner moves on.
+    {
+        resetQueue(manifest);
+        Collected collected;
+        std::thread leader = collect(collected);
+        std::atomic<bool> firstStarted{false}, release{false};
+        bool splitSeen = false;
+
+        distrib::RunnerOptions aOpt = runnerOpts("early", -1.0);
+        aOpt.onExecute = [&](const std::string &) {
+            if (firstStarted.exchange(true))
+                return;
+            waitFor(30.0, [&] { return release.load(); });
+        };
+        std::thread early([&] {
+            distrib::Runner runner(kQueue, kStore, aOpt);
+            runner.drain(manifest);
+        });
+        waitFor(30.0, [&] { return firstStarted.load(); });
+        // Past the backoff cap: the leader has polled and seen "early".
+        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+
+        distrib::RunnerOptions bOpt = runnerOpts("late", -1.0);
+        bool bFirst = true;
+        bOpt.onExecute = [&](const std::string &) {
+            if (!std::exchange(bFirst, false))
+                return;
+            splitSeen = waitFor(10.0, [&] {
+                return distrib::listRanges(kQueue).size() >
+                       manifest.ranges.size();
+            });
+            release = true;
+        };
+        {
+            distrib::Runner runner(kQueue, kStore, bOpt);
+            runner.drain(manifest);
+        }
+        release = true;
+        early.join();
+        leader.join();
+        CHECK(splitSeen);
+        CHECK(distrib::listRanges(kQueue).size() >
+              manifest.ranges.size());
+        CHECK(collected.estimates.has_value());
+        if (collected.estimates)
+            CHECK(fingerprint(collected.estimates->front()) ==
+                  fingerprint(serial));
+    }
+}
+
 } // namespace
 
 int
@@ -1332,5 +1469,6 @@ main()
     testAwaitManifestPollsThroughRefusals();
     testUnitRangeStudy();
     testChaosElasticity();
+    testCollectSplitsOnlyForLateRunners();
     TEST_MAIN_SUMMARY();
 }

@@ -44,6 +44,7 @@
 #include "core/store_index.hh"
 #include "distrib/leader.hh"
 #include "distrib/protocol.hh"
+#include "distrib/store_service.hh"
 #include "mem/shared_hierarchy.hh"
 #include "mp/mix_session.hh"
 #include "uarch/config.hh"
@@ -940,6 +941,150 @@ testDistribFilesFuzz()
     }
 }
 
+/**
+ * The store-service request and reply parsers against resealed
+ * mutants of a saved `.req` and `.rep`: each mutant either loads and
+ * re-serializes to exactly its own payload, or refuses with a
+ * diagnostic, and no load requests an allocation beyond a small
+ * multiple of the file.
+ */
+void
+testStoreServiceFilesFuzz()
+{
+    Xoshiro256StarStar rng(0x5e7f11e5ull);
+    distrib::StoreRequest request;
+    request.reqId = "client-7-3";
+    request.benchmark =
+        workloads::findBenchmark("fsm-1", workloads::Scale::Mini);
+    request.sampling.unitSize = 1000;
+    request.sampling.detailedWarming = 2000;
+    request.sampling.interval = 10;
+    request.sampling.warming = core::WarmingMode::Functional;
+    request.machine = uarch::MachineConfig::sixteenWay();
+
+    distrib::StoreReply reply;
+    reply.reqId = request.reqId;
+    reply.status = distrib::StoreReplyStatus::Captured;
+    reply.path = "store/fsm-1-mini/U1000_W2000_k10_j0_func.smlp";
+    reply.hits = 3;
+    reply.misses = 2;
+    reply.captures = 1;
+    reply.evictions = 4;
+
+    const std::string requestPath = std::string(kRoot) + "/r.req";
+    const std::string replyPath = std::string(kRoot) + "/r.rep";
+    const std::string target = std::string(kRoot) + "/mutant";
+    CHECK(request.save(requestPath));
+    CHECK(reply.save(replyPath));
+
+    // Keys the daemon cannot capture from refuse by name, before any
+    // capture could divide by a zero U or k or build an unknown
+    // kernel's program.
+    {
+        struct Bad
+        {
+            const char *names;
+            void (*edit)(distrib::StoreRequest &);
+        };
+        const Bad bad[] = {
+            {"unit size",
+             [](distrib::StoreRequest &r) { r.sampling.unitSize = 0; }},
+            {"interval",
+             [](distrib::StoreRequest &r) { r.sampling.interval = 0; }},
+            {"kernel",
+             [](distrib::StoreRequest &r) {
+                 r.benchmark.kernel = static_cast<workloads::Kernel>(99);
+             }},
+            {"scale",
+             [](distrib::StoreRequest &r) {
+                 r.benchmark.scale = static_cast<workloads::Scale>(7);
+             }},
+            {"warming mode",
+             [](distrib::StoreRequest &r) {
+                 r.sampling.warming = static_cast<core::WarmingMode>(4);
+             }},
+        };
+        for (const Bad &b : bad) {
+            distrib::StoreRequest r = request;
+            b.edit(r);
+            CHECK(r.save(target));
+            std::string why;
+            CHECK(!distrib::StoreRequest::load(target, &why));
+            CHECK(why.find(b.names) != std::string::npos);
+        }
+    }
+
+    using Load = bool (*)(const std::string &, util::BinaryWriter &,
+                          std::string &);
+    // A loaded request is one the daemon can capture from: a known
+    // kernel, scale and warming mode, and a nonzero U and k (the
+    // capture walk divides by both).
+    const Load loadRequest = [](const std::string &path,
+                                util::BinaryWriter &out,
+                                std::string &why) {
+        const auto r = distrib::StoreRequest::load(path, &why);
+        if (!r)
+            return false;
+        CHECK(r->benchmark.kernel <= workloads::Kernel::Mix);
+        CHECK(r->benchmark.scale <= workloads::Scale::Large);
+        CHECK(r->sampling.warming <= core::WarmingMode::Functional);
+        CHECK(r->sampling.unitSize > 0);
+        CHECK(r->sampling.interval > 0);
+        r->serialize(out);
+        return true;
+    };
+    const Load loadReply = [](const std::string &path,
+                              util::BinaryWriter &out,
+                              std::string &why) {
+        const auto r = distrib::StoreReply::load(path, &why);
+        if (r)
+            r->serialize(out);
+        return r.has_value();
+    };
+
+    struct File
+    {
+        const std::string &path;
+        Load load;
+    };
+    for (const File &file : {File{requestPath, loadRequest},
+                             File{replyPath, loadReply}}) {
+        const std::vector<std::uint8_t> good = readBytes(file.path);
+        const std::vector<std::uint8_t> payload(good.begin(),
+                                                good.end() - 8);
+        {
+            // The saved file itself round-trips.
+            util::BinaryWriter out;
+            std::string why;
+            CHECK(file.load(file.path, out, why));
+            CHECK(out.buffer() == payload);
+        }
+
+        std::uint64_t loaded = 0, refused = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const std::vector<std::uint8_t> mutant =
+                mutate(payload, rng);
+            writeBytes(target, sealed(mutant));
+            util::BinaryWriter out;
+            std::string why;
+            gLargestAllocation = 0;
+            const bool ok = file.load(target, out, why);
+            // The file stream's 8 KiB buffer, plus what the file's
+            // own bytes can back.
+            CHECK(gLargestAllocation <= 16384 + 16 * mutant.size());
+            if (ok) {
+                ++loaded;
+                CHECK(out.buffer() == mutant);
+            } else {
+                ++refused;
+                CHECK(!why.empty());
+            }
+        }
+        CHECK(loaded > 0);
+        CHECK(refused > 0);
+    }
+}
+
 } // namespace
 
 int
@@ -955,5 +1100,6 @@ main()
     testPagedImageReadFuzz();
     testMixStateHostileCounts();
     testDistribFilesFuzz();
+    testStoreServiceFilesFuzz();
     TEST_MAIN_SUMMARY();
 }

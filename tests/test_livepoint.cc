@@ -18,15 +18,21 @@
  * bulk and borrowed BinaryReader paths the loader parses through,
  * and the record-count bound that keeps a crafted count from sizing
  * memory the file cannot back, and the copy-on-write data images
- * consecutive live-points share their unchanged pages through.
+ * consecutive live-points share their unchanged pages through; that
+ * the leapfrog cold path publishes a file byte-identical to build()
+ * + save() at any thread count, chunk size and stop rule, and still
+ * returns its estimate when the publish fails; and that load() over
+ * a released library's points rebuilds its own file exactly.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -531,6 +537,71 @@ testFormatMigration()
 }
 
 void
+testLoadReusesReleasedPoints()
+{
+    // load() with a recycler parses into the points of the last
+    // library released to it, so a warm hit reuses that memory. A
+    // load over another library's points (other unit count, other
+    // cache geometry) must still rebuild its own file exactly.
+    struct Saved
+    {
+        core::LibraryKey key;
+        std::string path;
+        std::vector<std::uint8_t> payload; ///< the file minus checksum.
+    };
+    auto save = [](const char *name, const uarch::MachineConfig &config,
+                   std::uint64_t interval) {
+        const auto spec =
+            workloads::findBenchmark(name, workloads::Scale::Mini);
+        core::SamplingConfig sc = defaultSampling();
+        sc.interval = interval;
+        Saved saved{core::LibraryKey::of(spec, config, sc),
+                    std::string(kDir) + "/reuse-" + name + ".smlp", {}};
+        core::SimSession session(spec, config);
+        CHECK(core::LivePointLibrary::build(session, sc)
+                  .save(saved.key, saved.path));
+        saved.payload = readFileBytes(saved.path);
+        saved.payload.resize(saved.payload.size() - 8);
+        return saved;
+    };
+    const Saved few = save("sort-1", uarch::MachineConfig::eightWay(), 10);
+    const Saved many =
+        save("chase-1", uarch::MachineConfig::sixteenWay(), 4);
+
+    const auto recycler = std::make_shared<core::LivePointRecycler>();
+    auto reload = [&recycler](const Saved &saved) {
+        std::optional<core::LivePointLibrary> library =
+            core::LivePointLibrary::load(saved.path, saved.key, nullptr,
+                                         recycler);
+        CHECK(library.has_value());
+        if (!library)
+            return library;
+        util::BinaryWriter out;
+        library->serialize(saved.key, out);
+        CHECK(out.buffer() == saved.payload);
+        return library;
+    };
+    // Fewer points over more, more over fewer, other geometries.
+    for (const Saved *saved : {&many, &few, &many, &few, &few})
+        reload(*saved);
+
+    // The same library reloaded reuses its predecessor's buffers.
+    const std::uint32_t *tags = nullptr;
+    if (auto library = reload(few))
+        tags = library->at(0).timing.mem.l2.tags.data();
+    if (auto library = reload(few))
+        CHECK(library->at(0).timing.mem.l2.tags.data() == tags);
+
+    // A store's loads share one recycler.
+    core::CheckpointStore store(std::string(kDir) + "/reuse-store");
+    CHECK(store.saveLivePoints(*reload(few), few.key));
+    if (auto library = store.tryLoadLivePoints(few.key))
+        tags = library->at(0).timing.mem.l2.tags.data();
+    if (auto library = store.tryLoadLivePoints(few.key))
+        CHECK(library->at(0).timing.mem.l2.tags.data() == tags);
+}
+
+void
 testStoreRoundtrip()
 {
     const auto config = uarch::MachineConfig::eightWay();
@@ -680,13 +751,16 @@ testLeapfrogColdOverlapBitIdentical()
     const core::SmartsEstimate serial =
         core::SystematicSampler(sc).run(serialSession);
 
+    const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+    const std::string path =
+        std::string(kDir) + "/leapfrog-collected.smlp";
     core::AnytimeOptions options;
     options.target.epsilon = 0.0; // completion mode: measure all.
     for (const std::size_t threads :
          {std::size_t(1), std::size_t(2), std::size_t(5)}) {
         exec::ThreadPool pool(threads);
         core::SimSession captureSession(spec, config);
-        core::LivePointLibrary collected;
+        core::EncodedLivePoints collected;
         const core::AnytimeResult result =
             core::SystematicSampler(sc).runAnytimeLeapfrog(
                 captureSession, factory, pool, options, &collected);
@@ -694,12 +768,20 @@ testLeapfrogColdOverlapBitIdentical()
         CHECK_EQ(result.unitsMeasured, result.unitsAvailable);
         CHECK(fingerprint(result.estimate) == fingerprint(serial));
 
-        // The collected library is the real thing: a warm anytime
-        // run over it folds to the same estimate.
+        // The collected records are the real thing: published and
+        // reloaded, a warm anytime run over them folds to the same
+        // estimate.
         CHECK_EQ(collected.unitCount(), result.unitsAvailable);
+        CHECK_EQ(collected.streamLength(),
+                 result.estimate.streamLength);
+        CHECK(collected.save(key, path));
+        const auto loaded = core::LivePointLibrary::load(path, key);
+        CHECK(loaded.has_value());
+        if (!loaded)
+            continue;
         const core::AnytimeResult warm =
             core::SystematicSampler(sc).runAnytime(
-                factory, collected, pool, options);
+                factory, *loaded, pool, options);
         CHECK(fingerprint(warm.estimate) == fingerprint(serial));
     }
 
@@ -724,14 +806,15 @@ testLeapfrogColdOverlapBitIdentical()
 
         exec::ThreadPool pool(2);
         core::SimSession captureSession(dense, config);
-        core::LivePointLibrary collected;
         const core::AnytimeResult leap =
             core::SystematicSampler(dsc).runAnytimeLeapfrog(
-                captureSession, denseFactory, pool, target,
-                &collected);
+                captureSession, denseFactory, pool, target);
+        core::SimSession buildSession(dense, config);
+        const core::LivePointLibrary library =
+            core::LivePointLibrary::build(buildSession, dsc);
         const core::AnytimeResult warm =
             core::SystematicSampler(dsc).runAnytime(
-                denseFactory, collected, pool, target);
+                denseFactory, library, pool, target);
         CHECK(leap.earlyStopped);
         CHECK_EQ(leap.earlyStopped, warm.earlyStopped);
         CHECK_EQ(leap.unitsMeasured, warm.unitsMeasured);
@@ -739,6 +822,112 @@ testLeapfrogColdOverlapBitIdentical()
         CHECK(fingerprint(leap.estimate) ==
               fingerprint(warm.estimate));
     }
+}
+
+void
+testLeapfrogPublishesBuildSaveBytes()
+{
+    // The leapfrog cold path encodes each chunk's records inside the
+    // pool job that measures the chunk, against the previous chunk's
+    // last point. Whatever the thread count, the chunking or the stop
+    // rule, the file it publishes must be the one build() + save()
+    // writes over the same session, byte for byte.
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("bsearch-1", workloads::Scale::Mini);
+    core::SamplingConfig sc = defaultSampling();
+    sc.interval = 2;
+    auto factory = [&spec, &config] {
+        return std::make_unique<core::SimSession>(spec, config);
+    };
+    const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+
+    const std::string buildPath =
+        std::string(kDir) + "/oracle-build.smlp";
+    std::size_t units = 0;
+    {
+        core::SimSession session(spec, config);
+        const core::LivePointLibrary library =
+            core::LivePointLibrary::build(session, sc);
+        units = library.unitCount();
+        CHECK(library.save(key, buildPath));
+    }
+    const std::vector<std::uint8_t> want = readFileBytes(buildPath);
+    CHECK(units > 8);
+    CHECK(!want.empty());
+
+    core::AnytimeOptions completion;
+    completion.target.epsilon = 0.0;
+    core::AnytimeOptions early;
+    early.target.level = 0.997;
+    early.target.epsilon = 0.03;
+    early.seed = 7;
+
+    // Completion mode over every (threads, chunk) pair; the
+    // early-stopping target over one chunk size per thread count.
+    struct Run
+    {
+        const core::AnytimeOptions &options;
+        std::size_t threads;
+        std::uint64_t chunk;
+    };
+    std::vector<Run> runs;
+    const std::size_t threadCounts[] = {1, 2, 5};
+    const std::uint64_t chunks[] = {1, 8, units + 1};
+    for (std::size_t t = 0; t < 3; ++t) {
+        for (const std::uint64_t chunk : chunks)
+            runs.push_back({completion, threadCounts[t], chunk});
+        runs.push_back({early, threadCounts[t], chunks[t]});
+    }
+    const std::string leapPath =
+        std::string(kDir) + "/oracle-leapfrog.smlp";
+    for (const Run &run : runs) {
+        core::AnytimeOptions options = run.options;
+        options.chunk = run.chunk;
+        exec::ThreadPool pool(run.threads);
+        core::SimSession session(spec, config);
+        core::EncodedLivePoints records;
+        const core::AnytimeResult result =
+            core::SystematicSampler(sc).runAnytimeLeapfrog(
+                session, factory, pool, options, &records);
+        CHECK_EQ(result.earlyStopped, options.target.epsilon > 0.0);
+        CHECK_EQ(records.unitCount(), units);
+        fs::remove(leapPath);
+        CHECK(records.save(key, leapPath));
+        CHECK(readFileBytes(leapPath) == want);
+    }
+
+    // A store the records cannot be published to: the estimate is
+    // still returned, equal to a cold run's over a writable store,
+    // and the failed publish is reported as a warning.
+    const std::string blocker = std::string(kDir) + "/not-a-dir";
+    writeFileBytes(blocker, {0});
+    std::uint64_t length;
+    {
+        core::SimSession probe(spec, config);
+        length = probe.fastForward(~0ull >> 1, core::WarmingMode::None);
+    }
+    core::ProcedureConfig pc;
+    pc.nInit = 200;
+    const core::SmartsProcedure procedure(pc);
+    exec::ThreadPool pool(2);
+    core::CheckpointStore good(std::string(kDir) + "/publish-ok");
+    const core::AnytimeResult expected = procedure.estimateAnytime(
+        factory, spec, config, length, pool, good);
+    CHECK_EQ(good.counters().saves, std::uint64_t(1));
+
+    core::CheckpointStore bad(blocker + "/store");
+    std::ostringstream warnings;
+    std::streambuf *const saved = std::cerr.rdbuf(warnings.rdbuf());
+    const core::AnytimeResult result = procedure.estimateAnytime(
+        factory, spec, config, length, pool, bad);
+    std::cerr.rdbuf(saved);
+    CHECK(fingerprint(result.estimate) ==
+          fingerprint(expected.estimate));
+    CHECK_EQ(result.unitsMeasured, expected.unitsMeasured);
+    CHECK_EQ(bad.counters().saves, std::uint64_t(0));
+    CHECK(warnings.str().find("warning: checkpoint store: could not "
+                              "persist") != std::string::npos);
 }
 
 void
@@ -1172,12 +1361,14 @@ main()
     testLibraryCaptureGeometry();
     testLibraryRoundtripAndRefusals();
     testFormatMigration();
+    testLoadReusesReleasedPoints();
     testStoreRoundtrip();
     testBinaryReaderBulkAndBorrowed();
     testRecordCountBounded();
     testCopyOnWriteImages();
     testAnytimeCompletionBitIdentical();
     testLeapfrogColdOverlapBitIdentical();
+    testLeapfrogPublishesBuildSaveBytes();
     testShuffleReproducibilityAndEarlyStop();
     testEstimateAnytimeEndToEnd();
     TEST_MAIN_SUMMARY();
