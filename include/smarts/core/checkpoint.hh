@@ -13,16 +13,21 @@
  * CheckpointLibrary plans the shard split of a sampling run's unit
  * grid and captures each shard's resume checkpoint with a single
  * streaming pass that applies the serial schedule's EXACT state
- * transitions — fastForward over the warming gaps,
- * SimSession::warmAsDetailed over the regions the serial run
- * simulates in detail — so a shard resumed from its checkpoint
- * measures every unit bit-identically to the serial run.
+ * transitions — fastForward over the warming gaps, warm-as-detailed
+ * over the regions the serial run simulates in detail — so a shard
+ * resumed from its checkpoint measures every unit bit-identically to
+ * the serial run.
  *
  * The capture pass costs roughly a functional-warming pass of the
  * stream, far less than the serial run's warming + detailed bill,
  * and it pipelines: shard s starts executing the moment checkpoint
  * s is captured, while the capture pass streams on toward
- * checkpoint s+1.
+ * checkpoint s+1. A solo capture runs through core::SplitCapture
+ * (core/capture.hh): the calling thread interprets and trains the
+ * predictor, a warming thread replays the cache and TLB accesses,
+ * and each checkpoint is completed and handed on from the warming
+ * thread, so the pass costs about the slower of those halves rather
+ * than their sum.
  *
  * Libraries are durable: save()/load() move them through a
  * versioned, endian-explicit, checksummed binary format
@@ -285,7 +290,9 @@ class ShardLibrary
      * @p sink the moment each shard's resume state is reached.
      * Shard 0 resumes at stream start and gets no checkpoint. The
      * pass stops after the last checkpoint — the tail belongs to
-     * the last shard.
+     * the last shard. This fused pass serves the mix flavor; the
+     * solo flavor captures through core::SplitCapture
+     * (CheckpointLibrary::capture).
      */
     static void
     capture(Session &session, const SamplingConfig &config,
@@ -309,7 +316,7 @@ class ShardLibrary
           const std::vector<ShardSpec> &plan)
     {
         Derived library = prepare(config, plan);
-        capture(session, config, plan,
+        Derived::capture(session, config, plan,
                 [&library](std::size_t s, Checkpoint &&cp) {
                     library.checkpoints_[s] = std::move(cp);
                 });
@@ -471,6 +478,19 @@ class CheckpointLibrary
     : public ShardLibrary<CheckpointLibrary, ArchCheckpoint>
 {
   public:
+    /**
+     * The solo capture pass: ShardLibrary::capture's contract, run
+     * through core::SplitCapture (core/capture.hh). The calling thread
+     * interprets and snaps all of each checkpoint but its memory
+     * hierarchy; a warming thread replays the memory accesses, snaps
+     * the hierarchy at each boundary and calls @p sink there, in
+     * shard order. The checkpoints are byte for byte the fused
+     * pass's.
+     */
+    static void capture(SimSession &session, const SamplingConfig &config,
+                        const std::vector<ShardSpec> &plan,
+                        const CheckpointSink &sink);
+
     /**
      * Split the measured-unit grid of (@p config, @p streamLength)
      * into at most @p shards contiguous, non-empty shards (clamped

@@ -18,8 +18,9 @@
  * start for that unit — after the inter-unit gap is fast-forwarded,
  * before detailed warming — where the capture pass's state is
  * bit-identical to the serial run's (fastForward over gaps,
- * SimSession::warmAsDetailed over the regions the serial run
- * simulates in detail, exactly like the shard capture pass). A unit
+ * warm-as-detailed over the regions the serial run simulates in
+ * detail, through core::SplitCapture (core/capture.hh) exactly
+ * like the shard capture pass). A unit
  * measured from its live-point therefore reproduces the serial
  * run's observation bit for bit, and runAnytime driven to
  * completion folds to an estimate byte-identical to run()'s.
@@ -141,7 +142,10 @@ class LivePointLibrary
      * Serialize under @p key into the delta-encoded `.smlp` format
      * (docs/checkpoint-format.md § Live-point libraries) and publish
      * atomically at @p path. False with @p error set on filesystem
-     * failure.
+     * failure. The records are encoded in fixed-size chunks and
+     * published through EncodedLivePoints::save, the leapfrog's one
+     * write: the bytes serialize() produces, without a buffer the
+     * size of the file.
      */
     bool save(const LibraryKey &key, const std::string &path,
               std::string *error = nullptr,
@@ -255,6 +259,7 @@ class EncodedLivePoints
 
   private:
     friend class SystematicSampler; // runAnytimeLeapfrog fills it.
+    friend class LivePointLibrary;  // so does save().
 
     std::uint64_t streamLength_ = 0;
     std::size_t unitCount_ = 0;

@@ -433,10 +433,12 @@ class SystematicSampler
      * LEAPFROG cold path: no live-point library exists yet, so
      * capture and measurement overlap at per-unit grain instead of
      * one serial capture pass followed by measurement. The capture
-     * schedule streams @p captureSession on the calling thread; the
-     * moment a unit's live-point is taken it is handed to @p pool
-     * (in chunk-sized groups, options.chunk) to be measured while
-     * capture leapfrogs ahead to the next unit. After capture
+     * schedule streams @p captureSession through core::SplitCapture
+     * (core/capture.hh): the calling thread interprets, and the
+     * warming thread, which replays the memory hierarchy's
+     * accesses, completes each unit's live-point and hands it to
+     * @p pool (in chunk-sized groups, options.chunk) to be measured
+     * while capture leapfrogs ahead to the next unit. After capture
      * drains, the anytime stop rule is REPLAYED over the complete
      * sample set — the identical seeded shuffle, batch boundaries
      * and streaming-CI arithmetic runAnytime applies while

@@ -18,7 +18,11 @@
  * MultiSession and mp::MixSession share: fastForward, detailedRun,
  * warmAsDetailed, finished and instCount (rounds, for a mix).
  * Positions are read back from instCount(), so a session's own
- * counter is the single source of truth.
+ * counter is the single source of truth. The capture walk needs no
+ * detailedRun, so it also runs over core::SplitCapture
+ * (core/capture.hh), the solo capture that interprets on the
+ * calling thread and warms the memory hierarchy on a second one;
+ * every solo capture steps it, not the SimSession.
  */
 
 #ifndef SMARTS_CORE_SCHEDULE_HH

@@ -49,9 +49,12 @@ class SimSession
      * Execute up to @p maxInsts applying detailedRun's exact
      * microarchitectural state transitions (including wrong-path
      * pollution and predictor lookup traffic) without the timing
-     * bookkeeping. The checkpoint capture pass uses this to stream
-     * through regions a serial sampling run simulates in detail, so
-     * the captured state matches the serial run's bit for bit.
+     * bookkeeping: the transitions a capture pass applies over the
+     * regions a serial sampling run simulates in detail, so the
+     * captured state matches the serial run's bit for bit. Capture
+     * itself runs them with the memory hierarchy on a second thread
+     * (core/capture.hh); this fused form is the per-instruction
+     * reference the split capture is tested against.
      */
     SMARTS_HOT_CODE std::uint64_t warmAsDetailed(std::uint64_t maxInsts);
 
@@ -126,6 +129,8 @@ class SimSession
     }
 
   private:
+    friend class SplitCapture; // steps it on two threads.
+
     ArchCore arch_;
     TimingModel model_;
 };

@@ -65,7 +65,7 @@ enum class WarmingMode
  * the mode once per call instead of once per instruction.
  */
 template <typename F>
-decltype(auto)
+[[gnu::always_inline]] inline decltype(auto)
 withWarmingMode(WarmingMode mode, F &&f)
 {
     using Yes = std::true_type;
@@ -231,6 +231,10 @@ class BasicTimingModel
     {
         if (!config.width)
             SMARTS_FATAL("machine '", config.name, "': issue width 0");
+        const std::uint32_t fetchLine = config_.mem.l1i.lineBytes;
+        if (!fetchLine || (fetchLine & (fetchLine - 1)))
+            SMARTS_FATAL("machine '", config.name, "': l1i line size ",
+                         fetchLine, "B is not a power of two");
         fetchLineShift_ = 0;
         while ((1u << fetchLineShift_) < config_.mem.l1i.lineBytes)
             ++fetchLineShift_;
@@ -257,16 +261,31 @@ class BasicTimingModel
     [[gnu::always_inline]] void
     warm(const StepInfo &info)
     {
+        warm<Caches, Bpred>(info, port_);
+    }
+
+    /**
+     * warm() with its memory warming sent to @p memory: a sink with
+     * the port's warmFetch/warmLoad/warmStore. The warming
+     * transitions never read a memory result back, so a sink that
+     * queues the calls and replays them on the port later, in order
+     * (core::SplitCapture, core/capture.hh), leaves every byte
+     * of state as warm() does.
+     */
+    template <bool Caches, bool Bpred, typename Memory>
+    [[gnu::always_inline]] void
+    warm(const StepInfo &info, Memory &memory)
+    {
         if constexpr (Caches) {
             const std::uint32_t line = info.pc >> fetchLineShift_;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                port_.warmFetch(info.pc);
+                memory.warmFetch(info.pc);
             }
             if (info.di.isLoad())
-                port_.warmLoad(info.memAddr);
+                memory.warmLoad(info.memAddr);
             else if (info.di.isStore())
-                port_.warmStore(info.memAddr);
+                memory.warmStore(info.memAddr);
         }
         if (info.di.isLoad())
             ++activity_.loads;
@@ -303,18 +322,26 @@ class BasicTimingModel
     [[gnu::always_inline]] void
     warmDetailed(const StepInfo &info)
     {
+        warmDetailed(info, port_);
+    }
+
+    /** warmDetailed() with its memory warming sent to @p memory. */
+    template <typename Memory>
+    [[gnu::always_inline]] void
+    warmDetailed(const StepInfo &info, Memory &memory)
+    {
         const std::uint32_t line = info.pc >> fetchLineShift_;
         if (line != lastFetchLine_) {
             lastFetchLine_ = line;
-            port_.warmFetch(info.pc);
+            memory.warmFetch(info.pc);
         }
 
         if (info.di.isLoad()) {
             ++activity_.loads;
-            port_.warmLoad(info.memAddr);
+            memory.warmLoad(info.memAddr);
         } else if (info.di.isStore()) {
             ++activity_.stores;
-            port_.warmStore(info.memAddr);
+            memory.warmStore(info.memAddr);
         } else if (info.di.isBranch()) {
             ++activity_.branches;
             ++activity_.bpredLookups;
@@ -325,7 +352,8 @@ class BasicTimingModel
             if (mispredict) {
                 ++activity_.bpredMispredicts;
                 if (config_.modelWrongPath)
-                    wrongPathFetch(p.taken ? p.target : info.pc + 4);
+                    wrongPathFetch(p.taken ? p.target : info.pc + 4,
+                                   memory);
             }
             bpred_.update(info.pc, info.di, info.taken, info.nextPc);
         }
@@ -378,7 +406,8 @@ class BasicTimingModel
                 // The front end ran down the predicted (wrong) path:
                 // pollute the I-side and refetch after the redirect.
                 if (config_.modelWrongPath)
-                    wrongPathFetch(p.taken ? p.target : info.pc + 4);
+                    wrongPathFetch(p.taken ? p.target : info.pc + 4,
+                                   port_);
             }
             bpred_.update(info.pc, info.di, info.taken, info.nextPc);
         }
@@ -443,6 +472,17 @@ class BasicTimingModel
     config() const
     {
         return config_;
+    }
+
+    /**
+     * The memory port, for a capture that warms it on a thread of
+     * its own while this model's other state advances on another
+     * (core/capture.hh).
+     */
+    Port &
+    port()
+    {
+        return port_;
     }
 
     void
@@ -523,17 +563,21 @@ class BasicTimingModel
     }
 
     /** Wrong-path I-side pollution after a mispredict at @p from. */
+    template <typename Memory>
     [[gnu::always_inline]] void
-    wrongPathFetch(std::uint32_t from)
+    wrongPathFetch(std::uint32_t from, Memory &memory)
     {
         for (std::uint32_t i = 0; i < config_.wrongPathFetches; ++i)
-            port_.warmFetch(from + i * config_.mem.l1i.lineBytes);
+            memory.warmFetch(from + i * config_.mem.l1i.lineBytes);
         lastFetchLine_ = ~0u;
     }
 
     uarch::MachineConfig config_;
     Port port_;
-    bpred::BranchUnit bpred_;
+    // A split capture warms port_ on one thread and the rest on
+    // another: keep the branch unit off the port's cache lines (and
+    // their prefetched pairs).
+    alignas(128) bpred::BranchUnit bpred_;
 
     // Per-event fixed-point increments, precomputed from the config.
     std::uint64_t invWidthFx_ = 0;

@@ -59,6 +59,20 @@ struct CacheState
                4 * sizeof(std::uint64_t);
     }
 
+    /**
+     * Reserve room for a state shaped like @p shape, so a later
+     * Cache::saveState into this one allocates nothing: a capture
+     * that snapshots on another thread allocates on its own.
+     */
+    void
+    reserveLike(const CacheState &shape)
+    {
+        tags.reserve(shape.tags.size());
+        valid.reserve(shape.valid.size());
+        lastUse.reserve(shape.lastUse.size());
+        mruWay.reserve(shape.mruWay.size());
+    }
+
     /** Field order is normative: docs/checkpoint-format.md. */
     void
     write(util::BinaryWriter &out) const
@@ -113,6 +127,9 @@ class Cache
             SMARTS_FATAL("cache '", name_, "': size ", config.sizeBytes,
                          " not divisible into ", config.assoc,
                          "-way sets of ", config.lineBytes, "B lines");
+        if (config.lineBytes & (config.lineBytes - 1))
+            SMARTS_FATAL("cache '", name_, "': line size ",
+                         config.lineBytes, "B is not a power of two");
         const auto sets =
             static_cast<std::uint32_t>(config.sizeBytes / setBytes);
         setOf_ = util::Reducer(sets);
@@ -149,24 +166,44 @@ class Cache
             return {true};
         }
 
-        std::size_t victim = base;
-        std::uint64_t oldest = ~0ull;
-        for (std::size_t w = base; w < base + config_.assoc; ++w) {
-            if (valid_[w] && tags_[w] == line) {
-                lastUse_[w] = tick_;
-                mruWay_[set] = static_cast<std::uint32_t>(w - base);
+        // Tag match with no per-way branch: a hit mask over up to 64
+        // ways at a time, its lowest set bit the hit way (the first
+        // match, as a scan in way order finds it).
+        const std::uint32_t assoc = config_.assoc;
+        for (std::uint32_t first = 0; first < assoc; first += 64) {
+            const std::uint32_t ways = std::min(assoc - first, 64u);
+            const std::size_t at = base + first;
+            std::uint64_t hits = 0;
+            for (std::uint32_t w = 0; w < ways; ++w)
+                hits |= std::uint64_t((valid_[at + w] != 0) &
+                                      (tags_[at + w] == line))
+                        << w;
+            if (hits) {
+                const std::uint32_t way =
+                    first +
+                    static_cast<std::uint32_t>(__builtin_ctzll(hits));
+                lastUse_[base + way] = tick_;
+                mruWay_[set] = way;
                 return {true};
             }
-            if (lastUse_[w] < oldest) {
-                oldest = lastUse_[w];
-                victim = w;
-            }
         }
+
+        // Miss: the victim is the first way with the oldest stamp,
+        // found by a branch-free min scan.
+        std::uint32_t victimWay = 0;
+        std::uint64_t oldest = lastUse_[base];
+        for (std::uint32_t w = 1; w < assoc; ++w) {
+            const std::uint64_t use = lastUse_[base + w];
+            const bool older = use < oldest;
+            oldest = older ? use : oldest;
+            victimWay = older ? w : victimWay;
+        }
+        const std::size_t victim = base + victimWay;
         ++misses_;
         tags_[victim] = line;
         valid_[victim] = 1;
         lastUse_[victim] = tick_;
-        mruWay_[set] = static_cast<std::uint32_t>(victim - base);
+        mruWay_[set] = victimWay;
         return {false};
     }
 

@@ -78,6 +78,18 @@ struct TlbState
                sizeof(std::uint64_t);
     }
 
+    /** As CacheState::reserveLike. */
+    void
+    reserveLike(const TlbState &shape)
+    {
+        pages.reserve(shape.pages.size());
+        valid.reserve(shape.valid.size());
+        next.reserve(shape.next.size());
+        prev.reserve(shape.prev.size());
+        keys.reserve(shape.keys.size());
+        vals.reserve(shape.vals.size());
+    }
+
     /** Field order is normative: docs/checkpoint-format.md. */
     void
     write(util::BinaryWriter &out) const
@@ -338,6 +350,20 @@ struct HierarchyState
     {
         return l1i.byteSize() + l1d.byteSize() + l2.byteSize() +
                itlb.byteSize() + dtlb.byteSize();
+    }
+
+    /**
+     * Reserve room for a state shaped like @p shape, so a later
+     * MemHierarchy::saveState into this one allocates nothing.
+     */
+    void
+    reserveLike(const HierarchyState &shape)
+    {
+        l1i.reserveLike(shape.l1i);
+        l1d.reserveLike(shape.l1d);
+        l2.reserveLike(shape.l2);
+        itlb.reserveLike(shape.itlb);
+        dtlb.reserveLike(shape.dtlb);
     }
 
     void

@@ -135,6 +135,9 @@ class SharedCache
             SMARTS_FATAL("cache '", name_, "': size ", config.sizeBytes,
                          " not divisible into ", config.assoc,
                          "-way sets of ", config.lineBytes, "B lines");
+        if (config.lineBytes & (config.lineBytes - 1))
+            SMARTS_FATAL("cache '", name_, "': line size ",
+                         config.lineBytes, "B is not a power of two");
         if (!programs || programs > 255)
             SMARTS_FATAL("cache '", name_, "': ", programs,
                          " programs (owner tags are one byte)");

@@ -104,8 +104,9 @@ struct MachineConfig
 /**
  * Why a TimingModel or MixSession cannot be built from @p c, or ""
  * when it can: a zero issue width, cache geometry, TLB page size or
- * branch-unit table (each a divisor on the per-instruction path), or
- * a history length past the 32-bit register. Readers of configs from
+ * branch-unit table (each a divisor on the per-instruction path), a
+ * cache line size that is not a power of two (lines are addressed
+ * by a shift), or a history length past the 32-bit register. Readers of configs from
  * files and the wire refuse such a config as corrupt; the structures'
  * constructors FATAL on the same conditions.
  */
@@ -125,6 +126,13 @@ configError(const MachineConfig &c)
                    std::to_string(cc->sizeBytes) + "B / " +
                    std::to_string(cc->assoc) + " ways / " +
                    std::to_string(cc->lineBytes) + "B lines";
+        // A line is addressed by a shift: any other size would be
+        // rounded up to the next power of two, silently simulating
+        // a different cache.
+        if (cc->lineBytes & (cc->lineBytes - 1))
+            return std::string(name) + ".lineBytes " +
+                   std::to_string(cc->lineBytes) +
+                   " is not a power of two";
     }
     const std::pair<const char *, const mem::TlbConfig *> tlbs[] = {
         {"itlb", &c.mem.itlb}, {"dtlb", &c.mem.dtlb}};

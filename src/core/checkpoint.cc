@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/capture.hh"
 #include "uarch/config.hh"
 #include "util/logging.hh"
 
@@ -275,6 +276,29 @@ CheckpointLibrary::validatePlan(const SamplingConfig &config,
         expectIdx += span;
     }
     return {};
+}
+
+void
+CheckpointLibrary::capture(SimSession &session,
+                           const SamplingConfig &config,
+                           const std::vector<ShardSpec> &plan,
+                           const CheckpointSink &sink)
+{
+    SplitCapture split(session);
+    detail::captureShards(split, config, plan, [&](std::size_t s) {
+        // All but the memory hierarchy here, at the boundary; the
+        // hierarchy where the warming thread reaches it.
+        ArchCheckpoint cp;
+        split.saveCore(cp.arch, cp.timing);
+        cp.position = cp.arch.instCount;
+        cp.unitIndex = plan[s].firstUnitIndex;
+        split.atWarmer([&sink, s, cp = std::move(cp)](
+                           const mem::MemHierarchy &memory) mutable {
+            memory.saveState(cp.timing.mem);
+            sink(s, std::move(cp));
+        });
+    });
+    split.finish();
 }
 
 std::vector<CheckpointLibrary>

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <utility>
 
+#include "core/capture.hh"
 #include "exec/thread_pool.hh"
 #include "util/delta_codec.hh"
 #include "util/logging.hh"
@@ -39,20 +40,37 @@ captureLivePoints(Session &session, const SamplingConfig &config,
 }
 
 /**
- * Snapshot @p session as unit @p unitIdx's live-point, seeded with
- * @p seed's data image (the point before it, or null for the first)
- * so it shares every page the unit's gap left unwritten.
+ * The solo live-point capture, through core::SplitCapture:
+ * the walk above, with each point snapped in two halves. The calling
+ * thread snaps the architectural state into one running ArchState,
+ * which keeps every page the unit's gap left unwritten (so each
+ * point shares them with the point before it), copies it into the
+ * point with the timing state but its memory hierarchy, and queues
+ * the point; the warming thread adds the hierarchy there and hands
+ * the finished point to @p take, in unit order. Returns the stream
+ * length.
  */
-LivePoint
-snapLivePoint(const SimSession &session, std::uint64_t unitIdx,
-              const LivePoint *seed)
+template <typename Take>
+std::uint64_t
+captureSoloLivePoints(SimSession &session, const SamplingConfig &config,
+                      Take &&take)
 {
-    LivePoint point;
-    if (seed)
-        point.arch.data = seed->arch.data;
-    point.saveFrom(session);
-    point.unitIndex = unitIdx;
-    return point;
+    SplitCapture split(session);
+    ArchState arch;
+    captureLivePoints(split, config, [&](std::uint64_t unitIdx) {
+        LivePoint point;
+        split.saveCore(arch, point.timing);
+        point.arch = arch;
+        point.position = arch.instCount;
+        point.unitIndex = unitIdx;
+        split.atWarmer([&take, point = std::move(point)](
+                           const mem::MemHierarchy &memory) mutable {
+            memory.saveState(point.timing.mem);
+            take(std::move(point));
+        });
+    });
+    split.finish();
+    return split.instCount();
 }
 
 /**
@@ -246,11 +264,9 @@ LivePointLibrary::build(SimSession &session,
 {
     LivePointLibrary library;
     library.config_ = config;
-    std::vector<LivePoint> &points = library.points_;
-    library.streamLength_ = captureLivePoints(
-        session, config, [&](std::uint64_t unitIdx) {
-            points.push_back(snapLivePoint(
-                session, unitIdx, points.empty() ? nullptr : &points.back()));
+    library.streamLength_ = captureSoloLivePoints(
+        session, config, [&library](LivePoint &&point) {
+            library.points_.push_back(std::move(point));
         });
     return library;
 }
@@ -298,9 +314,24 @@ bool
 LivePointLibrary::save(const LibraryKey &key, const std::string &path,
                        std::string *error, bool createDirs) const
 {
-    util::BinaryWriter out;
-    serialize(key, out);
-    return out.writeFile(path, error, createDirs);
+    // Each chunk is encoded against the point before it, as the
+    // leapfrog's chunk jobs encode theirs, and trimmed to its size:
+    // the file is held once, in segments, never in one buffer grown
+    // by doubling.
+    constexpr std::size_t kChunk = 64;
+    EncodedLivePoints records;
+    records.streamLength_ = streamLength_;
+    records.unitCount_ = points_.size();
+    for (std::size_t first = 0; first < points_.size(); first += kChunk) {
+        const std::size_t last = std::min(points_.size(), first + kChunk);
+        util::BinaryWriter out;
+        encodeRecords(first ? &points_[first - 1] : nullptr,
+                      points_.data() + first, points_.data() + last, out);
+        std::vector<std::uint8_t> &segment = records.segments_.emplace_back();
+        out.swapOut(segment);
+        segment.shrink_to_fit();
+    }
+    return records.save(key, path, error, createDirs);
 }
 
 bool
@@ -521,9 +552,9 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
     std::deque<SliceResult> samples;
     std::vector<LivePoint> pending;
     std::vector<SliceResult *> pendingSlots;
-    // The previous chunk's last point: it seeds the next capture's
-    // pages and is the next chunk's delta base. No other point
-    // outlives the job that measures it.
+    // When persisting, the previous chunk's last point: the next
+    // chunk's delta base. No other point outlives the job that
+    // measures it.
     std::shared_ptr<const LivePoint> previous;
 
     auto flush = [&] {
@@ -535,10 +566,13 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
             std::move(pendingSlots));
         pending.clear();
         pendingSlots.clear();
-        std::vector<std::uint8_t> *segment =
-            persist ? &persist->segments_.emplace_back() : nullptr;
-        std::shared_ptr<const LivePoint> base = std::exchange(
-            previous, std::make_shared<const LivePoint>(points->back()));
+        std::vector<std::uint8_t> *segment = nullptr;
+        std::shared_ptr<const LivePoint> base;
+        if (persist) {
+            segment = &persist->segments_.emplace_back();
+            base = std::exchange(previous, std::make_shared<const LivePoint>(
+                                               points->back()));
+        }
         pool.submit([points, slots, base, segment, &factory, config] {
             std::unique_ptr<SimSession> session = factory();
             for (std::size_t i = 0; i < points->size(); ++i)
@@ -553,15 +587,15 @@ SystematicSampler::runAnytimeLeapfrog(SimSession &captureSession,
         });
     };
 
-    // Capture on this thread; every chunk of fresh live-points is
-    // handed to the pool the moment it exists, so measurement (and,
+    // Capture through SplitCapture: this thread interprets, and the
+    // warming thread completes each live-point and hands every chunk
+    // of them to the pool the moment it exists, so measurement (and,
     // when persisting, encoding) of unit m overlaps functional
-    // warming toward unit m+chunk — the leapfrog.
-    const std::uint64_t streamLength = captureLivePoints(
-        captureSession, config, [&](std::uint64_t unitIdx) {
-            pending.push_back(snapLivePoint(
-                captureSession, unitIdx,
-                pending.empty() ? previous.get() : &pending.back()));
+    // warming toward unit m+chunk — the leapfrog. The chunk state
+    // above is the warming thread's until the capture returns.
+    const std::uint64_t streamLength = captureSoloLivePoints(
+        captureSession, config, [&](LivePoint &&point) {
+            pending.push_back(std::move(point));
             samples.emplace_back();
             pendingSlots.push_back(&samples.back());
             if (pending.size() >= chunk)

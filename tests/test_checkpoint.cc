@@ -17,9 +17,11 @@
 
 #include "core/checkpoint.hh"
 #include "core/sampler.hh"
+#include "core/schedule.hh"
 #include "core/session.hh"
 #include "exec/thread_pool.hh"
 #include "uarch/config.hh"
+#include "util/binary_io.hh"
 #include "workloads/benchmark.hh"
 
 #include "check.hh"
@@ -359,16 +361,238 @@ testLibraryKeyMismatchNamesField()
     }
 }
 
+/**
+ * The per-instruction reference for the split capture: the capture
+ * walk over a SimSession itself, interpreter and timing model fused
+ * on one thread, snapping every checkpoint whole. Returns the shards
+ * it reached.
+ */
+std::size_t
+fusedCapture(core::SimSession &session, const core::SamplingConfig &sc,
+             const std::vector<core::ShardSpec> &plan,
+             core::CheckpointLibrary &library)
+{
+    library = core::CheckpointLibrary::prepare(sc, plan);
+    std::size_t reached = 0;
+    core::detail::captureShards(session, sc, plan, [&](std::size_t s) {
+        core::ArchCheckpoint cp;
+        cp.saveFrom(session);
+        cp.unitIndex = plan[s].firstUnitIndex;
+        library.record(s, cp);
+        reached = s;
+    });
+    return reached;
+}
+
+std::vector<std::uint8_t>
+libraryBytes(const core::CheckpointLibrary &library,
+             const core::LibraryKey &key)
+{
+    util::BinaryWriter out;
+    library.serialize(key, out);
+    return out.buffer();
+}
+
+std::uint64_t
+streamLength(const workloads::BenchmarkSpec &spec,
+             const uarch::MachineConfig &config)
+{
+    core::SimSession probe(spec, config);
+    return probe.fastForward(~0ull >> 1, core::WarmingMode::None);
+}
+
+/** One capture-oracle design and its pinned `.smck` digest. */
+struct OracleCase
+{
+    const char *benchmark;
+    bool sixteenWay;
+    std::uint64_t unitSize;
+    std::uint64_t detailedWarming;
+    std::uint64_t interval;
+    std::uint64_t offset;
+    core::WarmingMode warming;
+    /** XXH64 of the serialized library, as the fused capture wrote it. */
+    std::uint64_t digest;
+};
+
+/**
+ * The designs the capture oracles cover: every warming mode; a
+ * nonzero offset on the 16-way machine; k = 1 with a unit size that
+ * does not divide the stream, so it ends mid-unit.
+ */
+const OracleCase kOracleCases[] = {
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::Functional,
+     0x4dddbdaaa166bae5ull},
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::CachesOnly,
+     0x11fb7f88a0c2dea2ull},
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::BpredOnly,
+     0x87afcca024372f2eull},
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::None,
+     0x4d433ce7a1008867ull},
+    {"fsm-1", true, 1000, 4000, 17, 5, core::WarmingMode::Functional,
+     0x897953def7256490ull},
+    {"alu-1", false, 999, 0, 1, 0, core::WarmingMode::Functional,
+     0x17bdecb890a08049ull},
+};
+
+void
+testSplitCaptureMatchesFused()
+{
+    // core::SplitCapture runs the pass across an interpreter and a
+    // warming thread. Its `.smck` bytes must equal the fused
+    // reference's and the pinned digests (the bytes a fused capture
+    // writes); resuming from them must reproduce serial run() at
+    // every pool size.
+    for (const OracleCase &c : kOracleCases) {
+        const auto config = c.sixteenWay
+                                ? uarch::MachineConfig::sixteenWay()
+                                : uarch::MachineConfig::eightWay();
+        const auto spec =
+            workloads::findBenchmark(c.benchmark, workloads::Scale::Mini);
+        core::SamplingConfig sc;
+        sc.unitSize = c.unitSize;
+        sc.detailedWarming = c.detailedWarming;
+        sc.interval = c.interval;
+        sc.offset = c.offset;
+        sc.warming = c.warming;
+        const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+        const std::uint64_t length = streamLength(spec, config);
+        const auto plan = core::CheckpointLibrary::planShards(sc, length, 5);
+        CHECK_EQ(plan.size(), std::size_t(5));
+
+        core::SimSession fusedSession(spec, config);
+        core::CheckpointLibrary fused;
+        CHECK_EQ(fusedCapture(fusedSession, sc, plan, fused),
+                 plan.size() - 1);
+        core::SimSession splitSession(spec, config);
+        const core::CheckpointLibrary split =
+            core::CheckpointLibrary::build(splitSession, sc, plan);
+        const std::vector<std::uint8_t> bytes = libraryBytes(split, key);
+        CHECK(bytes == libraryBytes(fused, key));
+        // SplitCapture hands the session back whole, where the fused
+        // pass left it.
+        CHECK_EQ(splitSession.instCount(), fusedSession.instCount());
+        const std::uint64_t digest = util::xxh64(bytes.data(), bytes.size());
+        CHECK_EQ(digest, c.digest);
+        if (digest != c.digest)
+            std::fprintf(stderr, "  %s/%d: .smck digest %016llx\n",
+                         c.benchmark, static_cast<int>(c.warming),
+                         static_cast<unsigned long long>(digest));
+
+        core::SimSession serialSession(spec, config);
+        const core::SmartsEstimate serial =
+            core::SystematicSampler(sc).run(serialSession);
+        CHECK(serial.units() > 0);
+        auto factory = [&spec, &config] {
+            return std::make_unique<core::SimSession>(spec, config);
+        };
+        for (const unsigned threads : {1u, 2u, 5u}) {
+            exec::ThreadPool pool(threads);
+            CHECK(fingerprint(core::SystematicSampler(sc).runSharded(
+                      factory, split, pool)) == fingerprint(serial));
+            CHECK(fingerprint(core::SystematicSampler(sc).runSharded(
+                      factory, length, threads, pool)) ==
+                  fingerprint(serial));
+        }
+    }
+}
+
+/** A plan over a stream length stated half again too long. */
+std::vector<core::ShardSpec>
+overstatedPlan(const workloads::BenchmarkSpec &spec,
+               const uarch::MachineConfig &config,
+               const core::SamplingConfig &sc)
+{
+    return core::CheckpointLibrary::planShards(
+        sc, streamLength(spec, config) * 3 / 2, 4);
+}
+
+void
+testSplitCaptureStopsAtUnreachableBoundary()
+{
+    // The plan names boundaries past the end of the stream. The
+    // split walk must stop at the first of them, as the fused walk
+    // does, having delivered exactly the reachable checkpoints with
+    // the fused bytes.
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("stream-1", workloads::Scale::Mini);
+    core::SamplingConfig sc;
+    sc.unitSize = 1000;
+    sc.detailedWarming = 2000;
+    sc.interval = 20;
+    sc.warming = core::WarmingMode::Functional;
+    const auto plan = overstatedPlan(spec, config, sc);
+    CHECK_EQ(plan.size(), std::size_t(4));
+
+    core::SimSession fusedSession(spec, config);
+    core::CheckpointLibrary fused;
+    const std::size_t reached = fusedCapture(fusedSession, sc, plan, fused);
+    CHECK(reached >= 1 && reached + 1 < plan.size());
+
+    core::SimSession splitSession(spec, config);
+    core::CheckpointLibrary split =
+        core::CheckpointLibrary::prepare(sc, plan);
+    std::vector<std::size_t> delivered;
+    core::CheckpointLibrary::capture(
+        splitSession, sc, plan,
+        [&](std::size_t s, core::ArchCheckpoint &&cp) {
+            delivered.push_back(s);
+            split.record(s, cp);
+        });
+    CHECK_EQ(delivered.size(), reached);
+    for (std::size_t i = 0; i < delivered.size(); ++i)
+        CHECK_EQ(delivered[i], i + 1);
+    CHECK(!split.complete());
+    CHECK(splitSession.finished());
+    CHECK(splitSession.instCount() < plan[reached + 1].resumePos);
+    CHECK_EQ(splitSession.instCount(), fusedSession.instCount());
+    const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+    for (std::size_t s = 1; s <= reached; ++s) {
+        util::BinaryWriter a, b;
+        split.at(s).write(a);
+        fused.at(s).write(b);
+        CHECK(a.buffer() == b.buffer());
+    }
+}
+
+/**
+ * Build a library over an overstated plan: requireComplete must
+ * refuse it, naming the unreachable shard (a ctest registration
+ * matches the diagnostic).
+ */
+int
+buildOverstated()
+{
+    const auto config = uarch::MachineConfig::eightWay();
+    const auto spec =
+        workloads::findBenchmark("stream-1", workloads::Scale::Mini);
+    core::SamplingConfig sc;
+    sc.unitSize = 1000;
+    sc.detailedWarming = 2000;
+    sc.interval = 20;
+    sc.warming = core::WarmingMode::Functional;
+    core::SimSession session(spec, config);
+    core::CheckpointLibrary::build(session, sc,
+                                   overstatedPlan(spec, config, sc));
+    std::printf("accepted an overstated plan\n");
+    return 1;
+}
+
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1 && std::string(argv[1]) == "overstated")
+        return buildOverstated();
     testPlanShards();
     testSaveRestoreRoundtrip();
     testWarmAsDetailedMatchesDetailedState();
     testShardedBitIdentical();
     testCheckpointPositions();
     testLibraryKeyMismatchNamesField();
+    testSplitCaptureMatchesFused();
+    testSplitCaptureStopsAtUnreachableBoundary();
     TEST_MAIN_SUMMARY();
 }

@@ -479,6 +479,11 @@ testConfigGeometryRefused()
         {"issue width 0", [](uarch::MachineConfig &c) { c.width = 0; }},
         {"l1d geometry 0B",
          [](uarch::MachineConfig &c) { c.mem.l1d.sizeBytes = 0; }},
+        // Divides evenly, but a line is addressed by a shift.
+        {"l1d.lineBytes 48 is not a power of two",
+         [](uarch::MachineConfig &c) {
+             c.mem.l1d = {48 * 4 * 256, 4, 48, 2};
+         }},
         // assoc * lineBytes = 2^32 wraps a 32-bit set size to zero.
         {"l2 geometry 262144B / 65536 ways / 65536B lines",
          [](uarch::MachineConfig &c) {

@@ -40,6 +40,7 @@
 #include "core/livepoint.hh"
 #include "core/procedure.hh"
 #include "core/sampler.hh"
+#include "core/schedule.hh"
 #include "core/session.hh"
 #include "exec/thread_pool.hh"
 #include "uarch/config.hh"
@@ -1350,6 +1351,130 @@ testCopyOnWriteImages()
 
 } // namespace
 
+/** One capture-oracle design and its pinned `.smlp` digest. */
+struct OracleCase
+{
+    const char *benchmark;
+    bool sixteenWay;
+    std::uint64_t unitSize;
+    std::uint64_t detailedWarming;
+    std::uint64_t interval;
+    std::uint64_t offset;
+    core::WarmingMode warming;
+    /** XXH64 of the serialized library, as the fused capture wrote it. */
+    std::uint64_t digest;
+};
+
+/**
+ * Every warming mode; a nonzero offset on the 16-way machine; k = 1
+ * with a unit size that does not divide the stream, so its last
+ * live-point's unit ends mid-unit.
+ */
+const OracleCase kOracleCases[] = {
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::Functional,
+     0xecfd7dc532fb9997ull},
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::CachesOnly,
+     0xd258543c1dfca684ull},
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::BpredOnly,
+     0xbbb622bf9b40c4e2ull},
+    {"sort-1", false, 1000, 2000, 10, 0, core::WarmingMode::None,
+     0x704252e095f0a774ull},
+    {"fsm-1", true, 1000, 4000, 17, 5, core::WarmingMode::Functional,
+     0x5d7c5f0090e737e6ull},
+    {"alu-1", false, 999, 0, 1, 0, core::WarmingMode::Functional,
+     0x80602cce9559ccc3ull},
+};
+
+void
+testSplitCaptureMatchesFused()
+{
+    // LivePointLibrary::build captures through core::SplitCapture (an
+    // interpreter and a warming thread). Every point must equal the
+    // one the fused per-instruction walk snaps, the serialized
+    // library must match its pinned digest (the bytes a fused
+    // capture writes), and the leapfrog, which captures the same
+    // way, must publish those bytes and fold to serial run() at 1, 2
+    // and 5 threads.
+    for (const OracleCase &c : kOracleCases) {
+        const auto config = c.sixteenWay
+                                ? uarch::MachineConfig::sixteenWay()
+                                : uarch::MachineConfig::eightWay();
+        const auto spec =
+            workloads::findBenchmark(c.benchmark, workloads::Scale::Mini);
+        core::SamplingConfig sc;
+        sc.unitSize = c.unitSize;
+        sc.detailedWarming = c.detailedWarming;
+        sc.interval = c.interval;
+        sc.offset = c.offset;
+        sc.warming = c.warming;
+        const core::LibraryKey key = core::LibraryKey::of(spec, config, sc);
+
+        core::SimSession fusedSession(spec, config);
+        std::vector<core::LivePoint> fused;
+        core::detail::captureWalk(
+            fusedSession, sc, [](std::uint64_t) { return true; },
+            [&](std::uint64_t unitIdx) {
+                core::LivePoint &point = fused.emplace_back();
+                point.saveFrom(fusedSession);
+                point.unitIndex = unitIdx;
+            });
+        core::detail::runOut(fusedSession, sc.warming);
+
+        core::SimSession splitSession(spec, config);
+        const core::LivePointLibrary library =
+            core::LivePointLibrary::build(splitSession, sc);
+        CHECK_EQ(library.streamLength(), fusedSession.instCount());
+        CHECK_EQ(splitSession.instCount(), fusedSession.instCount());
+        CHECK_EQ(library.unitCount(), fused.size());
+        CHECK(!fused.empty());
+        for (std::size_t i = 0;
+             i < std::min(fused.size(), library.unitCount()); ++i) {
+            util::BinaryWriter a, b;
+            library.at(i).write(a);
+            fused[i].write(b);
+            CHECK(a.buffer() == b.buffer());
+        }
+        util::BinaryWriter out;
+        library.serialize(key, out);
+        const std::uint64_t digest =
+            util::xxh64(out.buffer().data(), out.size());
+        CHECK_EQ(digest, c.digest);
+        if (digest != c.digest)
+            std::fprintf(stderr, "  %s/%d: .smlp digest %016llx\n",
+                         c.benchmark, static_cast<int>(c.warming),
+                         static_cast<unsigned long long>(digest));
+        const std::string buildPath =
+            std::string(kDir) + "/split-build.smlp";
+        fs::remove(buildPath);
+        CHECK(library.save(key, buildPath));
+        const std::vector<std::uint8_t> want = readFileBytes(buildPath);
+
+        core::SimSession serialSession(spec, config);
+        const core::SmartsEstimate serial =
+            core::SystematicSampler(sc).run(serialSession);
+        auto factory = [&spec, &config] {
+            return std::make_unique<core::SimSession>(spec, config);
+        };
+        core::AnytimeOptions completion;
+        completion.target.epsilon = 0.0;
+        completion.chunk = 8;
+        const std::string leapPath =
+            std::string(kDir) + "/split-leapfrog.smlp";
+        for (const unsigned threads : {1u, 2u, 5u}) {
+            exec::ThreadPool pool(threads);
+            core::SimSession session(spec, config);
+            core::EncodedLivePoints records;
+            const core::AnytimeResult result =
+                core::SystematicSampler(sc).runAnytimeLeapfrog(
+                    session, factory, pool, completion, &records);
+            CHECK(fingerprint(result.estimate) == fingerprint(serial));
+            fs::remove(leapPath);
+            CHECK(records.save(key, leapPath));
+            CHECK(readFileBytes(leapPath) == want);
+        }
+    }
+}
+
 int
 main()
 {
@@ -1371,5 +1496,6 @@ main()
     testLeapfrogPublishesBuildSaveBytes();
     testShuffleReproducibilityAndEarlyStop();
     testEstimateAnytimeEndToEnd();
+    testSplitCaptureMatchesFused();
     TEST_MAIN_SUMMARY();
 }

@@ -3,14 +3,20 @@
  * Direct unit tests for the mem layer: set-associative LRU eviction
  * order (including the per-set MRU fast path), TLB reach and true-
  * LRU replacement in the O(1) list+hash implementation, and the
- * warm-vs-timing split of the hierarchy.
+ * warm-vs-timing split of the hierarchy. A property test holds the
+ * branch-free cache lookup to a per-way reference scan, state byte
+ * for byte after every access.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "util/binary_io.hh"
+#include "util/rng.hh"
 
 #include "check.hh"
 
@@ -93,6 +99,115 @@ testCacheReset()
     CHECK(!cache.probe(lineAddr(0)));
     CHECK_EQ(cache.accesses(), 0u);
     CHECK_EQ(cache.misses(), 0u);
+}
+
+/**
+ * The reference lookup over a CacheState: the MRU check, then a scan
+ * in way order for the first valid matching tag, else a fill of the
+ * first way with the oldest stamp.
+ */
+void
+referenceAccess(mem::CacheState &state, std::uint32_t assoc,
+                std::uint32_t sets, std::uint32_t addr, bool write)
+{
+    ++(write ? state.stores : state.loads);
+    const std::uint32_t line = addr >> 6;
+    const std::uint32_t set = line % sets;
+    const std::size_t base = std::size_t(set) * assoc;
+    ++state.tick;
+    const std::size_t mru = base + state.mruWay[set];
+    if (state.valid[mru] && state.tags[mru] == line) {
+        state.lastUse[mru] = state.tick;
+        return;
+    }
+    std::size_t victim = base;
+    std::uint64_t oldest = ~0ull;
+    for (std::size_t w = base; w < base + assoc; ++w) {
+        if (state.valid[w] && state.tags[w] == line) {
+            state.lastUse[w] = state.tick;
+            state.mruWay[set] = static_cast<std::uint32_t>(w - base);
+            return;
+        }
+        if (state.lastUse[w] < oldest) {
+            oldest = state.lastUse[w];
+            victim = w;
+        }
+    }
+    ++state.misses;
+    state.tags[victim] = line;
+    state.valid[victim] = 1;
+    state.lastUse[victim] = state.tick;
+    state.mruWay[set] = static_cast<std::uint32_t>(victim - base);
+}
+
+std::vector<std::uint8_t>
+stateBytes(const mem::CacheState &state)
+{
+    util::BinaryWriter out;
+    state.write(out);
+    return out.buffer();
+}
+
+void
+testCacheLookupMatchesReferenceScan()
+{
+    // Random streams over a few sets at every associativity a mask
+    // word covers and one it does not (96 ways: two words). The
+    // lines cycle through about twice the capacity, so hits, misses
+    // and evictions all occur. Each stream also runs after reset(),
+    // which leaves stale tags behind, and after restoring a
+    // hand-built state with repeated tags, invalid ways holding
+    // recent stamps and tied or maximal stamps.
+    Xoshiro256StarStar rng(22);
+    for (const std::uint32_t assoc : {1u, 2u, 3u, 4u, 8u, 16u, 96u}) {
+        for (const std::uint32_t sets : {1u, 3u, 4u}) {
+            mem::Cache cache("p", {sets * assoc * 64, assoc, 64, 1});
+            mem::CacheState want;
+            cache.saveState(want);
+            const std::uint32_t lines = 2 * sets * assoc + 1;
+            std::uint32_t failures = 0;
+            auto run = [&](int accesses) {
+                for (int i = 0; i < accesses; ++i) {
+                    const auto addr = static_cast<std::uint32_t>(
+                        rng.below(lines) * 64 + rng.below(64));
+                    const bool write = rng.below(4) == 0;
+                    cache.access(addr, write);
+                    referenceAccess(want, assoc, sets, addr, write);
+                    mem::CacheState got;
+                    cache.saveState(got);
+                    failures += stateBytes(got) != stateBytes(want);
+                }
+            };
+            run(3000);
+
+            cache.reset();
+            want.valid.assign(want.valid.size(), 0);
+            want.lastUse.assign(want.lastUse.size(), 0);
+            want.mruWay.assign(want.mruWay.size(), 0);
+            want.tick = want.loads = want.stores = want.misses = 0;
+            run(3000);
+
+            for (std::size_t w = 0; w < want.tags.size(); ++w) {
+                // One of three lines of the way's own set: repeats.
+                want.tags[w] = static_cast<std::uint32_t>(
+                    w / assoc + sets * rng.below(3));
+                want.valid[w] = rng.below(3) != 0;
+                const std::uint64_t pick = rng.below(4);
+                want.lastUse[w] = pick == 0   ? ~0ull
+                                  : pick == 1 ? 7
+                                              : rng.below(1000);
+            }
+            for (std::uint32_t &way : want.mruWay)
+                way = static_cast<std::uint32_t>(rng.below(assoc));
+            want.tick = 1000;
+            cache.restoreState(want);
+            run(3000);
+
+            CHECK_EQ(failures, 0u);
+            if (failures)
+                std::fprintf(stderr, "  %u-way x %u sets\n", assoc, sets);
+        }
+    }
 }
 
 void
@@ -251,6 +366,9 @@ refuse(const std::string &what)
     } else if (what == "cache-set-overflow") {
         // 65536 ways x 65536B lines: a 32-bit set size wraps to 0.
         const mem::Cache cache("l2", {256 * 1024, 65536, 65536, 12});
+    } else if (what == "cache-line48") {
+        // Divides into 256 sets, but a line is addressed by a shift.
+        const mem::Cache cache("l1d", {48 * 4 * 256, 4, 48, 2});
     }
     std::printf("accepted %s\n", what.c_str());
     return 1;
@@ -268,6 +386,7 @@ main(int argc, char **argv)
     testCacheMruFastPathKeepsLru();
     testCacheStoresAllocateLikeLoads();
     testCacheReset();
+    testCacheLookupMatchesReferenceScan();
     testTlbReach();
     testTlbLruOrderUnderReuse();
     testTlbSingleEntry();

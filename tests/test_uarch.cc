@@ -6,12 +6,18 @@
  * round-trips.
  */
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
 #include "bpred/branch_unit.hh"
+#include "distrib/store_service.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "sisa/encoding.hh"
 #include "uarch/config.hh"
 #include "util/rng.hh"
+#include "workloads/benchmark.hh"
 
 #include "check.hh"
 
@@ -145,6 +151,38 @@ testMachineConfigs()
     CHECK(eight.modelWrongPath);
 }
 
+void
+testLineSizeMustBePowerOfTwo()
+{
+    // A 48B L1D line in a geometry that divides evenly: the caches
+    // address lines by a shift, so they would round it up to 64B and
+    // simulate a different cache. The config check must refuse it by
+    // field, and so must a reader of configs from files.
+    uarch::MachineConfig config = uarch::MachineConfig::eightWay();
+    CHECK_EQ(uarch::configError(config), std::string());
+    config.mem.l1d = {48 * 4 * 256, 4, 48, 2};
+    const std::string why = uarch::configError(config);
+    CHECK(why.find("l1d.lineBytes 48 is not a power of two") !=
+          std::string::npos);
+    if (why.empty())
+        std::fprintf(stderr, "  configError accepted a 48B line\n");
+
+    const std::filesystem::path dir = "test_uarch_store";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    distrib::StoreRequest request;
+    request.reqId = "line48";
+    request.benchmark =
+        workloads::findBenchmark("sort-1", workloads::Scale::Mini);
+    request.machine = config;
+    const std::string path = (dir / "line48.req").string();
+    CHECK(request.save(path));
+    std::string error;
+    CHECK(!distrib::StoreRequest::load(path, &error).has_value());
+    CHECK(error.find("l1d.lineBytes 48") != std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 
 int
@@ -156,5 +194,6 @@ main()
     testHierarchyLatencies();
     testBranchPredictorLearns();
     testMachineConfigs();
+    testLineSizeMustBePowerOfTwo();
     TEST_MAIN_SUMMARY();
 }
