@@ -5,14 +5,29 @@
  * warming must maintain (paper Section 4.4): the same object is
  * updated by warm accesses (no timing) and detailed accesses
  * (timing charged by the hierarchy).
+ *
+ * One class, two forms (BasicCache<Owned>). The solo form, Cache,
+ * serves every private cache and the solo L2. The owned form,
+ * OwnedCache, is the L2 N co-running programs share
+ * (mem/shared_hierarchy.hh): every line carries its owning program,
+ * a hit needs tag AND owner to match, and a miss picks its victim
+ * from the program's way range under a PartitionPolicy. The
+ * programs' address spaces are disjoint even when their addresses
+ * collide numerically (each SISA image starts at the same base),
+ * hence the owner tag. Both forms run the same lookup; the owner
+ * predicate and the per-program counters compile away in the solo
+ * form, so a one-program owned cache under Shared replays a solo
+ * Cache bit for bit.
  */
 
 #ifndef SMARTS_MEM_CACHE_HH
 #define SMARTS_MEM_CACHE_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/binary_io.hh"
@@ -101,6 +116,80 @@ struct CacheState
     }
 };
 
+/** How co-running programs divide an owned cache. */
+enum class PartitionPolicy : std::uint8_t
+{
+    Shared = 0,         ///< free-for-all: global LRU victim choice.
+    WayPartitioned = 1, ///< each program evicts only its own ways.
+};
+
+inline const char *
+partitionPolicyName(PartitionPolicy policy)
+{
+    switch (policy) {
+      case PartitionPolicy::Shared: return "shared";
+      case PartitionPolicy::WayPartitioned: return "waypart";
+    }
+    return "?";
+}
+
+/**
+ * Serialized owned-cache contents: the tag/owner/valid/recency
+ * image plus the per-program event counters, enough to resume a
+ * warm shared cache bit-exactly.
+ */
+struct SharedCacheState
+{
+    std::vector<std::uint32_t> tags;
+    std::vector<std::uint8_t> owners;
+    std::vector<std::uint8_t> valid;
+    std::vector<std::uint64_t> lastUse;
+    std::vector<std::uint32_t> mruWay;
+    std::uint64_t tick = 0;
+    std::vector<std::uint64_t> loads;  ///< per program.
+    std::vector<std::uint64_t> stores; ///< per program.
+    std::vector<std::uint64_t> misses; ///< per program.
+
+    std::size_t
+    byteSize() const
+    {
+        return tags.size() * sizeof(std::uint32_t) + owners.size() +
+               valid.size() + lastUse.size() * sizeof(std::uint64_t) +
+               mruWay.size() * sizeof(std::uint32_t) +
+               (1 + loads.size() + stores.size() + misses.size()) *
+                   sizeof(std::uint64_t);
+    }
+
+    /** Field order is normative: docs/checkpoint-format.md. */
+    void
+    write(util::BinaryWriter &out) const
+    {
+        out.vecU32(tags);
+        out.vecU8(owners);
+        out.vecU8(valid);
+        out.vecU64(lastUse);
+        out.vecU32(mruWay);
+        out.u64(tick);
+        out.vecU64(loads);
+        out.vecU64(stores);
+        out.vecU64(misses);
+    }
+
+    void
+    read(util::BinaryReader &in)
+    {
+        in.vecU32(tags);
+        in.vecU8(owners);
+        in.vecU8(valid);
+        in.vecU64(lastUse);
+        in.vecU32(mruWay);
+        tick = in.u64();
+        in.vecU64(loads);
+        in.vecU64(stores);
+        in.vecU64(misses);
+    }
+};
+
 /**
  * True when every stored index in @p indices is below @p bound: the
  * restore-time check that a checkpoint's way or entry indices fit
@@ -114,10 +203,25 @@ indicesBelow(const std::vector<std::uint32_t> &indices,
                        [bound](std::uint32_t i) { return i < bound; });
 }
 
-class Cache
+/**
+ * The cache in its solo (@p Owned false) or owner-tagged (@p Owned
+ * true) form; see the file comment. Its contents are its State, the
+ * checkpoint image itself.
+ */
+template <bool Owned>
+class BasicCache
 {
   public:
-    Cache(std::string name, const CacheConfig &config)
+    using State = std::conditional_t<Owned, SharedCacheState, CacheState>;
+
+    /**
+     * A cache of @p config's geometry for @p programs programs (one
+     * when solo; at most 255, since owner tags are one byte) dividing
+     * its ways by @p policy.
+     */
+    BasicCache(std::string name, const CacheConfig &config,
+               std::uint32_t programs = 1,
+               PartitionPolicy policy = PartitionPolicy::Shared)
         : name_(std::move(name)), config_(config)
     {
         const std::uint64_t setBytes =
@@ -130,93 +234,127 @@ class Cache
         if (config.lineBytes & (config.lineBytes - 1))
             SMARTS_FATAL("cache '", name_, "': line size ",
                          config.lineBytes, "B is not a power of two");
+        if (!programs || programs > (Owned ? 255u : 1u))
+            SMARTS_FATAL("cache '", name_, "': ", programs,
+                         " programs (owner tags are one byte)");
+        if (policy == PartitionPolicy::WayPartitioned &&
+            programs > config.assoc)
+            SMARTS_FATAL("cache '", name_, "': cannot way-partition ",
+                         config.assoc, " ways across ", programs,
+                         " programs");
         const auto sets =
             static_cast<std::uint32_t>(config.sizeBytes / setBytes);
         setOf_ = util::Reducer(sets);
         lineShift_ = 0;
         while ((1u << lineShift_) < config.lineBytes)
             ++lineShift_;
-        tags_.assign(static_cast<std::size_t>(sets) * config.assoc, 0);
-        valid_.assign(tags_.size(), 0);
-        lastUse_.assign(tags_.size(), 0);
-        mruWay_.assign(sets, 0);
+        s_.tags.assign(static_cast<std::size_t>(sets) * config.assoc, 0);
+        s_.valid.assign(s_.tags.size(), 0);
+        s_.lastUse.assign(s_.tags.size(), 0);
+        s_.mruWay.assign(sets, 0);
+        if constexpr (Owned) {
+            s_.owners.assign(s_.tags.size(), 0);
+            s_.loads.assign(programs, 0);
+            s_.stores.assign(programs, 0);
+            s_.misses.assign(programs, 0);
+            // Way partitioning gives each program a contiguous range
+            // of assoc/N ways, the first assoc%N programs one more;
+            // Shared gives every program the whole set.
+            const std::uint32_t share = config.assoc / programs;
+            const std::uint32_t extra = config.assoc % programs;
+            std::uint32_t lo = 0;
+            for (std::uint32_t p = 0; p < programs; ++p) {
+                const std::uint32_t ways = share + (p < extra ? 1 : 0);
+                victims_.push_back(
+                    policy == PartitionPolicy::WayPartitioned
+                        ? WayRange{lo, lo + ways}
+                        : WayRange{0, config.assoc});
+                lo += ways;
+            }
+        }
     }
 
     /**
-     * Look up @p addr, fill on miss, update LRU. @p write is
-     * recorded for the store counters only: allocation policy is
-     * identical for loads and stores.
+     * Look up @p addr for program @p prog, fill on miss, update LRU.
+     * @p write is recorded for the store counters only: allocation
+     * policy is identical for loads and stores.
      */
     [[gnu::always_inline]] AccessResult
-    access(std::uint32_t addr, bool write)
+    access(std::uint32_t addr, bool write, std::uint32_t prog = 0)
     {
-        ++(write ? stores_ : loads_);
+        ++count(write ? s_.stores : s_.loads, prog);
         const std::uint32_t line = addr >> lineShift_;
         const std::uint32_t set = setOf_.mod(line);
         const std::size_t base =
             static_cast<std::size_t>(set) * config_.assoc;
-        ++tick_;
+        ++s_.tick;
 
         // MRU fast path: a re-reference of the set's most recent
         // line needs only its recency stamp refreshed. Exactly
         // equivalent to the full scan (a hit never changes victims).
-        const std::size_t mru = base + mruWay_[set];
-        if (valid_[mru] && tags_[mru] == line) {
-            lastUse_[mru] = tick_;
+        const std::size_t mru = base + s_.mruWay[set];
+        if (s_.valid[mru] && s_.tags[mru] == line && ownedBy(mru, prog)) {
+            s_.lastUse[mru] = s_.tick;
             return {true};
         }
 
         // Tag match with no per-way branch: a hit mask over up to 64
         // ways at a time, its lowest set bit the hit way (the first
-        // match, as a scan in way order finds it).
+        // match, as a scan in way order finds it). The scan covers
+        // the whole set: under way partitioning a program's lines
+        // only ever live in its own ways, so the owner predicate
+        // makes it equivalent to a range-restricted one.
         const std::uint32_t assoc = config_.assoc;
         for (std::uint32_t first = 0; first < assoc; first += 64) {
             const std::uint32_t ways = std::min(assoc - first, 64u);
             const std::size_t at = base + first;
             std::uint64_t hits = 0;
             for (std::uint32_t w = 0; w < ways; ++w)
-                hits |= std::uint64_t((valid_[at + w] != 0) &
-                                      (tags_[at + w] == line))
+                hits |= std::uint64_t((s_.valid[at + w] != 0) &
+                                      (s_.tags[at + w] == line) &
+                                      ownedBy(at + w, prog))
                         << w;
             if (hits) {
                 const std::uint32_t way =
                     first +
                     static_cast<std::uint32_t>(__builtin_ctzll(hits));
-                lastUse_[base + way] = tick_;
-                mruWay_[set] = way;
+                s_.lastUse[base + way] = s_.tick;
+                s_.mruWay[set] = way;
                 return {true};
             }
         }
 
-        // Miss: the victim is the first way with the oldest stamp,
-        // found by a branch-free min scan.
-        std::uint32_t victimWay = 0;
-        std::uint64_t oldest = lastUse_[base];
-        for (std::uint32_t w = 1; w < assoc; ++w) {
-            const std::uint64_t use = lastUse_[base + w];
+        // Miss: the victim is the first way of the program's range
+        // with the oldest stamp, found by a branch-free min scan.
+        const WayRange range = victimRange(prog);
+        std::uint32_t victimWay = range.lo;
+        std::uint64_t oldest = s_.lastUse[base + range.lo];
+        for (std::uint32_t w = range.lo + 1; w < range.hi; ++w) {
+            const std::uint64_t use = s_.lastUse[base + w];
             const bool older = use < oldest;
             oldest = older ? use : oldest;
             victimWay = older ? w : victimWay;
         }
         const std::size_t victim = base + victimWay;
-        ++misses_;
-        tags_[victim] = line;
-        valid_[victim] = 1;
-        lastUse_[victim] = tick_;
-        mruWay_[set] = victimWay;
+        ++count(s_.misses, prog);
+        s_.tags[victim] = line;
+        if constexpr (Owned)
+            s_.owners[victim] = static_cast<std::uint8_t>(prog);
+        s_.valid[victim] = 1;
+        s_.lastUse[victim] = s_.tick;
+        s_.mruWay[set] = victimWay;
         return {false};
     }
 
     /** Hit check without any state update. */
     bool
-    probe(std::uint32_t addr) const
+    probe(std::uint32_t addr, std::uint32_t prog = 0) const
     {
         const std::uint32_t line = addr >> lineShift_;
-        const std::uint32_t set = setOf_.mod(line);
         const std::size_t base =
-            static_cast<std::size_t>(set) * config_.assoc;
+            static_cast<std::size_t>(setOf_.mod(line)) * config_.assoc;
         for (std::size_t w = base; w < base + config_.assoc; ++w)
-            if (valid_[w] && tags_[w] == line)
+            if (s_.valid[w] && s_.tags[w] == line && ownedBy(w, prog))
                 return true;
         return false;
     }
@@ -224,68 +362,113 @@ class Cache
     void
     reset()
     {
-        std::fill(valid_.begin(), valid_.end(), 0);
-        std::fill(lastUse_.begin(), lastUse_.end(), 0);
-        std::fill(mruWay_.begin(), mruWay_.end(), 0);
-        tick_ = loads_ = stores_ = misses_ = 0;
+        std::fill(s_.valid.begin(), s_.valid.end(), 0);
+        std::fill(s_.lastUse.begin(), s_.lastUse.end(), 0);
+        std::fill(s_.mruWay.begin(), s_.mruWay.end(), 0);
+        s_.tick = 0;
+        for (auto *counts : {&s_.loads, &s_.stores, &s_.misses}) {
+            if constexpr (Owned)
+                std::fill(counts->begin(), counts->end(), 0);
+            else
+                *counts = 0;
+        }
     }
 
     void
-    saveState(CacheState &state) const
+    saveState(State &state) const
     {
-        state.tags = tags_;
-        state.valid = valid_;
-        state.lastUse = lastUse_;
-        state.mruWay = mruWay_;
-        state.tick = tick_;
-        state.loads = loads_;
-        state.stores = stores_;
-        state.misses = misses_;
+        state = s_;
     }
 
     void
-    restoreState(const CacheState &state)
+    restoreState(const State &state)
     {
-        // Every per-line vector and stored way index must fit the live
-        // geometry: a checksummed file can still carry a short vector
-        // or a way >= assoc, and access() would then index past the
-        // arrays.
-        if (state.tags.size() != tags_.size() ||
-            state.valid.size() != tags_.size() ||
-            state.lastUse.size() != tags_.size() ||
-            state.mruWay.size() != mruWay_.size() ||
-            !indicesBelow(state.mruWay, config_.assoc))
+        // Every per-line vector, per-program counter vector and
+        // stored way index must fit the live geometry: a checksummed
+        // file can still carry a short vector or a way >= assoc, and
+        // access() would then index past the arrays.
+        bool fits = state.tags.size() == s_.tags.size() &&
+                    state.valid.size() == s_.tags.size() &&
+                    state.lastUse.size() == s_.tags.size() &&
+                    state.mruWay.size() == s_.mruWay.size() &&
+                    indicesBelow(state.mruWay, config_.assoc);
+        if constexpr (Owned)
+            fits = fits && state.owners.size() == s_.tags.size() &&
+                   state.loads.size() == s_.loads.size() &&
+                   state.stores.size() == s_.loads.size() &&
+                   state.misses.size() == s_.loads.size();
+        if (!fits)
             SMARTS_FATAL("cache '", name_,
                          "': checkpoint geometry mismatch");
-        tags_ = state.tags;
-        valid_ = state.valid;
-        lastUse_ = state.lastUse;
-        mruWay_ = state.mruWay;
-        tick_ = state.tick;
-        loads_ = state.loads;
-        stores_ = state.stores;
-        misses_ = state.misses;
+        s_ = state;
     }
 
     const std::string &name() const { return name_; }
     const CacheConfig &config() const { return config_; }
-    std::uint64_t accesses() const { return loads_ + stores_; }
-    std::uint64_t misses() const { return misses_; }
+
+    std::uint64_t
+    accesses(std::uint32_t prog = 0) const
+    {
+        return count(s_.loads, prog) + count(s_.stores, prog);
+    }
+
+    std::uint64_t
+    misses(std::uint32_t prog = 0) const
+    {
+        return count(s_.misses, prog);
+    }
 
   private:
+    /** A program's victim ways, [lo, hi). */
+    struct WayRange
+    {
+        std::uint32_t lo;
+        std::uint32_t hi;
+    };
+
+    /** Program @p prog's event counter: per program when owned. */
+    template <typename Counts>
+    [[gnu::always_inline]] static auto &
+    count(Counts &counts, std::uint32_t prog)
+    {
+        if constexpr (Owned)
+            return counts[prog];
+        else
+            return counts;
+    }
+
+    /** Owner predicate: always true in the solo form. */
+    [[gnu::always_inline]] bool
+    ownedBy(std::size_t way, std::uint32_t prog) const
+    {
+        if constexpr (Owned)
+            return s_.owners[way] == prog;
+        else
+            return true;
+    }
+
+    [[gnu::always_inline]] WayRange
+    victimRange(std::uint32_t prog) const
+    {
+        if constexpr (Owned)
+            return victims_[prog];
+        else
+            return {0, config_.assoc};
+    }
+
     std::string name_;
     CacheConfig config_;
     util::Reducer setOf_; ///< line -> set, no hardware divide.
     std::uint32_t lineShift_ = 6;
-    std::vector<std::uint32_t> tags_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint32_t> mruWay_; ///< per-set MRU fast path.
-    std::uint64_t tick_ = 0;
-    std::uint64_t loads_ = 0;
-    std::uint64_t stores_ = 0;
-    std::uint64_t misses_ = 0;
+    State s_;
+    std::vector<WayRange> victims_; ///< per program; owned form only.
 };
+
+/** A private or solo cache. */
+using Cache = BasicCache<false>;
+
+/** A cache N programs share, each line tagged with its owner. */
+using OwnedCache = BasicCache<true>;
 
 } // namespace smarts::mem
 

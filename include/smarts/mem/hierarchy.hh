@@ -388,6 +388,15 @@ struct HierarchyState
 };
 
 /**
+ * The L1-miss hook of a solo hierarchy: an L1 miss charges nothing
+ * beyond the hierarchy's own L2.
+ */
+struct NoL1MissHook
+{
+    void operator()(std::uint32_t, bool) const {}
+};
+
+/**
  * Every access path below (and Cache::access, Tlb::access) is always
  * inlined: together they are the body of the stepping loops
  * (core::detail::stepLoop), and the compiler's growth limits would
@@ -418,40 +427,63 @@ class MemHierarchy
     {
     }
 
+    /*
+     * The access paths. @p onL1Miss(addr, write) runs on every L1
+     * miss, before the L2 access: a co-run lane charges the shared
+     * L2 there (mem/shared_hierarchy.hh). The default charges
+     * nothing, which is the solo hierarchy.
+     */
+
+    template <typename OnL1Miss = NoL1MissHook>
     [[gnu::always_inline]] MemResult
-    fetch(std::uint32_t addr)
+    fetch(std::uint32_t addr, OnL1Miss &&onL1Miss = {})
     {
-        return timingAccess(l1i_, itlb_, addr, false);
+        return access(l1i_, itlb_, addr, false, onL1Miss);
     }
 
+    template <typename OnL1Miss = NoL1MissHook>
     [[gnu::always_inline]] MemResult
-    load(std::uint32_t addr)
+    load(std::uint32_t addr, OnL1Miss &&onL1Miss = {})
     {
-        return timingAccess(l1d_, dtlb_, addr, false);
+        return access(l1d_, dtlb_, addr, false, onL1Miss);
     }
 
+    template <typename OnL1Miss = NoL1MissHook>
     [[gnu::always_inline]] MemResult
-    store(std::uint32_t addr)
+    store(std::uint32_t addr, OnL1Miss &&onL1Miss = {})
     {
-        return timingAccess(l1d_, dtlb_, addr, true);
+        return access(l1d_, dtlb_, addr, true, onL1Miss);
     }
 
+    template <typename OnL1Miss = NoL1MissHook>
     [[gnu::always_inline]] void
-    warmFetch(std::uint32_t addr)
+    warmFetch(std::uint32_t addr, OnL1Miss &&onL1Miss = {})
     {
-        warmAccess(l1i_, itlb_, addr, false);
+        access(l1i_, itlb_, addr, false, onL1Miss);
     }
 
+    template <typename OnL1Miss = NoL1MissHook>
     [[gnu::always_inline]] void
-    warmLoad(std::uint32_t addr)
+    warmLoad(std::uint32_t addr, OnL1Miss &&onL1Miss = {})
     {
-        warmAccess(l1d_, dtlb_, addr, false);
+        access(l1d_, dtlb_, addr, false, onL1Miss);
     }
 
+    template <typename OnL1Miss = NoL1MissHook>
     [[gnu::always_inline]] void
-    warmStore(std::uint32_t addr)
+    warmStore(std::uint32_t addr, OnL1Miss &&onL1Miss = {})
     {
-        warmAccess(l1d_, dtlb_, addr, true);
+        access(l1d_, dtlb_, addr, true, onL1Miss);
+    }
+
+    /**
+     * Latency below the L1 of a request the L2 hit (@p l2Hit) or
+     * sent on to memory.
+     */
+    std::uint32_t
+    l2Leg(bool l2Hit) const
+    {
+        return config_.l2.latency + (l2Hit ? 0 : config_.memLatency);
     }
 
     void
@@ -492,8 +524,14 @@ class MemHierarchy
     const Tlb &dtlb() const { return dtlb_; }
 
   private:
+    /**
+     * The one access path: TLB, L1, then on an L1 miss the hook and
+     * the L2. A warm access is this access with its result unused.
+     */
+    template <typename OnL1Miss>
     [[gnu::always_inline]] MemResult
-    timingAccess(Cache &l1, Tlb &tlb, std::uint32_t addr, bool write)
+    access(Cache &l1, Tlb &tlb, std::uint32_t addr, bool write,
+           OnL1Miss &onL1Miss)
     {
         MemResult result;
         result.tlbMiss = tlb.access(addr);
@@ -502,22 +540,13 @@ class MemHierarchy
         result.latency += l1.config().latency;
         if (l1.access(addr, write).hit) {
             result.level = ServedBy::L1;
-        } else if (l2_.access(addr, write).hit) {
-            result.level = ServedBy::L2;
-            result.latency += config_.l2.latency;
-        } else {
-            result.level = ServedBy::Memory;
-            result.latency += config_.l2.latency + config_.memLatency;
+            return result;
         }
+        onL1Miss(addr, write);
+        const bool l2Hit = l2_.access(addr, write).hit;
+        result.level = l2Hit ? ServedBy::L2 : ServedBy::Memory;
+        result.latency += l2Leg(l2Hit);
         return result;
-    }
-
-    [[gnu::always_inline]] void
-    warmAccess(Cache &l1, Tlb &tlb, std::uint32_t addr, bool write)
-    {
-        tlb.access(addr);
-        if (!l1.access(addr, write).hit)
-            l2_.access(addr, write);
     }
 
     HierarchyConfig config_;

@@ -9,8 +9,8 @@
  *  - the CO-RUN world, whose memory latencies come from the shared
  *    owner-tagged L2, and
  *  - the SOLO world, whose latencies come from the lane's shadow L2
- *    (a plain solo-config mem::Cache fed the identical L1-miss
- *    stream).
+ *    (the L2 of the lane's own solo-config mem::MemHierarchy, fed
+ *    the identical L1-miss stream).
  *
  * With private L1s/TLBs and a private branch unit per lane, a
  * program's architectural stream and every front-end event inside

@@ -1,5 +1,7 @@
 #include "mp/mix_library.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 
 namespace smarts::mp {
@@ -78,14 +80,27 @@ MixLibrary::load(const std::string &path,
         }
         return {};
     };
+    // Every per-program vector of a checkpoint must match the mix,
+    // or the restore in a shard job dies on it mid-run.
     auto checkLanes = [programCount](std::size_t s,
                                      const MixCheckpoint &cp) {
-        if (cp.state.archs.size() == programCount &&
-            cp.state.lanes.size() == programCount)
-            return std::string();
-        return log::format(" is corrupt (checkpoint ", s, " carries ",
-                           cp.state.archs.size(), " programs for a ",
-                           programCount, "-program mix)");
+        const MixState &state = cp.state;
+        const mem::SharedCacheState &l2 = state.sharedMem.l2;
+        const std::pair<const char *, std::size_t> counts[] = {
+            {"programs", state.archs.size()},
+            {"timing lanes", state.lanes.size()},
+            {"shared-hierarchy lanes", state.sharedMem.lanes.size()},
+            {"shared-L2 load counters", l2.loads.size()},
+            {"shared-L2 store counters", l2.stores.size()},
+            {"shared-L2 miss counters", l2.misses.size()},
+        };
+        for (const auto &[what, count] : counts)
+            if (count != programCount)
+                return log::format(" is corrupt (checkpoint ", s,
+                                   " carries ", count, " ", what,
+                                   " for a ", programCount,
+                                   "-program mix)");
+        return std::string();
     };
     return loadContainer(path, expect, mixFlavor, readMix, checkLanes,
                          error);

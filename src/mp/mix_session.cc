@@ -57,8 +57,8 @@ MixSession::detailedRun(std::uint64_t maxRounds)
         MixLaneSegment &ls = seg.per[p];
         ls.sharedAccesses = shared_.sharedL2().accesses(p);
         ls.sharedMisses = shared_.sharedL2().misses(p);
-        ls.shadowAccesses = shared_.shadowL2(p).accesses();
-        ls.shadowMisses = shared_.shadowL2(p).misses();
+        ls.shadowAccesses = shared_.lane(p).l2().accesses();
+        ls.shadowMisses = shared_.lane(p).l2().misses();
     }
 
     seg.rounds = rounds(
@@ -79,8 +79,8 @@ MixSession::detailedRun(std::uint64_t maxRounds)
             shared_.sharedL2().accesses(p) - ls.sharedAccesses;
         ls.sharedMisses = shared_.sharedL2().misses(p) - ls.sharedMisses;
         ls.shadowAccesses =
-            shared_.shadowL2(p).accesses() - ls.shadowAccesses;
-        ls.shadowMisses = shared_.shadowL2(p).misses() - ls.shadowMisses;
+            shared_.lane(p).l2().accesses() - ls.shadowAccesses;
+        ls.shadowMisses = shared_.lane(p).l2().misses() - ls.shadowMisses;
     }
     return seg;
 }

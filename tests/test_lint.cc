@@ -222,15 +222,16 @@ testDroppedArchStateFieldIsCaught()
 
 /**
  * Same acceptance guard over the co-run tier: drop the owner-tag
- * array from the real SharedCacheState::write and the linter must
- * notice — the shared hierarchy's state structs are under the same
+ * array from the real SharedCacheState::write (the owned cache's
+ * state, in mem/cache.hh) and the linter must notice — the shared
+ * hierarchy's state structs are under the same
  * serializer-completeness contract as the solo ones.
  */
 void
 testDroppedSharedCacheFieldIsCaught()
 {
     const std::string path =
-        repoRoot + "/include/smarts/mem/shared_hierarchy.hh";
+        repoRoot + "/include/smarts/mem/cache.hh";
     std::ifstream in(path);
     CHECK(in.good());
     std::stringstream buffer;

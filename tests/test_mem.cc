@@ -3,9 +3,9 @@
  * Direct unit tests for the mem layer: set-associative LRU eviction
  * order (including the per-set MRU fast path), TLB reach and true-
  * LRU replacement in the O(1) list+hash implementation, and the
- * warm-vs-timing split of the hierarchy. A property test holds the
- * branch-free cache lookup to a per-way reference scan, state byte
- * for byte after every access.
+ * warm-vs-timing split of the hierarchy. Property tests hold the
+ * branch-free cache lookup, solo and owner-tagged, to a per-way
+ * reference scan, state byte for byte after every access.
  */
 
 #include <cstdint>
@@ -140,12 +140,114 @@ referenceAccess(mem::CacheState &state, std::uint32_t assoc,
     state.mruWay[set] = static_cast<std::uint32_t>(victim - base);
 }
 
+/**
+ * The owned form's reference lookup over a SharedCacheState: the MRU
+ * check, then a scan in way order for the first way whose valid bit,
+ * tag and owner all match, else a fill of the first way with the
+ * oldest stamp in the program's victim range [@p lo, @p hi).
+ */
+void
+referenceOwnedAccess(mem::SharedCacheState &state, std::uint32_t assoc,
+                     std::uint32_t sets, std::uint32_t addr, bool write,
+                     std::uint32_t prog, std::uint32_t lo,
+                     std::uint32_t hi)
+{
+    ++(write ? state.stores : state.loads)[prog];
+    const std::uint32_t line = addr >> 6;
+    const std::uint32_t set = line % sets;
+    const std::size_t base = std::size_t(set) * assoc;
+    ++state.tick;
+    const std::size_t mru = base + state.mruWay[set];
+    if (state.valid[mru] && state.tags[mru] == line &&
+        state.owners[mru] == prog) {
+        state.lastUse[mru] = state.tick;
+        return;
+    }
+    for (std::size_t w = base; w < base + assoc; ++w) {
+        if (state.valid[w] && state.tags[w] == line &&
+            state.owners[w] == prog) {
+            state.lastUse[w] = state.tick;
+            state.mruWay[set] = static_cast<std::uint32_t>(w - base);
+            return;
+        }
+    }
+    std::size_t victim = base + lo;
+    std::uint64_t oldest = ~0ull;
+    for (std::size_t w = base + lo; w < base + hi; ++w) {
+        if (state.lastUse[w] < oldest) {
+            oldest = state.lastUse[w];
+            victim = w;
+        }
+    }
+    ++state.misses[prog];
+    state.tags[victim] = line;
+    state.owners[victim] = static_cast<std::uint8_t>(prog);
+    state.valid[victim] = 1;
+    state.lastUse[victim] = state.tick;
+    state.mruWay[set] = static_cast<std::uint32_t>(victim - base);
+}
+
+template <typename State>
 std::vector<std::uint8_t>
-stateBytes(const mem::CacheState &state)
+stateBytes(const State &state)
 {
     util::BinaryWriter out;
     state.write(out);
     return out.buffer();
+}
+
+/**
+ * @p accesses random accesses by programs below @p programs to
+ * @p cache over @p lines 64-byte lines, each also applied to @p want
+ * by @p reference(addr, write, prog). Returns how many left the
+ * cache's state bytes different from @p want's.
+ */
+template <typename CacheT, typename Reference>
+std::uint32_t
+compareWithReference(CacheT &cache, typename CacheT::State &want,
+                     Xoshiro256StarStar &rng, std::uint32_t lines,
+                     std::uint32_t programs, int accesses,
+                     Reference &&reference)
+{
+    std::uint32_t failures = 0;
+    for (int i = 0; i < accesses; ++i) {
+        const auto addr = static_cast<std::uint32_t>(
+            rng.below(lines) * 64 + rng.below(64));
+        const bool write = rng.below(4) == 0;
+        const auto prog =
+            programs > 1 ? static_cast<std::uint32_t>(rng.below(programs))
+                         : 0u;
+        cache.access(addr, write, prog);
+        reference(addr, write, prog);
+        typename CacheT::State got;
+        cache.saveState(got);
+        failures += stateBytes(got) != stateBytes(want);
+    }
+    return failures;
+}
+
+/**
+ * Give every way of @p want a tag of one of @p choices lines of its
+ * own set (so tags repeat), a random valid bit and a stale, tied or
+ * maximal stamp; every set a random MRU way.
+ */
+template <typename State>
+void
+scrambleState(State &want, Xoshiro256StarStar &rng, std::uint32_t assoc,
+              std::uint32_t sets, std::uint32_t choices)
+{
+    for (std::size_t w = 0; w < want.tags.size(); ++w) {
+        want.tags[w] = static_cast<std::uint32_t>(
+            w / assoc + sets * rng.below(choices));
+        want.valid[w] = rng.below(3) != 0;
+        const std::uint64_t pick = rng.below(4);
+        want.lastUse[w] = pick == 0   ? ~0ull
+                          : pick == 1 ? 7
+                                      : rng.below(1000);
+    }
+    for (std::uint32_t &way : want.mruWay)
+        way = static_cast<std::uint32_t>(rng.below(assoc));
+    want.tick = 1000;
 }
 
 void
@@ -165,49 +267,126 @@ testCacheLookupMatchesReferenceScan()
             mem::CacheState want;
             cache.saveState(want);
             const std::uint32_t lines = 2 * sets * assoc + 1;
-            std::uint32_t failures = 0;
             auto run = [&](int accesses) {
-                for (int i = 0; i < accesses; ++i) {
-                    const auto addr = static_cast<std::uint32_t>(
-                        rng.below(lines) * 64 + rng.below(64));
-                    const bool write = rng.below(4) == 0;
-                    cache.access(addr, write);
-                    referenceAccess(want, assoc, sets, addr, write);
-                    mem::CacheState got;
-                    cache.saveState(got);
-                    failures += stateBytes(got) != stateBytes(want);
-                }
+                return compareWithReference(
+                    cache, want, rng, lines, 1, accesses,
+                    [&](std::uint32_t addr, bool write, std::uint32_t) {
+                        referenceAccess(want, assoc, sets, addr, write);
+                    });
             };
-            run(3000);
+            std::uint32_t failures = run(3000);
 
             cache.reset();
             want.valid.assign(want.valid.size(), 0);
             want.lastUse.assign(want.lastUse.size(), 0);
             want.mruWay.assign(want.mruWay.size(), 0);
             want.tick = want.loads = want.stores = want.misses = 0;
-            run(3000);
+            failures += run(3000);
 
-            for (std::size_t w = 0; w < want.tags.size(); ++w) {
-                // One of three lines of the way's own set: repeats.
-                want.tags[w] = static_cast<std::uint32_t>(
-                    w / assoc + sets * rng.below(3));
-                want.valid[w] = rng.below(3) != 0;
-                const std::uint64_t pick = rng.below(4);
-                want.lastUse[w] = pick == 0   ? ~0ull
-                                  : pick == 1 ? 7
-                                              : rng.below(1000);
-            }
-            for (std::uint32_t &way : want.mruWay)
-                way = static_cast<std::uint32_t>(rng.below(assoc));
-            want.tick = 1000;
+            scrambleState(want, rng, assoc, sets, 3);
             cache.restoreState(want);
-            run(3000);
+            failures += run(3000);
 
             CHECK_EQ(failures, 0u);
             if (failures)
                 std::fprintf(stderr, "  %u-way x %u sets\n", assoc, sets);
         }
     }
+
+    // The owned form over 1, 2, 3 and 5 programs under both
+    // policies: random (program, line) streams from construction and
+    // after restoring a hand-built state whose tags repeat across
+    // owners.
+    for (const mem::PartitionPolicy policy :
+         {mem::PartitionPolicy::Shared,
+          mem::PartitionPolicy::WayPartitioned}) {
+        for (const std::uint32_t programs : {1u, 2u, 3u, 5u}) {
+            for (const std::uint32_t assoc : {4u, 8u, 12u, 16u}) {
+                if (policy == mem::PartitionPolicy::WayPartitioned &&
+                    programs > assoc)
+                    continue;
+                // Victim ranges as the policy defines them: the whole
+                // set, or assoc/N ways each with the first assoc%N
+                // programs one more.
+                std::vector<std::uint32_t> lo(programs, 0);
+                std::vector<std::uint32_t> hi(programs, assoc);
+                if (policy == mem::PartitionPolicy::WayPartitioned) {
+                    std::uint32_t at = 0;
+                    for (std::uint32_t p = 0; p < programs; ++p) {
+                        lo[p] = at;
+                        at += assoc / programs +
+                              (p < assoc % programs ? 1 : 0);
+                        hi[p] = at;
+                    }
+                }
+                const std::uint32_t sets = 3;
+                mem::OwnedCache cache("p",
+                                      {sets * assoc * 64, assoc, 64, 1},
+                                      programs, policy);
+                mem::SharedCacheState want;
+                cache.saveState(want);
+                const std::uint32_t lines = 2 * sets * assoc + 1;
+                auto run = [&](int accesses) {
+                    return compareWithReference(
+                        cache, want, rng, lines, programs, accesses,
+                        [&](std::uint32_t addr, bool write,
+                            std::uint32_t prog) {
+                            referenceOwnedAccess(want, assoc, sets, addr,
+                                                 write, prog, lo[prog],
+                                                 hi[prog]);
+                        });
+                };
+                std::uint32_t failures = run(3000);
+
+                scrambleState(want, rng, assoc, sets, 2);
+                for (std::uint8_t &owner : want.owners)
+                    owner = static_cast<std::uint8_t>(rng.below(programs));
+                cache.restoreState(want);
+                failures += run(3000);
+
+                CHECK_EQ(failures, 0u);
+                if (failures)
+                    std::fprintf(stderr, "  %s: %u programs, %u-way\n",
+                                 mem::partitionPolicyName(policy),
+                                 programs, assoc);
+            }
+        }
+    }
+}
+
+/**
+ * One program under Shared: the owned cache is the solo Cache, tags,
+ * stamps and counters equal on the same stream.
+ */
+void
+testOneOwnerIsTheSoloCache()
+{
+    Xoshiro256StarStar rng(24);
+    const mem::CacheConfig config{4 * 8 * 64, 8, 64, 1};
+    mem::Cache solo("solo", config);
+    mem::OwnedCache owned("owned", config, 1,
+                          mem::PartitionPolicy::Shared);
+    const std::uint32_t lines = 2 * 4 * 8 + 1;
+    for (int i = 0; i < 5000; ++i) {
+        const auto addr =
+            static_cast<std::uint32_t>(rng.below(lines) * 64);
+        const bool write = rng.below(4) == 0;
+        CHECK_EQ(solo.access(addr, write).hit,
+                 owned.access(addr, write).hit);
+    }
+    mem::CacheState a;
+    solo.saveState(a);
+    mem::SharedCacheState b;
+    owned.saveState(b);
+    CHECK(a.tags == b.tags);
+    CHECK(a.valid == b.valid);
+    CHECK(a.lastUse == b.lastUse);
+    CHECK(a.mruWay == b.mruWay);
+    CHECK_EQ(a.tick, b.tick);
+    CHECK(b.loads == std::vector<std::uint64_t>{a.loads});
+    CHECK(b.stores == std::vector<std::uint64_t>{a.stores});
+    CHECK(b.misses == std::vector<std::uint64_t>{a.misses});
+    CHECK(a.misses > 0 && a.misses < a.loads + a.stores);
 }
 
 void
@@ -387,6 +566,7 @@ main(int argc, char **argv)
     testCacheStoresAllocateLikeLoads();
     testCacheReset();
     testCacheLookupMatchesReferenceScan();
+    testOneOwnerIsTheSoloCache();
     testTlbReach();
     testTlbLruOrderUnderReuse();
     testTlbSingleEntry();

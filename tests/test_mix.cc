@@ -11,6 +11,7 @@
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -202,6 +203,47 @@ testMixLibraryRoundtripAndRefusals()
             sampler.runSharded(*loaded, pool);
         const mp::MixEstimate serial = sampler.run();
         CHECK(serial.fingerprint() == fromLibrary.fingerprint());
+    }
+
+    // A checkpoint whose shared hierarchy does not match the mix's
+    // program count is refused at load, naming the count, not when
+    // a shard job restores it.
+    {
+        struct Corruption
+        {
+            const char *what;
+            void (*apply)(mp::MixState &);
+        };
+        const Corruption corruptions[] = {
+            {"1 shared-hierarchy lanes",
+             [](mp::MixState &st) { st.sharedMem.lanes.pop_back(); }},
+            {"1 shared-L2 load counters",
+             [](mp::MixState &st) { st.sharedMem.l2.loads.pop_back(); }},
+            {"3 shared-L2 store counters",
+             [](mp::MixState &st) { st.sharedMem.l2.stores.push_back(0); }},
+            {"1 shared-L2 miss counters",
+             [](mp::MixState &st) { st.sharedMem.l2.misses.pop_back(); }},
+        };
+        for (const Corruption &c : corruptions) {
+            mp::MixLibrary bad = built;
+            mp::MixCheckpoint cp = built.at(1);
+            c.apply(cp.state);
+            bad.record(1, cp);
+            const std::string badPath =
+                std::string(kRoot) + "/bad_lanes.smck";
+            CHECK(bad.save(mix, key, badPath, &error));
+            error.clear();
+            const auto refused =
+                mp::MixLibrary::load(badPath, mix, key, &error);
+            CHECK(!refused.has_value());
+            CHECK(error.find("is corrupt (checkpoint 1 carries " +
+                             std::string(c.what) +
+                             " for a 2-program mix)") !=
+                  std::string::npos);
+            if (error.find(c.what) == std::string::npos)
+                std::fprintf(stderr, "  %s: %s\n", c.what,
+                             error.c_str());
+        }
     }
 
     // Wrong mix: same machine and design, different co-runner.

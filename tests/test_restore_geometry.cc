@@ -1,7 +1,7 @@
 /**
  * @file
  * Restore-time geometry checks of the warm-state structures: a
- * checkpointed mem::Cache, mem::SharedCache or mem::Tlb state whose
+ * checkpointed mem::Cache, mem::OwnedCache or mem::Tlb state whose
  * vectors are short, or whose stored way/entry indices exceed the
  * live geometry, must be refused with the "geometry mismatch" FATAL
  * before access() indexes out of bounds. A checksum only proves the
@@ -18,8 +18,8 @@
 #include <cstring>
 #include <string>
 
+#include "mem/cache.hh"
 #include "mem/hierarchy.hh"
-#include "mem/shared_hierarchy.hh"
 
 using namespace smarts;
 
@@ -50,9 +50,9 @@ corruptShared(const std::string &what)
     mem::CacheConfig config;
     config.sizeBytes = 4096;
     config.assoc = 4;
-    mem::SharedCache cache("l2", config, 2,
-                           mem::PartitionPolicy::Shared);
-    cache.access(1, 0x1000, false);
+    mem::OwnedCache cache("l2", config, 2,
+                          mem::PartitionPolicy::Shared);
+    cache.access(0x1000, false, 1);
     mem::SharedCacheState state;
     cache.saveState(state);
     if (what == "owners")

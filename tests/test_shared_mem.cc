@@ -4,10 +4,12 @@
  * the co-run tier's whole correctness claim. Three pins:
  *
  *  1. A one-program mix degenerates to a real solo run, bit for bit
- *     (SharedCache with one owner IS mem::Cache; each mix lane runs
- *     core::TimingModel's own code over a two-world port of the
- *     shared hierarchy, so this pins the port and the round-robin
- *     schedule against the solo hierarchy and loop).
+ *     (the shared L2 with one owner IS the solo cache: one class,
+ *     mem::BasicCache, in its owned form; each mix lane is a solo
+ *     mem::MemHierarchy, stepped by core::TimingModel's own code
+ *     over a two-world port of the shared hierarchy, so this pins
+ *     the port's L1-miss hook and the round-robin schedule against
+ *     the solo hierarchy and loop).
  *  2. Inside a two-program co-run, each program's shadow-L2 access
  *     and miss counts and its solo-world CPI/EPI are bit-exactly
  *     equal, per sampling unit, to an ACTUAL solo run of the same
