@@ -75,7 +75,7 @@ struct ArchState
         for (std::uint32_t &r : regs)
             r = in.u32();
         pc = in.u32();
-        finished = in.u8() != 0;
+        finished = in.flag();
         instCount = in.u64();
         data.read(in);
     }

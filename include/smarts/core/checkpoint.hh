@@ -68,17 +68,13 @@ namespace smarts::core {
  */
 constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
-/** File magic: 8 bytes, shared by every version and flavor. */
-constexpr char kCheckpointMagic[8] = {'S', 'M', 'R', 'T',
-                                      'C', 'K', 'P', 'T'};
-
 /**
- * Endianness probe: written as a u32 through the little-endian
- * encoder, so the file always carries bytes 04 03 02 01. An external
- * reader that decodes it as anything but 0x01020304 is applying the
- * wrong byte order.
+ * The `.smck` header (util::FileKind): one magic for every version
+ * and flavor; v1 files still load.
  */
-constexpr std::uint32_t kCheckpointEndianMark = 0x01020304u;
+constexpr util::FileKind kCheckpointFile{
+    "SMRTCKPT", kCheckpointFormatVersion, 1, "checkpoint library",
+    "format version"};
 
 /** v2 flavor byte: which session tier's state the payload carries. */
 constexpr std::uint8_t kCheckpointFlavorSolo = 0;
@@ -398,18 +394,14 @@ class ShardLibrary
     {
         std::uint8_t id;             ///< the v2+ flavor byte.
         std::uint32_t oldestVersion; ///< v1 (no flavor byte) is solo.
-        const char *versionNote;     ///< refusal text after "version N".
         const char *foreignNote;     ///< refusal text for another flavor.
     };
 
-    /** Magic, version, endianness marker and flavor byte. */
+    /** The file header, then the flavor byte. */
     static void
     writeHeader(util::BinaryWriter &out, std::uint8_t flavor)
     {
-        for (const char c : kCheckpointMagic)
-            out.u8(static_cast<std::uint8_t>(c));
-        out.u32(kCheckpointFormatVersion);
-        out.u32(kCheckpointEndianMark);
+        util::writeHeader(out, kCheckpointFile);
         out.u8(flavor);
     }
 
@@ -571,27 +563,18 @@ ShardLibrary<Derived, CheckpointT>::loadContainer(
             *error = std::move(why);
         return std::nullopt;
     };
+    auto malformed = [&] {
+        return refuse(log::format(
+            path, " is malformed (truncated, a bool byte other than "
+                  "0 or 1, or trailing garbage)"));
+    };
 
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-
-    for (const char c : kCheckpointMagic)
-        if (in.u8() != static_cast<std::uint8_t>(c))
-            return refuse(log::format(
-                path, " is not a smarts checkpoint library"));
-    // Anything newer than this build is refused, not guessed.
-    const std::uint32_t version = in.u32();
-    if (version < flavor.oldestVersion ||
-        version > kCheckpointFormatVersion)
-        return refuse(log::format(path, " is format version ",
-                                  version, flavor.versionNote,
-                                  kCheckpointFormatVersion));
-    if (in.u32() != kCheckpointEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
+    util::FileKind kind = kCheckpointFile;
+    kind.oldestVersion = flavor.oldestVersion;
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
+    const std::uint32_t version = util::readHeader(in, kind, path, error);
+    if (!version)
+        return std::nullopt;
     if (version >= 2) {
         const std::uint8_t id = in.u8();
         if (id != flavor.id)
@@ -623,8 +606,10 @@ ShardLibrary<Derived, CheckpointT>::loadContainer(
         shard.firstUnitIndex = in.u64();
         shard.unitCount = in.u64();
         shard.resumePos = in.u64();
-        shard.runsTail = in.u8() != 0;
+        shard.runsTail = in.flag();
     }
+    if (in.failed())
+        return malformed();
     // The plan must be one planShards could have produced — the
     // checksum only proves the writer was careful, not honest, and
     // executing a malformed plan (overlapping shards, misplaced
@@ -641,8 +626,8 @@ ShardLibrary<Derived, CheckpointT>::loadContainer(
             shardCount, " shards)"));
     // Slots grow as they parse, for the same reason.
     for (std::size_t s = 0; s < shardCount && !in.failed(); ++s) {
-        const bool present = in.u8() != 0;
-        if (present == (s == 0))
+        const bool present = in.flag();
+        if (!in.failed() && present == (s == 0))
             return refuse(log::format(
                 path, " is corrupt (checkpoint ", s,
                 present ? " unexpectedly present" : " missing"));
@@ -651,8 +636,7 @@ ShardLibrary<Derived, CheckpointT>::loadContainer(
             slot.read(in);
     }
     if (in.failed() || in.remaining() != 0)
-        return refuse(log::format(
-            path, " is truncated or has trailing garbage"));
+        return malformed();
     for (std::size_t s = 1; s < shardCount; ++s) {
         const Checkpoint &cp = library.checkpoints_[s];
         if (cp.position != library.plan_[s].resumePos ||

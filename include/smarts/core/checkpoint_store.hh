@@ -311,6 +311,21 @@ class CheckpointStore
     bool publishAt(const LibraryKey &key, bool livePoints,
                    const EntryIo &writer, std::string *error) const;
 
+    /**
+     * The miss/dedup loop of ensure() and ensureLivePoints(): the
+     * configs whose key (in the live-point store when @p livePoints)
+     * has no library that loads, one per geometry hash, captured in
+     * one MultiSession that @p capture streams and saves from.
+     * Returns the number of libraries captured.
+     */
+    std::size_t captureMissing(
+        const workloads::BenchmarkSpec &spec,
+        const std::vector<uarch::MachineConfig> &configs,
+        const SamplingConfig &sampling, bool livePoints,
+        const std::function<void(MultiSession &,
+                                 const std::vector<LibraryKey> &)>
+            &capture) const;
+
     /** Lazily load-or-rebuild the index; callers hold @c mu_. */
     StoreIndex &indexLocked() const;
 

@@ -21,6 +21,12 @@
  * valid path. The free writeFile() is that one publish path over a
  * sequence of byte segments, for files assembled from pieces
  * encoded apart (a live-point library's per-chunk records).
+ *
+ * Every on-disk format opens with the same 16-byte header (magic,
+ * version, endianness mark; docs/checkpoint-format.md § File
+ * header): each declares one FileKind and frames through
+ * writeHeader()/readHeader(), the one place the header is written
+ * and checked.
  */
 
 #ifndef SMARTS_UTIL_BINARY_IO_HH
@@ -581,6 +587,43 @@ class BinaryReader
     std::size_t pos_ = 0;
     bool failed_ = false;
 };
+
+/**
+ * The endianness mark every file header carries: written through the
+ * little-endian encoder, so a file always holds bytes 04 03 02 01. A
+ * reader that decodes it as anything but 0x01020304 is applying the
+ * wrong byte order.
+ */
+constexpr std::uint32_t kEndianMark = 0x01020304u;
+
+/**
+ * One on-disk format's header: its magic, the version this build
+ * writes (the newest it reads), the oldest version it reads, and the
+ * names its refusals print.
+ */
+struct FileKind
+{
+    const char *magic;           ///< 8 bytes, no terminator stored.
+    std::uint32_t version;       ///< written; the newest read.
+    std::uint32_t oldestVersion; ///< the oldest read.
+    const char *name;            ///< "<path> is not a smarts <name>".
+    const char *versionName;     ///< "<path> is <versionName> N; ...".
+};
+
+/** Append @p kind's header: magic, version, endianness mark. */
+void writeHeader(BinaryWriter &out, const FileKind &kind);
+
+/**
+ * Check that @p in, read from @p path, opens with @p kind's header:
+ * the magic, then a version in [oldestVersion, version], then the
+ * endianness mark, refusing on the first that fails. Returns the
+ * version read, the reader left just past the header; 0 with the
+ * refusal in @p error otherwise. A reader that arrives failed
+ * (BinaryReader::fromFile could not open or verify the file) keeps
+ * the diagnostic @p error already holds.
+ */
+std::uint32_t readHeader(BinaryReader &in, const FileKind &kind,
+                         const std::string &path, std::string *error);
 
 /**
  * Bytes a default-constructed T writes: for a state whose

@@ -14,6 +14,11 @@
 #include <string>
 #include <vector>
 
+namespace smarts::util {
+class BinaryReader;
+class BinaryWriter;
+} // namespace smarts::util
+
 namespace smarts::workloads {
 
 /** Stream-length scale: ~2M / ~12M / ~120M dynamic instructions. */
@@ -44,6 +49,13 @@ struct BenchmarkSpec
     std::uint32_t variant = 1;
     std::uint64_t seed = 1;
     Scale scale = Scale::Mini;
+
+    /**
+     * Field order is normative (docs/checkpoint-format.md § Key):
+     * every library key and the mix identity block embed it.
+     */
+    void write(util::BinaryWriter &out) const;
+    static BenchmarkSpec read(util::BinaryReader &in);
 };
 
 /** Approximate dynamic-instruction budget for a scale. */

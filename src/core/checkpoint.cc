@@ -51,11 +51,7 @@ LibraryKey::of(const workloads::BenchmarkSpec &spec,
 void
 LibraryKey::write(util::BinaryWriter &out) const
 {
-    out.str(benchmark.name);
-    out.u32(static_cast<std::uint32_t>(benchmark.kernel));
-    out.u32(benchmark.variant);
-    out.u64(benchmark.seed);
-    out.u32(static_cast<std::uint32_t>(benchmark.scale));
+    benchmark.write(out);
     out.u64(geometryHash);
     out.u64(sampling.unitSize);
     out.u64(sampling.detailedWarming);
@@ -68,12 +64,7 @@ LibraryKey
 LibraryKey::read(util::BinaryReader &in)
 {
     LibraryKey key;
-    key.benchmark.name = in.str();
-    key.benchmark.kernel =
-        static_cast<workloads::Kernel>(in.u32());
-    key.benchmark.variant = in.u32();
-    key.benchmark.seed = in.u64();
-    key.benchmark.scale = static_cast<workloads::Scale>(in.u32());
+    key.benchmark = workloads::BenchmarkSpec::read(in);
     key.geometryHash = in.u64();
     key.sampling.unitSize = in.u64();
     key.sampling.detailedWarming = in.u64();
@@ -356,7 +347,7 @@ CheckpointLibrary::load(const std::string &path,
     // v1→v2 migration path. The solo flavor has no identity block
     // beyond the key.
     static const Flavor solo{
-        kCheckpointFlavorSolo, 1, "; this build reads versions 1 and ",
+        kCheckpointFlavorSolo, 1,
         " (co-run mix) state; load it through mp::MixLibrary, not "
         "the solo library loader"};
     return loadContainer(

@@ -546,11 +546,13 @@ CheckpointStore::saveLivePoints(const EncodedLivePoints &records,
 }
 
 std::size_t
-CheckpointStore::ensure(
+CheckpointStore::captureMissing(
     const workloads::BenchmarkSpec &spec,
     const std::vector<uarch::MachineConfig> &configs,
-    const SamplingConfig &sampling, std::uint64_t streamLength,
-    std::size_t shards) const
+    const SamplingConfig &sampling, bool livePoints,
+    const std::function<void(MultiSession &,
+                             const std::vector<LibraryKey> &)> &capture)
+    const
 {
     // Collect the configs whose key is missing, deduplicating
     // geometry-equal configs (their warm state is identical, so one
@@ -558,46 +560,55 @@ CheckpointStore::ensure(
     // that actually LOADS — a file that exists but refuses (stale
     // version, corruption) is a miss to recapture, or ensure()
     // would report configs as stored that nothing can resume.
-    std::vector<const uarch::MachineConfig *> missing;
+    std::vector<uarch::MachineConfig> missing;
     std::vector<LibraryKey> missingKeys;
     for (const uarch::MachineConfig &config : configs) {
         const LibraryKey key = LibraryKey::of(spec, config, sampling);
         std::string error;
-        if (tryLoad(key, &error))
+        if (livePoints ? tryLoadLivePoints(key, &error).has_value()
+                       : tryLoad(key, &error).has_value())
             continue;
         if (!error.empty())
-            SMARTS_WARN("checkpoint store: recapturing (", error,
+            SMARTS_WARN("checkpoint store: recapturing ",
+                        livePoints ? "live-points " : "", "(", error,
                         ")");
         bool duplicate = false;
         for (const LibraryKey &seen : missingKeys)
             duplicate |= seen.geometryHash == key.geometryHash;
         if (duplicate)
             continue;
-        missing.push_back(&config);
+        missing.push_back(config);
         missingKeys.push_back(key);
     }
     if (missing.empty())
         return 0;
+    MultiSession session(spec, missing);
+    capture(session, missingKeys);
+    return missingKeys.size();
+}
 
-    std::vector<uarch::MachineConfig> captureConfigs;
-    captureConfigs.reserve(missing.size());
-    for (const uarch::MachineConfig *config : missing)
-        captureConfigs.push_back(*config);
-
-    MultiSession session(spec, captureConfigs);
-    const std::vector<CheckpointLibrary> libraries =
-        CheckpointLibrary::buildMulti(
-            session, sampling,
-            CheckpointLibrary::planShards(sampling, streamLength,
-                                          shards));
-
-    for (std::size_t i = 0; i < libraries.size(); ++i) {
-        std::string error;
-        if (!save(missingKeys[i], libraries[i], &error))
-            SMARTS_FATAL("checkpoint store: cannot save ",
-                         pathFor(missingKeys[i]), ": ", error);
-    }
-    return libraries.size();
+std::size_t
+CheckpointStore::ensure(
+    const workloads::BenchmarkSpec &spec,
+    const std::vector<uarch::MachineConfig> &configs,
+    const SamplingConfig &sampling, std::uint64_t streamLength,
+    std::size_t shards) const
+{
+    return captureMissing(
+        spec, configs, sampling, /*livePoints=*/false,
+        [&](MultiSession &session, const std::vector<LibraryKey> &keys) {
+            const std::vector<CheckpointLibrary> libraries =
+                CheckpointLibrary::buildMulti(
+                    session, sampling,
+                    CheckpointLibrary::planShards(sampling, streamLength,
+                                                  shards));
+            for (std::size_t i = 0; i < libraries.size(); ++i) {
+                std::string error;
+                if (!save(keys[i], libraries[i], &error))
+                    SMARTS_FATAL("checkpoint store: cannot save ",
+                                 pathFor(keys[i]), ": ", error);
+            }
+        });
 }
 
 std::size_t
@@ -606,47 +617,19 @@ CheckpointStore::ensureLivePoints(
     const std::vector<uarch::MachineConfig> &configs,
     const SamplingConfig &sampling) const
 {
-    // Same miss/dedup policy as ensure(): "present" means a
-    // library that actually LOADS, and geometry-equal configs share
-    // one capture.
-    std::vector<const uarch::MachineConfig *> missing;
-    std::vector<LibraryKey> missingKeys;
-    for (const uarch::MachineConfig &config : configs) {
-        const LibraryKey key = LibraryKey::of(spec, config, sampling);
-        std::string error;
-        if (tryLoadLivePoints(key, &error))
-            continue;
-        if (!error.empty())
-            SMARTS_WARN("checkpoint store: recapturing live-points "
-                        "(", error, ")");
-        bool duplicate = false;
-        for (const LibraryKey &seen : missingKeys)
-            duplicate |= seen.geometryHash == key.geometryHash;
-        if (duplicate)
-            continue;
-        missing.push_back(&config);
-        missingKeys.push_back(key);
-    }
-    if (missing.empty())
-        return 0;
-
-    std::vector<uarch::MachineConfig> captureConfigs;
-    captureConfigs.reserve(missing.size());
-    for (const uarch::MachineConfig *config : missing)
-        captureConfigs.push_back(*config);
-
-    MultiSession session(spec, captureConfigs);
-    const std::vector<LivePointLibrary> libraries =
-        LivePointLibrary::buildMulti(session, sampling);
-
-    for (std::size_t i = 0; i < libraries.size(); ++i) {
-        std::string error;
-        if (!saveLivePoints(libraries[i], missingKeys[i], &error))
-            SMARTS_FATAL("checkpoint store: cannot save ",
-                         livePointPathFor(missingKeys[i]), ": ",
-                         error);
-    }
-    return libraries.size();
+    return captureMissing(
+        spec, configs, sampling, /*livePoints=*/true,
+        [&](MultiSession &session, const std::vector<LibraryKey> &keys) {
+            const std::vector<LivePointLibrary> libraries =
+                LivePointLibrary::buildMulti(session, sampling);
+            for (std::size_t i = 0; i < libraries.size(); ++i) {
+                std::string error;
+                if (!saveLivePoints(libraries[i], keys[i], &error))
+                    SMARTS_FATAL("checkpoint store: cannot save ",
+                                 livePointPathFor(keys[i]), ": ",
+                                 error);
+            }
+        });
 }
 
 } // namespace smarts::core

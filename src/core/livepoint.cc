@@ -16,9 +16,15 @@ namespace smarts::core {
 
 namespace {
 
-/** File magic: 8 bytes, version-independent, distinct from .smck. */
-constexpr char kMagic[8] = {'S', 'M', 'R', 'T',
-                            'L', 'V', 'P', 'T'};
+/**
+ * The `.smlp` header (util::FileKind), its magic distinct from
+ * `.smck`'s: v2 files (no flavor byte, always solo state) and v3
+ * files (FNV-1a record hashes) still load, the same migration policy
+ * as checkpoint v1→v2.
+ */
+constexpr util::FileKind kLivePointFile{
+    "SMRTLVPT", kLivePointFormatVersion, 2, "live-point library",
+    "format version"};
 
 /**
  * The capture walk (core/schedule.hh) snapping at EVERY measured
@@ -111,10 +117,7 @@ void
 writeHeader(const LibraryKey &key, std::uint64_t streamLength,
             std::uint64_t count, util::BinaryWriter &out)
 {
-    for (const char c : kMagic)
-        out.u8(static_cast<std::uint8_t>(c));
-    out.u32(kLivePointFormatVersion);
-    out.u32(kCheckpointEndianMark);
+    util::writeHeader(out, kLivePointFile);
     out.u8(kCheckpointFlavorSolo);
     key.write(out);
     out.u64(streamLength);
@@ -358,30 +361,13 @@ LivePointLibrary::load(const std::string &path,
         return std::nullopt;
     };
 
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-
-    for (const char c : kMagic)
-        if (in.u8() != static_cast<std::uint8_t>(c))
-            return refuse(log::format(
-                path, " is not a smarts live-point library"));
-    // v2 files (no flavor byte, always solo state) and v3 files
-    // (FNV-1a record hashes) still load: the same migration policy
-    // as checkpoint v1→v2.
-    const std::uint32_t version = in.u32();
-    if (version < 2 || version > kLivePointFormatVersion)
-        return refuse(log::format(
-            path, " is format version ", version,
-            "; this build reads versions 2 to ",
-            kLivePointFormatVersion));
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
+    const std::uint32_t version =
+        util::readHeader(in, kLivePointFile, path, error);
+    if (!version)
+        return std::nullopt;
     // The one place the version picks the per-record state hash.
     const auto stateHash = version >= 4 ? &util::xxh64 : &stateFnv1a;
-    if (in.u32() != kCheckpointEndianMark)
-        return refuse(log::format(path,
-                                  " has a bad endianness marker"));
     if (version >= 3) {
         const std::uint8_t flavor = in.u8();
         if (flavor != kCheckpointFlavorSolo)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -19,21 +18,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Journal header: magic, format version, endianness canary. */
-constexpr char kMagic[8] = {'S', 'M', 'R', 'T', 'S', 'I', 'D', 'X'};
-constexpr std::uint32_t kEndianMark = 0x01020304;
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4;
-
-void
-encodeHeader(std::vector<std::uint8_t> &out)
-{
-    util::BinaryWriter w;
-    for (const char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kStoreIndexFormatVersion);
-    w.u32(kEndianMark);
-    out.insert(out.end(), w.buffer().begin(), w.buffer().end());
-}
+/** The journal header (util::FileKind). */
+constexpr util::FileKind kStoreIndexFile{
+    "SMRTSIDX", kStoreIndexFormatVersion, kStoreIndexFormatVersion,
+    "store index", "format version"};
 
 /**
  * One journal record: the encoded fields followed by the FNV-1a of
@@ -41,68 +29,16 @@ encodeHeader(std::vector<std::uint8_t> &out)
  * the ragged tail a crash mid-append leaves.
  */
 void
-encodeRecord(std::vector<std::uint8_t> &out, StoreIndex::Op op,
+encodeRecord(util::BinaryWriter &out, StoreIndex::Op op,
              const std::string &rel, std::uint64_t bytes,
              std::uint64_t atime)
 {
-    util::BinaryWriter w;
-    w.u8(static_cast<std::uint8_t>(op));
-    w.str(rel);
-    w.u64(bytes);
-    w.u64(atime);
-    const std::uint64_t checksum =
-        util::fnv1a(w.buffer().data(), w.buffer().size());
-    w.u64(checksum);
-    out.insert(out.end(), w.buffer().begin(), w.buffer().end());
-}
-
-// Raw little-endian field readers over the journal bytes. The
-// journal is parsed by explicit position (not BinaryReader) because
-// each record's checksum covers a byte RANGE of the file, which
-// needs the cursor.
-bool
-rdU8(const std::vector<std::uint8_t> &d, std::size_t &p,
-     std::uint8_t &v)
-{
-    if (d.size() - p < 1)
-        return false;
-    v = d[p++];
-    return true;
-}
-
-bool
-rdU32(const std::vector<std::uint8_t> &d, std::size_t &p,
-      std::uint32_t &v)
-{
-    if (d.size() - p < 4)
-        return false;
-    v = util::loadLE<std::uint32_t>(d.data() + p);
-    p += sizeof v;
-    return true;
-}
-
-bool
-rdU64(const std::vector<std::uint8_t> &d, std::size_t &p,
-      std::uint64_t &v)
-{
-    if (d.size() - p < 8)
-        return false;
-    v = util::loadLE<std::uint64_t>(d.data() + p);
-    p += sizeof v;
-    return true;
-}
-
-bool
-rdStr(const std::vector<std::uint8_t> &d, std::size_t &p,
-      std::string &v)
-{
-    std::uint32_t n = 0;
-    if (!rdU32(d, p, n) || d.size() - p < n)
-        return false;
-    v.assign(d.begin() + static_cast<std::ptrdiff_t>(p),
-             d.begin() + static_cast<std::ptrdiff_t>(p + n));
-    p += n;
-    return true;
+    const std::size_t start = out.size();
+    out.u8(static_cast<std::uint8_t>(op));
+    out.str(rel);
+    out.u64(bytes);
+    out.u64(atime);
+    out.u64(util::fnv1a(out.buffer().data() + start, out.size() - start));
 }
 
 /** True for files the index tracks: shard + live-point libraries. */
@@ -130,57 +66,41 @@ StoreIndex::load(const std::string &path, std::string *error)
         return std::nullopt;
     };
 
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in)
+    std::ifstream file(path, std::ios::binary | std::ios::ate);
+    if (!file)
         return refuse(log::format("cannot open ", path));
-    const std::streamoff size = in.tellg();
-    if (size < static_cast<std::streamoff>(kHeaderBytes))
-        return refuse(log::format(
-            path, " is truncated (", size, " bytes, no header)"));
-    in.seekg(0);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(file.tellg()));
+    file.seekg(0);
     // smarts-lint: allow(checksum-before-use) raw whole-file read
-    // into the buffer; the kMagic/version/endianness ladder below
-    // validates it before any record is decoded.
-    in.read(reinterpret_cast<char *>(bytes.data()), size);
-    if (!in)
+    // into the buffer; readHeader validates it before any record is
+    // decoded, and each record carries its own checksum.
+    file.read(reinterpret_cast<char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    if (!file)
         return refuse(log::format("short read from ", path));
 
-    // Validate the header — kMagic, version, endianness — before
-    // decoding a single record.
-    if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0)
-        return refuse(log::format(
-            path, " has a foreign magic (not a store index)"));
-    std::size_t pos = sizeof kMagic;
-    std::uint32_t version = 0;
-    std::uint32_t endian = 0;
-    if (!rdU32(bytes, pos, version) || !rdU32(bytes, pos, endian))
-        return refuse(log::format(path, " header truncated"));
-    if (version != kStoreIndexFormatVersion)
-        return refuse(log::format(
-            path, " is format v", version, "; this build reads v",
-            kStoreIndexFormatVersion));
-    if (endian != kEndianMark)
-        return refuse(log::format(
-            path, " endianness canary mismatch"));
+    // The journal parses through a borrowed reader; a record's start
+    // is where the bytes left began, and its checksum covers the
+    // bytes from there to the checksum field.
+    util::BinaryReader in(bytes.data(), bytes.size());
+    if (!util::readHeader(in, kStoreIndexFile, path, error))
+        return std::nullopt;
 
     StoreIndex index;
-    while (pos < bytes.size()) {
-        const std::size_t recordStart = pos;
-        std::uint8_t op = 0;
-        std::string rel;
-        std::uint64_t entryBytes = 0;
-        std::uint64_t atime = 0;
-        if (!rdU8(bytes, pos, op) || !rdStr(bytes, pos, rel) ||
-            !rdU64(bytes, pos, entryBytes) ||
-            !rdU64(bytes, pos, atime))
+    while (in.remaining() > 0) {
+        const std::size_t recordStart = bytes.size() - in.remaining();
+        const std::uint8_t op = in.u8();
+        const std::string rel = in.str();
+        const std::uint64_t entryBytes = in.u64();
+        const std::uint64_t atime = in.u64();
+        if (in.failed())
             return refuse(log::format(
                 path, " record at byte ", recordStart,
                 " is truncated (crash mid-append?)"));
-        const std::uint64_t expected = util::fnv1a(
-            bytes.data() + recordStart, pos - recordStart);
-        std::uint64_t stored = 0;
-        if (!rdU64(bytes, pos, stored) || stored != expected)
+        const std::uint64_t expected =
+            util::fnv1a(bytes.data() + recordStart,
+                        bytes.size() - in.remaining() - recordStart);
+        if (in.u64() != expected || in.failed())
             return refuse(log::format(
                 path, " record at byte ", recordStart,
                 " failed its checksum (torn or corrupt)"));
@@ -275,8 +195,8 @@ bool
 StoreIndex::saveSnapshot(const std::string &path,
                          std::string *error) const
 {
-    std::vector<std::uint8_t> out;
-    encodeHeader(out);
+    util::BinaryWriter out;
+    util::writeHeader(out, kStoreIndexFile);
     for (const auto &[rel, entry] : entries_)
         encodeRecord(out, Op::Add, rel, entry.bytes, entry.atime);
 
@@ -294,7 +214,7 @@ StoreIndex::saveSnapshot(const std::string &path,
                                            tmp.string());
             return false;
         }
-        f.write(reinterpret_cast<const char *>(out.data()),
+        f.write(reinterpret_cast<const char *>(out.buffer().data()),
                 static_cast<std::streamsize>(out.size()));
         if (!f) {
             if (error)
@@ -324,9 +244,9 @@ StoreIndex::appendRecord(const std::string &path, Op op,
     const bool fresh =
         !fs::exists(path, ec) || fs::file_size(path, ec) == 0;
 
-    std::vector<std::uint8_t> out;
+    util::BinaryWriter out;
     if (fresh)
-        encodeHeader(out);
+        util::writeHeader(out, kStoreIndexFile);
     encodeRecord(out, op, rel, bytes, atime);
 
     // One write() per record: POSIX O_APPEND keeps concurrent
@@ -340,7 +260,7 @@ StoreIndex::appendRecord(const std::string &path, Op op,
                                        " for append");
         return false;
     }
-    f.write(reinterpret_cast<const char *>(out.data()),
+    f.write(reinterpret_cast<const char *>(out.buffer().data()),
             static_cast<std::streamsize>(out.size()));
     f.flush();
     if (!f) {

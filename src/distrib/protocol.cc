@@ -19,14 +19,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** File magics: 8 bytes each, version-independent. */
-constexpr char kManifestMagic[8] = {'S', 'M', 'R', 'T',
-                                    'J', 'O', 'B', 'M'};
-constexpr char kResultMagic[8] = {'S', 'M', 'R', 'T',
-                                  'R', 'S', 'L', 'T'};
-
-/** Endianness probe, same convention as the .smck format. */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
+/** The job manifest and result headers (util::FileKind). */
+constexpr util::FileKind kManifestFile{
+    "SMRTJOBM", kDistribFormatVersion, kDistribFormatVersion,
+    "job manifest", "protocol version"};
+constexpr util::FileKind kResultFile{
+    "SMRTRSLT", kDistribFormatVersion, kDistribFormatVersion,
+    "job result", "protocol version"};
 
 std::string
 hex64(std::uint64_t v)
@@ -35,22 +34,6 @@ hex64(std::uint64_t v)
     std::snprintf(buf, sizeof buf, "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
-}
-
-void
-writeMagic(util::BinaryWriter &out, const char (&magic)[8])
-{
-    for (const char c : magic)
-        out.u8(static_cast<std::uint8_t>(c));
-}
-
-bool
-readMagic(util::BinaryReader &in, const char (&magic)[8])
-{
-    bool ok = true;
-    for (const char c : magic)
-        ok &= in.u8() == static_cast<std::uint8_t>(c);
-    return ok;
 }
 
 /**
@@ -386,9 +369,7 @@ listResultRanges(const std::string &dir, std::uint32_t config)
 void
 JobManifest::serialize(util::BinaryWriter &out) const
 {
-    writeMagic(out, kManifestMagic);
-    out.u32(kDistribFormatVersion);
-    out.u32(kEndianMark);
+    util::writeHeader(out, kManifestFile);
     out.u64(studyId);
     out.u64(fingerprint);
     out.u64(streamLength);
@@ -419,49 +400,18 @@ JobManifest::save(const std::string &path, std::string *error) const
     return out.writeFile(path, error);
 }
 
-namespace {
-
-/**
- * Check the header of a protocol file @p in was opened from: magic,
- * version and endianness marker. False with the diagnostic in
- * @p why (already set by fromFile when @p in failed to open).
- */
-bool
-readHeader(util::BinaryReader &in, const std::string &path,
-           const char (&magic)[8], const char *what, std::string &why)
-{
-    if (in.failed())
-        return false;
-    if (!readMagic(in, magic)) {
-        why = log::format(path, " is not a smarts ", what);
-    } else if (const std::uint32_t version = in.u32();
-               version != kDistribFormatVersion) {
-        why = log::format(path, " is protocol version ", version,
-                          "; this build speaks version ",
-                          kDistribFormatVersion);
-    } else if (in.u32() != kEndianMark) {
-        why = log::format(path, " has a bad endianness marker");
-    } else {
-        return true;
-    }
-    return false;
-}
-
-} // namespace
-
 std::optional<JobManifest>
 JobManifest::load(const std::string &path, std::string *error)
 {
-    std::string why;
     auto refuse = [&](std::string reason) {
         if (error)
             *error = std::move(reason);
         return std::nullopt;
     };
 
-    util::BinaryReader in = util::BinaryReader::fromFile(path, &why);
-    if (!readHeader(in, path, kManifestMagic, "job manifest", why))
-        return refuse(std::move(why));
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
+    if (!util::readHeader(in, kManifestFile, path, error))
+        return std::nullopt;
 
     JobManifest m;
     m.studyId = in.u64();
@@ -562,9 +512,7 @@ JobManifest::load(const std::string &path, std::string *error)
 void
 ShardResult::serialize(util::BinaryWriter &out) const
 {
-    writeMagic(out, kResultMagic);
-    out.u32(kDistribFormatVersion);
-    out.u32(kEndianMark);
+    util::writeHeader(out, kResultFile);
     out.u64(studyId);
     out.u32(configIndex);
     writeRange(out, range);
@@ -593,16 +541,15 @@ ShardResult::load(const std::string &path,
                   const JobManifest &manifest, std::uint32_t config,
                   const UnitRange &range, std::string *error)
 {
-    std::string why;
     auto refuse = [&](std::string reason) {
         if (error)
             *error = std::move(reason);
         return std::nullopt;
     };
 
-    util::BinaryReader in = util::BinaryReader::fromFile(path, &why);
-    if (!readHeader(in, path, kResultMagic, "job result", why))
-        return refuse(std::move(why));
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
+    if (!util::readHeader(in, kResultFile, path, error))
+        return std::nullopt;
 
     ShardResult r;
     r.studyId = in.u64();

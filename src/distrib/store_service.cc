@@ -17,59 +17,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** File magics, same 8-byte convention as the job queue. */
-constexpr char kRequestMagic[8] = {'S', 'M', 'R', 'T',
-                                   'S', 'R', 'E', 'Q'};
-constexpr char kReplyMagic[8] = {'S', 'M', 'R', 'T',
-                                 'S', 'R', 'E', 'P'};
-
-/** Endianness probe, same convention as the .smck format. */
-constexpr std::uint32_t kEndianMark = 0x01020304u;
-
-void
-writeMagic(util::BinaryWriter &out, const char (&magic)[8])
-{
-    for (const char c : magic)
-        out.u8(static_cast<std::uint8_t>(c));
-}
-
-bool
-readMagic(util::BinaryReader &in, const char (&magic)[8])
-{
-    bool ok = true;
-    for (const char c : magic)
-        ok &= in.u8() == static_cast<std::uint8_t>(c);
-    return ok;
-}
-
-/** Shared header check for both file kinds. */
-bool
-checkHeader(util::BinaryReader &in, const char (&magic)[8],
-            const std::string &path, const char *what,
-            std::string *error)
-{
-    if (!readMagic(in, magic)) {
-        if (error)
-            *error = log::format(path, " is not a smarts ", what);
-        return false;
-    }
-    const std::uint32_t version = in.u32();
-    if (version != kStoreServiceFormatVersion) {
-        if (error)
-            *error = log::format(
-                path, " is store-service version ", version,
-                "; this build speaks version ",
-                kStoreServiceFormatVersion);
-        return false;
-    }
-    if (in.u32() != kEndianMark) {
-        if (error)
-            *error =
-                log::format(path, " has a bad endianness marker");
-        return false;
-    }
-    return true;
-}
+/** The request and reply headers (util::FileKind). */
+constexpr util::FileKind kRequestFile{
+    "SMRTSREQ", kStoreServiceFormatVersion, kStoreServiceFormatVersion,
+    "store-service request", "store-service version"};
+constexpr util::FileKind kReplyFile{
+    "SMRTSREP", kStoreServiceFormatVersion, kStoreServiceFormatVersion,
+    "store-service reply", "store-service version"};
 
 } // namespace
 
@@ -107,9 +61,7 @@ StoreRequest::key() const
 void
 StoreRequest::serialize(util::BinaryWriter &out) const
 {
-    writeMagic(out, kRequestMagic);
-    out.u32(kStoreServiceFormatVersion);
-    out.u32(kEndianMark);
+    util::writeHeader(out, kRequestFile);
     out.str(reqId);
     out.u8(static_cast<std::uint8_t>(kind));
     // Benchmark + sampling + geometry via the LibraryKey encoding
@@ -136,13 +88,8 @@ StoreRequest::load(const std::string &path, std::string *error)
         return std::nullopt;
     };
 
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-    if (!checkHeader(in, kRequestMagic, path,
-                     "store-service request", error))
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
+    if (!util::readHeader(in, kRequestFile, path, error))
         return std::nullopt;
 
     StoreRequest r;
@@ -186,9 +133,7 @@ StoreRequest::load(const std::string &path, std::string *error)
 void
 StoreReply::serialize(util::BinaryWriter &out) const
 {
-    writeMagic(out, kReplyMagic);
-    out.u32(kStoreServiceFormatVersion);
-    out.u32(kEndianMark);
+    util::writeHeader(out, kReplyFile);
     out.str(reqId);
     out.u8(static_cast<std::uint8_t>(status));
     out.str(path);
@@ -217,13 +162,8 @@ StoreReply::load(const std::string &path, std::string *error)
         return std::nullopt;
     };
 
-    std::string ioError;
-    util::BinaryReader in =
-        util::BinaryReader::fromFile(path, &ioError);
-    if (in.failed())
-        return refuse(std::move(ioError));
-    if (!checkHeader(in, kReplyMagic, path, "store-service reply",
-                     error))
+    util::BinaryReader in = util::BinaryReader::fromFile(path, error);
+    if (!util::readHeader(in, kReplyFile, path, error))
         return std::nullopt;
 
     StoreReply r;

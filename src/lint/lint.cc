@@ -1127,7 +1127,7 @@ class Linter
     // (whole-file FNV checksum), then magic/version validation,
     // before any payload field is decoded. A load-like function
     // (load*/tryLoad*) must reach a validation token — fromFile,
-    // readMagic, kMagic, fnv1a, a checksum compare — or delegate to
+    // readHeader, kMagic, fnv1a, a checksum compare — or delegate to
     // another load function BEFORE its first payload decode
     // (in.u32()/.str()/.read()/decodeDelta).
     // ------------------------------------------------------------
@@ -1206,7 +1206,7 @@ class Linter
             return first;
         };
         std::size_t validate = firstOf(
-            {"fromFile", "readMagic", "kMagic", "fnv1a", "checksum",
+            {"fromFile", "readHeader", "kMagic", "fnv1a", "checksum",
              "Checksum", "verifyMagic"});
         // Delegating to another load-like function inherits its
         // validation (CheckpointStore::tryLoad forwards to

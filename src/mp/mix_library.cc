@@ -17,13 +17,8 @@ MixLibrary::serialize(const WorkloadMix &mix,
     // of what a loader must match before resuming.
     out.u8(static_cast<std::uint8_t>(mix.policy));
     out.u32(static_cast<std::uint32_t>(mix.programs.size()));
-    for (const workloads::BenchmarkSpec &spec : mix.programs) {
-        out.str(spec.name);
-        out.u32(static_cast<std::uint32_t>(spec.kernel));
-        out.u32(spec.variant);
-        out.u64(spec.seed);
-        out.u32(static_cast<std::uint32_t>(spec.scale));
-    }
+    for (const workloads::BenchmarkSpec &spec : mix.programs)
+        spec.write(out);
     key.write(out);
     writePlanAndSlots(out);
 }
@@ -46,8 +41,7 @@ MixLibrary::load(const std::string &path,
     // Flavored payloads only exist from v2 on; a v1 file is always
     // solo state, so refuse it here by construction.
     static const Flavor mixFlavor{
-        core::kCheckpointFlavorMix, core::kCheckpointFormatVersion,
-        "; mix libraries exist only in version ",
+        core::kCheckpointFlavorMix, 2,
         " (solo) state; load it through core::CheckpointLibrary, not "
         "the mix loader"};
     const std::size_t programCount = expectMix.programs.size();
@@ -64,12 +58,8 @@ MixLibrary::load(const std::string &path,
                 programCount, " programs, policy ",
                 mem::partitionPolicyName(expectMix.policy), ")");
         for (std::uint32_t p = 0; p < count; ++p) {
-            workloads::BenchmarkSpec spec;
-            spec.name = in.str();
-            spec.kernel = static_cast<workloads::Kernel>(in.u32());
-            spec.variant = in.u32();
-            spec.seed = in.u64();
-            spec.scale = static_cast<workloads::Scale>(in.u32());
+            const workloads::BenchmarkSpec spec =
+                workloads::BenchmarkSpec::read(in);
             const workloads::BenchmarkSpec &want = expectMix.programs[p];
             if (spec.name != want.name || spec.kernel != want.kernel ||
                 spec.variant != want.variant ||

@@ -142,4 +142,45 @@ BinaryReader::fromFile(const std::string &path, std::string *error)
     return reader;
 }
 
+void
+writeHeader(BinaryWriter &out, const FileKind &kind)
+{
+    out.words(reinterpret_cast<const std::uint8_t *>(kind.magic), 8);
+    out.u32(kind.version);
+    out.u32(kEndianMark);
+}
+
+std::uint32_t
+readHeader(BinaryReader &in, const FileKind &kind,
+           const std::string &path, std::string *error)
+{
+    auto refuse = [error](std::string why) {
+        if (error)
+            *error = std::move(why);
+        return std::uint32_t(0);
+    };
+    if (in.failed())
+        return 0;
+    if (in.remaining() < 16)
+        return refuse(log::format(path, " is truncated (",
+                                  in.remaining(),
+                                  " bytes, no room for its header)"));
+    if (std::memcmp(in.view(8).data, kind.magic, 8) != 0)
+        return refuse(log::format(path, " is not a smarts ", kind.name));
+    // Anything newer than this build is refused, not guessed.
+    const std::uint32_t version = in.u32();
+    if (version < kind.oldestVersion || version > kind.version)
+        return refuse(
+            kind.oldestVersion == kind.version
+                ? log::format(path, " is ", kind.versionName, " ",
+                              version, "; this build speaks version ",
+                              kind.version)
+                : log::format(path, " is ", kind.versionName, " ",
+                              version, "; this build reads versions ",
+                              kind.oldestVersion, " to ", kind.version));
+    if (in.u32() != kEndianMark)
+        return refuse(log::format(path, " has a bad endianness marker"));
+    return version;
+}
+
 } // namespace smarts::util

@@ -2,9 +2,32 @@
 
 #include <sstream>
 
+#include "util/binary_io.hh"
 #include "util/logging.hh"
 
 namespace smarts::workloads {
+
+void
+BenchmarkSpec::write(util::BinaryWriter &out) const
+{
+    out.str(name);
+    out.u32(static_cast<std::uint32_t>(kernel));
+    out.u32(variant);
+    out.u64(seed);
+    out.u32(static_cast<std::uint32_t>(scale));
+}
+
+BenchmarkSpec
+BenchmarkSpec::read(util::BinaryReader &in)
+{
+    BenchmarkSpec spec;
+    spec.name = in.str();
+    spec.kernel = static_cast<Kernel>(in.u32());
+    spec.variant = in.u32();
+    spec.seed = in.u64();
+    spec.scale = static_cast<Scale>(in.u32());
+    return spec;
+}
 
 std::uint64_t
 instructionBudget(Scale scale)

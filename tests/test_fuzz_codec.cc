@@ -22,17 +22,24 @@
  * hostile word count before any allocation (the test counts calls
  * to the global operator new); mp::MixState and
  * mem::SharedHierarchyState refuse hostile element counts the same
- * way. The distributed protocol's v3 job manifest and result file
- * are fuzzed with resealed checksums: every mutant loads and
- * re-serializes to its own bytes, or refuses with a diagnostic,
- * with every allocation bounded by the file's size.
+ * way. One driver (fuzzFiles) runs every on-disk file kind from a
+ * table: the solo and mix `.smck`, the `.smlp`, the store-index
+ * journal, the distributed job manifest and result, and the
+ * store-service request and reply. Each kind's header refuses a
+ * wrong magic, a version out of range and a bad endianness mark by
+ * name, and each resealed mutant either loads — re-serializing to
+ * its own bytes, for every kind but the `.smlp` and the journal — or
+ * refuses with a diagnostic, with every allocation bounded by the
+ * file's size.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <new>
 #include <optional>
@@ -40,12 +47,17 @@
 #include <vector>
 
 #include "check.hh"
+#include "core/checkpoint.hh"
+#include "core/livepoint.hh"
 #include "core/paged_image.hh"
+#include "core/session.hh"
 #include "core/store_index.hh"
 #include "distrib/leader.hh"
 #include "distrib/protocol.hh"
 #include "distrib/store_service.hh"
 #include "mem/shared_hierarchy.hh"
+#include "mp/mix_library.hh"
+#include "mp/mix_sampler.hh"
 #include "mp/mix_session.hh"
 #include "uarch/config.hh"
 #include "util/binary_io.hh"
@@ -602,83 +614,6 @@ readBytes(const std::string &path)
         std::istreambuf_iterator<char>());
 }
 
-void
-testStoreIndexJournalFuzz()
-{
-    Xoshiro256StarStar rng(0x5104e17dec0dedull);
-
-    const std::string valid =
-        std::string(kRoot) + "/valid-journal";
-    const std::string target =
-        std::string(kRoot) + "/fuzzed-journal";
-
-    // Build a realistic journal: adds, touches, removes, replays.
-    std::string error;
-    const char *rels[] = {"a/lib1.smck", "a/lib2.smck",
-                          "b/points.smlp", "mix-a+b/lib.smck"};
-    std::uint64_t atime = 0;
-    for (int round = 0; round < 6; ++round)
-        for (const char *rel : rels) {
-            CHECK(core::StoreIndex::appendRecord(
-                valid, core::StoreIndex::Op::Add, rel,
-                1000 + rng.below(50000), ++atime, &error));
-            if (rng.chance(0.5))
-                CHECK(core::StoreIndex::appendRecord(
-                    valid, core::StoreIndex::Op::Touch, rel, 0,
-                    ++atime, &error));
-            if (rng.chance(0.2))
-                CHECK(core::StoreIndex::appendRecord(
-                    valid, core::StoreIndex::Op::Remove, rel, 0,
-                    ++atime, &error));
-        }
-
-    // Sanity: the untouched journal replays.
-    const auto sane = core::StoreIndex::load(valid, &error);
-    CHECK(sane.has_value());
-    const std::vector<std::uint8_t> journal = readBytes(valid);
-    CHECK(journal.size() > 64);
-
-    // Mutation loop: 10k corrupted journals must each either refuse
-    // with a diagnostic or replay into a consistent index.
-    std::uint64_t refused = 0;
-    std::uint64_t replayed = 0;
-    for (int i = 0; i < 10000; ++i) {
-        writeBytes(target, mutate(journal, rng));
-        std::string why;
-        const auto index = core::StoreIndex::load(target, &why);
-        if (index) {
-            ++replayed;
-            // Whatever replayed must be internally consistent.
-            std::uint64_t total = 0;
-            for (const auto &entry : index->entries())
-                total += entry.second.bytes;
-            CHECK_EQ(total, index->totalBytes());
-            CHECK(index->entryCount() <= index->journalRecords());
-        } else {
-            ++refused;
-            CHECK(!why.empty());
-        }
-    }
-    CHECK(refused > 0);
-    // Per-record checksums mean most byte flips are caught; a
-    // replay can still succeed (e.g. mutations inside a record that
-    // a truncation then drops), so don't require replays — but DO
-    // require the loop saw refusals, and print nothing either way.
-
-    // Pure-garbage files: never crash.
-    for (int i = 0; i < 2000; ++i) {
-        std::vector<std::uint8_t> garbage(rng.below(256));
-        for (std::uint8_t &b : garbage)
-            b = static_cast<std::uint8_t>(rng.next());
-        writeBytes(target, garbage);
-        std::string why;
-        const auto index = core::StoreIndex::load(target, &why);
-        if (!index)
-            CHECK(!why.empty());
-    }
-    (void)replayed;
-}
-
 /**
  * core::PagedImage::read against BinaryReader::vecU32, the decoder of
  * the same bytes it replaced: on 10k mutated vecU32 payloads (half
@@ -818,17 +753,190 @@ sealed(std::vector<std::uint8_t> payload)
 }
 
 /**
- * The distributed protocol's v3 parsers against resealed mutants of
- * a saved manifest.smjm and .smrr: each mutant either loads and
- * re-serializes to exactly its own payload, or refuses with a
- * diagnostic. No load may request an allocation beyond a small
- * multiple of the file (a count must never size memory the file
- * cannot back). A v2 header refuses, naming both versions.
+ * One on-disk file kind the fuzz driver mutates: a saved file, the
+ * oldest version its header reads and the refusal of the version
+ * before it, and a load that re-serializes what it accepts into
+ * its writer (false with the refusal in its string otherwise).
+ */
+struct FileCase
+{
+    const char *name;
+    std::string path;
+    std::uint32_t oldestVersion;
+    std::string olderRefusal;
+    std::function<bool(const std::string &, util::BinaryWriter &,
+                       std::string &)>
+        load;
+    int mutants = 4000;
+    bool sealed = true;    ///< ends in the FNV-1a trailer.
+    bool canonical = true; ///< an accepted mutant re-serializes to itself.
+};
+
+/**
+ * The one resealed-mutant driver over @p files. Each saved file
+ * loads (and, when canonical, re-serializes to its own payload).
+ * Its header refuses, by name, a wrong magic, a version past the
+ * newest, the version before the oldest and a bad endianness mark.
+ * Then each mutant either loads — re-serializing to exactly its own
+ * bytes when the kind is canonical — or refuses with a diagnostic,
+ * and no load requests an allocation beyond a small multiple of the
+ * file (a count must never size memory the file cannot back).
  */
 void
-testDistribFilesFuzz()
+fuzzFiles(const std::vector<FileCase> &files, Xoshiro256StarStar &rng)
 {
-    Xoshiro256StarStar rng(0xd157f11e5ull);
+    const std::string target = std::string(kRoot) + "/mutant";
+    for (const FileCase &file : files) {
+        const std::vector<std::uint8_t> good = readBytes(file.path);
+        const std::vector<std::uint8_t> payload(
+            good.begin(), good.end() - (file.sealed ? 8 : 0));
+        auto load = [&](const std::vector<std::uint8_t> &bytes,
+                        util::BinaryWriter &out, std::string &why) {
+            writeBytes(target, file.sealed ? sealed(bytes) : bytes);
+            gLargestAllocation = 0;
+            return file.load(target, out, why);
+        };
+        {
+            util::BinaryWriter out;
+            std::string why;
+            CHECK(load(payload, out, why));
+            if (file.canonical)
+                CHECK(out.buffer() == payload);
+        }
+
+        auto refuses = [&](const char *what, std::size_t at,
+                           std::uint32_t value, const std::string &needle) {
+            std::vector<std::uint8_t> bad = payload;
+            util::storeLE(bad.data() + at, value);
+            util::BinaryWriter out;
+            std::string why;
+            CHECK(!load(bad, out, why));
+            const bool named = why.find(needle) != std::string::npos;
+            CHECK(named);
+            if (!named)
+                std::fprintf(stderr, "  %s %s: \"%s\" lacks \"%s\"\n",
+                             file.name, what, why.c_str(),
+                             needle.c_str());
+        };
+        const std::uint32_t version =
+            util::loadLE<std::uint32_t>(payload.data() + 8);
+        refuses("magic", 0,
+                util::loadLE<std::uint32_t>(payload.data()) ^ 0xff,
+                "is not a smarts ");
+        refuses("newer version", 8, version + 1,
+                "version " + std::to_string(version + 1) + ";");
+        refuses("older version", 8, file.oldestVersion - 1,
+                file.olderRefusal);
+        refuses("endianness", 12, util::kEndianMark ^ 0xff,
+                "bad endianness marker");
+
+        std::uint64_t loaded = 0, refused = 0;
+        for (int i = 0; i < file.mutants; ++i) {
+            const std::vector<std::uint8_t> mutant =
+                mutate(payload, rng);
+            util::BinaryWriter out;
+            std::string why;
+            const bool ok = load(mutant, out, why);
+            // The file stream's 8 KiB buffer, plus what the file's
+            // own bytes can back.
+            CHECK(gLargestAllocation <= 16384 + 16 * mutant.size());
+            if (!ok) {
+                ++refused;
+                CHECK(!why.empty());
+                continue;
+            }
+            ++loaded;
+            if (file.canonical && !(out.buffer() == mutant)) {
+                CHECK(out.buffer() == mutant);
+                std::size_t at = 0;
+                while (at < mutant.size() && at < out.size() &&
+                       mutant[at] == out.buffer()[at])
+                    ++at;
+                std::fprintf(stderr,
+                             "  %s: accepted mutant re-serializes "
+                             "differently from byte %zu\n",
+                             file.name, at);
+            }
+        }
+        if (file.canonical)
+            CHECK(loaded > 0);
+        CHECK(refused > 0);
+    }
+}
+
+/**
+ * A realistic store-index journal (adds, touches, removes) and its
+ * case: whatever a mutant replays must be internally consistent.
+ * The journal has no file trailer (records carry their own
+ * checksums), and a replay is not its bytes.
+ */
+FileCase
+storeIndexCase(Xoshiro256StarStar &rng)
+{
+    const std::string path = std::string(kRoot) + "/valid-journal";
+    std::string error;
+    const char *rels[] = {"a/lib1.smck", "a/lib2.smck",
+                          "b/points.smlp", "mix-a+b/lib.smck"};
+    std::uint64_t atime = 0;
+    for (int round = 0; round < 6; ++round)
+        for (const char *rel : rels) {
+            CHECK(core::StoreIndex::appendRecord(
+                path, core::StoreIndex::Op::Add, rel,
+                1000 + rng.below(50000), ++atime, &error));
+            if (rng.chance(0.5))
+                CHECK(core::StoreIndex::appendRecord(
+                    path, core::StoreIndex::Op::Touch, rel, 0,
+                    ++atime, &error));
+            if (rng.chance(0.2))
+                CHECK(core::StoreIndex::appendRecord(
+                    path, core::StoreIndex::Op::Remove, rel, 0,
+                    ++atime, &error));
+        }
+    CHECK(readBytes(path).size() > 64);
+
+    FileCase file{"store-index", path, 1,
+                  "format version 0; this build speaks version 1",
+                  [](const std::string &p, util::BinaryWriter &,
+                     std::string &why) {
+                      const auto index = core::StoreIndex::load(p, &why);
+                      if (!index)
+                          return false;
+                      std::uint64_t total = 0;
+                      for (const auto &entry : index->entries())
+                          total += entry.second.bytes;
+                      CHECK_EQ(total, index->totalBytes());
+                      CHECK(index->entryCount() <=
+                            index->journalRecords());
+                      return true;
+                  }};
+    file.mutants = 10000;
+    file.sealed = false;
+    file.canonical = false;
+    return file;
+}
+
+/** Pure-garbage store-index journals: refused or replayed, never a crash. */
+void
+testStoreIndexGarbage()
+{
+    Xoshiro256StarStar rng(0x5104e17dec0dedull);
+    const std::string target = std::string(kRoot) + "/garbage-journal";
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::uint8_t> garbage(rng.below(256));
+        for (std::uint8_t &b : garbage)
+            b = static_cast<std::uint8_t>(rng.next());
+        writeBytes(target, garbage);
+        std::string why;
+        const auto index = core::StoreIndex::load(target, &why);
+        if (!index)
+            CHECK(!why.empty());
+    }
+}
+
+/** The distributed protocol's v3 job manifest and `.smrr` result. */
+std::vector<FileCase>
+distribCases()
+{
     const auto spec =
         workloads::findBenchmark("sort-1", workloads::Scale::Mini);
     core::SamplingConfig sc;
@@ -858,100 +966,39 @@ testDistribFilesFuzz()
         std::string(kRoot) + "/manifest.smjm";
     const std::string resultPath =
         std::string(kRoot) + "/c1_u30_n15.smrr";
-    const std::string target = std::string(kRoot) + "/mutant";
-
-    // Each file loads (this also settles the build fingerprint, a
-    // once-per-process micro-run that is not part of any parse).
+    // Saving settles the build fingerprint, a once-per-process
+    // micro-run that is not part of any parse.
     CHECK(manifest.save(manifestPath));
     CHECK(result.save(resultPath));
-    CHECK(distrib::JobManifest::load(manifestPath).has_value());
-    CHECK(distrib::ShardResult::load(resultPath, manifest, 1,
-                                     result.range)
-              .has_value());
 
-    using Load = bool (*)(const std::string &, const distrib::JobManifest &,
-                          const distrib::ShardResult &,
-                          util::BinaryWriter &, std::string &);
-    const Load loadManifest =
-        [](const std::string &path, const distrib::JobManifest &,
-           const distrib::ShardResult &, util::BinaryWriter &out,
-           std::string &why) {
-            const auto m = distrib::JobManifest::load(path, &why);
-            if (m)
-                m->serialize(out);
-            return m.has_value();
-        };
-    const Load loadResult =
-        [](const std::string &path, const distrib::JobManifest &m,
-           const distrib::ShardResult &expect, util::BinaryWriter &out,
-           std::string &why) {
-            const auto r = distrib::ShardResult::load(
-                path, m, expect.configIndex, expect.range, &why);
-            if (r)
-                r->serialize(out);
-            return r.has_value();
-        };
-
-    struct File
-    {
-        const std::string &path;
-        Load load;
+    // A v2 header refuses by number, naming both versions.
+    const std::string v2 = "protocol version 2; this build speaks "
+                           "version 3";
+    return {
+        {"manifest.smjm", manifestPath, 3, v2,
+         [](const std::string &path, util::BinaryWriter &out,
+            std::string &why) {
+             const auto m = distrib::JobManifest::load(path, &why);
+             if (m)
+                 m->serialize(out);
+             return m.has_value();
+         }},
+        {".smrr", resultPath, 3, v2,
+         [manifest, result](const std::string &path,
+                            util::BinaryWriter &out, std::string &why) {
+             const auto r = distrib::ShardResult::load(
+                 path, manifest, result.configIndex, result.range,
+                 &why);
+             if (r)
+                 r->serialize(out);
+             return r.has_value();
+         }},
     };
-    for (const File &file :
-         {File{manifestPath, loadManifest},
-          File{resultPath, loadResult}}) {
-        const std::vector<std::uint8_t> good = readBytes(file.path);
-        const std::vector<std::uint8_t> payload(good.begin(),
-                                                good.end() - 8);
-
-        // A v2 header: refused by number, naming both versions.
-        {
-            std::vector<std::uint8_t> v2 = payload;
-            util::storeLE<std::uint32_t>(v2.data() + 8, 2);
-            writeBytes(target, sealed(v2));
-            util::BinaryWriter out;
-            std::string why;
-            CHECK(!file.load(target, manifest, result, out, why));
-            CHECK(why.find("protocol version 2; this build speaks "
-                           "version 3") != std::string::npos);
-        }
-
-        std::uint64_t loaded = 0, refused = 0;
-        for (int i = 0; i < 4000; ++i) {
-            const std::vector<std::uint8_t> mutant =
-                mutate(payload, rng);
-            writeBytes(target, sealed(mutant));
-            util::BinaryWriter out;
-            std::string why;
-            gLargestAllocation = 0;
-            const bool ok = file.load(target, manifest, result, out, why);
-            // The file stream's 8 KiB buffer, plus what the file's
-            // own bytes can back.
-            CHECK(gLargestAllocation <= 16384 + 16 * mutant.size());
-            if (ok) {
-                ++loaded;
-                CHECK(out.buffer() == mutant);
-            } else {
-                ++refused;
-                CHECK(!why.empty());
-            }
-        }
-        CHECK(loaded > 0);
-        CHECK(refused > 0);
-    }
 }
 
-/**
- * The store-service request and reply parsers against resealed
- * mutants of a saved `.req` and `.rep`: each mutant either loads and
- * re-serializes to exactly its own payload, or refuses with a
- * diagnostic, and no load requests an allocation beyond a small
- * multiple of the file.
- */
-void
-testStoreServiceFilesFuzz()
+distrib::StoreRequest
+sampleRequest()
 {
-    Xoshiro256StarStar rng(0x5e7f11e5ull);
     distrib::StoreRequest request;
     request.reqId = "client-7-3";
     request.benchmark =
@@ -961,7 +1008,56 @@ testStoreServiceFilesFuzz()
     request.sampling.interval = 10;
     request.sampling.warming = core::WarmingMode::Functional;
     request.machine = uarch::MachineConfig::sixteenWay();
+    return request;
+}
 
+/**
+ * Store-service requests whose key the daemon cannot capture from
+ * refuse by name, before any capture could divide by a zero U or k
+ * or build an unknown kernel's program.
+ */
+void
+testStoreRequestBadKeys()
+{
+    const std::string target = std::string(kRoot) + "/bad.req";
+    struct Bad
+    {
+        const char *names;
+        void (*edit)(distrib::StoreRequest &);
+    };
+    const Bad bad[] = {
+        {"unit size",
+         [](distrib::StoreRequest &r) { r.sampling.unitSize = 0; }},
+        {"interval",
+         [](distrib::StoreRequest &r) { r.sampling.interval = 0; }},
+        {"kernel",
+         [](distrib::StoreRequest &r) {
+             r.benchmark.kernel = static_cast<workloads::Kernel>(99);
+         }},
+        {"scale",
+         [](distrib::StoreRequest &r) {
+             r.benchmark.scale = static_cast<workloads::Scale>(7);
+         }},
+        {"warming mode",
+         [](distrib::StoreRequest &r) {
+             r.sampling.warming = static_cast<core::WarmingMode>(4);
+         }},
+    };
+    for (const Bad &b : bad) {
+        distrib::StoreRequest r = sampleRequest();
+        b.edit(r);
+        CHECK(r.save(target));
+        std::string why;
+        CHECK(!distrib::StoreRequest::load(target, &why));
+        CHECK(why.find(b.names) != std::string::npos);
+    }
+}
+
+/** The store-service `.req` and `.rep`. */
+std::vector<FileCase>
+storeServiceCases()
+{
+    const distrib::StoreRequest request = sampleRequest();
     distrib::StoreReply reply;
     reply.reqId = request.reqId;
     reply.status = distrib::StoreReplyStatus::Captured;
@@ -973,116 +1069,135 @@ testStoreServiceFilesFuzz()
 
     const std::string requestPath = std::string(kRoot) + "/r.req";
     const std::string replyPath = std::string(kRoot) + "/r.rep";
-    const std::string target = std::string(kRoot) + "/mutant";
     CHECK(request.save(requestPath));
     CHECK(reply.save(replyPath));
 
-    // Keys the daemon cannot capture from refuse by name, before any
-    // capture could divide by a zero U or k or build an unknown
-    // kernel's program.
-    {
-        struct Bad
-        {
-            const char *names;
-            void (*edit)(distrib::StoreRequest &);
-        };
-        const Bad bad[] = {
-            {"unit size",
-             [](distrib::StoreRequest &r) { r.sampling.unitSize = 0; }},
-            {"interval",
-             [](distrib::StoreRequest &r) { r.sampling.interval = 0; }},
-            {"kernel",
-             [](distrib::StoreRequest &r) {
-                 r.benchmark.kernel = static_cast<workloads::Kernel>(99);
-             }},
-            {"scale",
-             [](distrib::StoreRequest &r) {
-                 r.benchmark.scale = static_cast<workloads::Scale>(7);
-             }},
-            {"warming mode",
-             [](distrib::StoreRequest &r) {
-                 r.sampling.warming = static_cast<core::WarmingMode>(4);
-             }},
-        };
-        for (const Bad &b : bad) {
-            distrib::StoreRequest r = request;
-            b.edit(r);
-            CHECK(r.save(target));
-            std::string why;
-            CHECK(!distrib::StoreRequest::load(target, &why));
-            CHECK(why.find(b.names) != std::string::npos);
-        }
-    }
-
-    using Load = bool (*)(const std::string &, util::BinaryWriter &,
-                          std::string &);
-    // A loaded request is one the daemon can capture from: a known
-    // kernel, scale and warming mode, and a nonzero U and k (the
-    // capture walk divides by both).
-    const Load loadRequest = [](const std::string &path,
-                                util::BinaryWriter &out,
-                                std::string &why) {
-        const auto r = distrib::StoreRequest::load(path, &why);
-        if (!r)
-            return false;
-        CHECK(r->benchmark.kernel <= workloads::Kernel::Mix);
-        CHECK(r->benchmark.scale <= workloads::Scale::Large);
-        CHECK(r->sampling.warming <= core::WarmingMode::Functional);
-        CHECK(r->sampling.unitSize > 0);
-        CHECK(r->sampling.interval > 0);
-        r->serialize(out);
-        return true;
+    const std::string v0 = "store-service version 0; this build "
+                           "speaks version 1";
+    return {
+        // A loaded request is one the daemon can capture from: a
+        // known kernel, scale and warming mode, and a nonzero U and
+        // k (the capture walk divides by both).
+        {".req", requestPath, 1, v0,
+         [](const std::string &path, util::BinaryWriter &out,
+            std::string &why) {
+             const auto r = distrib::StoreRequest::load(path, &why);
+             if (!r)
+                 return false;
+             CHECK(r->benchmark.kernel <= workloads::Kernel::Mix);
+             CHECK(r->benchmark.scale <= workloads::Scale::Large);
+             CHECK(r->sampling.warming <=
+                   core::WarmingMode::Functional);
+             CHECK(r->sampling.unitSize > 0);
+             CHECK(r->sampling.interval > 0);
+             r->serialize(out);
+             return true;
+         }},
+        {".rep", replyPath, 1, v0,
+         [](const std::string &path, util::BinaryWriter &out,
+            std::string &why) {
+             const auto r = distrib::StoreReply::load(path, &why);
+             if (r)
+                 r->serialize(out);
+             return r.has_value();
+         }},
     };
-    const Load loadReply = [](const std::string &path,
-                              util::BinaryWriter &out,
-                              std::string &why) {
-        const auto r = distrib::StoreReply::load(path, &why);
-        if (r)
-            r->serialize(out);
-        return r.has_value();
-    };
+}
 
-    struct File
-    {
-        const std::string &path;
-        Load load;
-    };
-    for (const File &file : {File{requestPath, loadRequest},
-                             File{replyPath, loadReply}}) {
-        const std::vector<std::uint8_t> good = readBytes(file.path);
-        const std::vector<std::uint8_t> payload(good.begin(),
-                                                good.end() - 8);
-        {
-            // The saved file itself round-trips.
-            util::BinaryWriter out;
-            std::string why;
-            CHECK(file.load(file.path, out, why));
-            CHECK(out.buffer() == payload);
-        }
+/**
+ * The warm-state libraries of a small Mini design: a solo and a
+ * 2-program mix `.smck` shard library (two shards each), and a
+ * `.smlp` live-point library. A `.smlp` is not canonical: a delta
+ * stream can decode to the hashed state without being the
+ * encoder's own bytes.
+ */
+std::vector<FileCase>
+libraryCases()
+{
+    const uarch::MachineConfig machine =
+        uarch::MachineConfig::eightWay();
+    core::SamplingConfig sc;
+    sc.unitSize = 1000;
+    sc.detailedWarming = 2000;
+    sc.interval = 200;
+    sc.warming = core::WarmingMode::Functional;
+    const auto spec =
+        workloads::findBenchmark("alu-1", workloads::Scale::Mini);
+    const core::LibraryKey key = core::LibraryKey::of(spec, machine, sc);
 
-        std::uint64_t loaded = 0, refused = 0;
-        for (int i = 0; i < 4000; ++i) {
-            const std::vector<std::uint8_t> mutant =
-                mutate(payload, rng);
-            writeBytes(target, sealed(mutant));
-            util::BinaryWriter out;
-            std::string why;
-            gLargestAllocation = 0;
-            const bool ok = file.load(target, out, why);
-            // The file stream's 8 KiB buffer, plus what the file's
-            // own bytes can back.
-            CHECK(gLargestAllocation <= 16384 + 16 * mutant.size());
-            if (ok) {
-                ++loaded;
-                CHECK(out.buffer() == mutant);
-            } else {
-                ++refused;
-                CHECK(!why.empty());
-            }
-        }
-        CHECK(loaded > 0);
-        CHECK(refused > 0);
-    }
+    core::SimSession probe(spec, machine);
+    const std::uint64_t length =
+        probe.fastForward(~0ull >> 1, core::WarmingMode::None);
+    core::SimSession soloCapture(spec, machine);
+    const core::CheckpointLibrary solo = core::CheckpointLibrary::build(
+        soloCapture, sc, core::CheckpointLibrary::planShards(sc, length, 2));
+    const std::string soloPath = std::string(kRoot) + "/solo.smck";
+    CHECK(solo.save(key, soloPath));
+
+    core::SimSession pointCapture(spec, machine);
+    const core::LivePointLibrary points =
+        core::LivePointLibrary::build(pointCapture, sc);
+    const std::string pointsPath = std::string(kRoot) + "/points.smlp";
+    CHECK(points.save(key, pointsPath));
+
+    const mp::WorkloadMix mix = mp::WorkloadMix::of(
+        {spec, workloads::findBenchmark("sort-1", workloads::Scale::Mini)});
+    const core::LibraryKey mixKey = mp::mixKey(mix, machine, sc);
+    mp::MixSampler sampler(mix, machine, sc);
+    mp::MixSession mixCapture = sampler.makeSession();
+    const mp::MixLibrary mixed = mp::MixLibrary::build(
+        mixCapture, sc,
+        core::CheckpointLibrary::planShards(
+            sc, sampler.measureStreamLength(), 2));
+    const std::string mixPath = std::string(kRoot) + "/mix.smck";
+    CHECK(mixed.save(mix, mixKey, mixPath));
+
+    FileCase soloCase{
+        "solo .smck", soloPath, 1,
+        "format version 0; this build reads versions 1 to 2",
+        [key](const std::string &path, util::BinaryWriter &out,
+              std::string &why) {
+            const auto library =
+                core::CheckpointLibrary::load(path, key, &why);
+            if (library)
+                library->serialize(key, out);
+            return library.has_value();
+        }};
+    FileCase mixCase{
+        "mix .smck", mixPath, 2,
+        "format version 1; this build speaks version 2",
+        [mix, mixKey](const std::string &path, util::BinaryWriter &out,
+                      std::string &why) {
+            const auto library =
+                mp::MixLibrary::load(path, mix, mixKey, &why);
+            if (library)
+                library->serialize(mix, mixKey, out);
+            return library.has_value();
+        }};
+    FileCase pointsCase{
+        ".smlp", pointsPath, 2,
+        "format version 1; this build reads versions 2 to 4",
+        [key](const std::string &path, util::BinaryWriter &,
+              std::string &why) {
+            return core::LivePointLibrary::load(path, key, &why)
+                .has_value();
+        }};
+    pointsCase.canonical = false;
+    for (FileCase *file : {&soloCase, &mixCase, &pointsCase})
+        file->mutants = 1000;
+    return {soloCase, mixCase, pointsCase};
+}
+
+/** Every on-disk file kind through the one driver. */
+void
+testFileKindsFuzz()
+{
+    Xoshiro256StarStar rng(0xd157f11e5ull);
+    std::vector<FileCase> files = libraryCases();
+    files.push_back(storeIndexCase(rng));
+    for (std::vector<FileCase> more : {distribCases(), storeServiceCases()})
+        files.insert(files.end(), more.begin(), more.end());
+    fuzzFiles(files, rng);
 }
 
 } // namespace
@@ -1096,10 +1211,10 @@ main()
     testDeltaCodecFuzz();
     testDeltaCodecMatchesReference();
     testXxh64();
-    testStoreIndexJournalFuzz();
+    testStoreIndexGarbage();
     testPagedImageReadFuzz();
     testMixStateHostileCounts();
-    testDistribFilesFuzz();
-    testStoreServiceFilesFuzz();
+    testStoreRequestBadKeys();
+    testFileKindsFuzz();
     TEST_MAIN_SUMMARY();
 }

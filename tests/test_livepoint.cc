@@ -420,7 +420,7 @@ writeVersioned(const core::LivePointLibrary &library,
     for (const char c : {'S', 'M', 'R', 'T', 'L', 'V', 'P', 'T'})
         out.u8(static_cast<std::uint8_t>(c));
     out.u32(version);
-    out.u32(core::kCheckpointEndianMark);
+    out.u32(util::kEndianMark);
     if (version >= 3)
         out.u8(core::kCheckpointFlavorSolo);
     key.write(out);

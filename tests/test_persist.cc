@@ -311,6 +311,36 @@ testRefusals()
         }
     }
 
+    // A bool byte holds 0 or 1: any other value is refused, or the
+    // resealed file would load and re-serialize to other bytes. The
+    // plan follows the shard count (25 bytes a shard, runsTail
+    // last), then the slot count, slot 0's present byte (0, no
+    // state) and slot 1's (1), then checkpoint 1: position,
+    // unitIndex, 32 registers and the pc, then ArchState::finished.
+    {
+        util::BinaryWriter keyBytes;
+        key.write(keyBytes);
+        const std::size_t plan0 = 17 + keyBytes.size() + 8;
+        const std::size_t lastTail = plan0 + plan.size() * 25 - 1;
+        const std::size_t slot1 = plan0 + plan.size() * 25 + 8 + 1;
+        const std::size_t finished = slot1 + 1 + 16 + 33 * 4;
+        CHECK_EQ(good[lastTail], std::uint8_t(1));
+        CHECK_EQ(good[slot1 - 1], std::uint8_t(0));
+        CHECK_EQ(good[slot1], std::uint8_t(1));
+        CHECK_EQ(good[finished], std::uint8_t(0));
+        for (const auto &[what, at] :
+             {std::pair<const char *, std::size_t>{"runsTail bool",
+                                                   lastTail},
+              {"slot-present bool", slot1},
+              {"finished bool", finished}}) {
+            std::vector<std::uint8_t> bad = good;
+            bad[at] = 2;
+            writeFileBytes(path, bad);
+            resealChecksum(path);
+            expectRefusal(what, "malformed");
+        }
+    }
+
     // Restore the good bytes: mis-keyed loads must refuse even when
     // the file itself is pristine.
     writeFileBytes(path, good);
